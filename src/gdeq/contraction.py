@@ -25,36 +25,16 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 
-def spectral_norm(m: np.ndarray, iters: int = 100, tol: float = 1e-12,
-                  seed: int = 0) -> float:
-    """Largest singular value by alternating power iteration."""
+def spectral_norm(m: np.ndarray) -> float:
+    """Largest singular value, exact to round-off (LAPACK SVD).
+
+    Power iteration only approaches it from below, and this value feeds
+    upper bounds (``lemma2_bound``, the spectral clip).
+    """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("need a matrix")
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=m.shape[1])
-    nv = np.linalg.norm(v)
-    if nv == 0.0:  # pragma: no cover - measure-zero draw
-        v = np.ones(m.shape[1])
-        nv = np.linalg.norm(v)
-    v /= nv
-    sigma = 0.0
-    for _ in range(iters):
-        u = m @ v
-        nu = np.linalg.norm(u)
-        if nu < 1e-30:
-            return 0.0
-        u /= nu
-        w = m.T @ u
-        nw = np.linalg.norm(w)
-        if nw < 1e-30:
-            return 0.0
-        v = w / nw
-        if abs(nw - sigma) <= tol * max(1.0, nw):
-            sigma = nw
-            break
-        sigma = nw
-    return float(sigma)
+    return float(np.linalg.norm(m, 2))
 
 
 def lemma2_bound(module) -> float:

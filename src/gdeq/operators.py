@@ -63,15 +63,14 @@ class BackboneParams:
         return [("w", self.w), ("omega", self.omega), ("bias", self.bias)]
 
 
-def clip_spectral(w: Tensor, kappa: float, iters: int = 100,
-                  tol: float = 1e-12) -> float:
+def clip_spectral(w: Tensor, kappa: float) -> float:
     """Rescale ``w`` in place to spectral norm kappa if it exceeds it.
 
-    Returns the power-iteration norm estimate before clipping.  A relative
-    guard keeps the clip idempotent: re-clipping an already-clipped weight
-    must not rescale it over estimator noise of a few ulps.
+    Returns the spectral norm before clipping.  A relative guard keeps the
+    clip idempotent: re-clipping an already-clipped weight must not rescale
+    it over the few ulps of rounding that the rescale leaves.
     """
-    sigma = spectral_norm(w.data, iters=iters, tol=tol)
+    sigma = spectral_norm(w.data)
     if sigma > kappa * (1.0 + 1e-12):
         w.data *= kappa / sigma
     return sigma

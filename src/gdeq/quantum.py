@@ -7,12 +7,18 @@ XYZ rotations + ZZ couplers, then XY rotations + XX couplers, then YZ
 rotations + YY couplers, re-encoding u before each block), and the
 per-qubit Pauli-Z expectations are read out and mixed by W_out.
 
-Simulation is vectorized across rows: a batch of N per-node states is
-one (N, 2**n_q) complex array and every gate is a few slice updates on
-a reshaped view.  Gradients are exact reverse-mode through the state
-(states are stashed per gate, cotangents pulled back through conjugate
-gates); the parameter-shift rule is provided separately as an
-independent route to the same angle gradients.
+Simulation is vectorized across rows.  ``circuit_expectations`` compiles
+the program at the current angles into segments: each run of consecutive
+parameter gates becomes one fused 2**n_q x 2**n_q unitary, applied to
+all rows as one complex matmul, and each encoding layer is a set of
+per-row R_y updates on a reshaped view.  States are amplitude-major,
+(2**n_q, N), so the rows are the contiguous axis of every update.
+Gradients are exact reverse-mode through the state: the output state of
+every segment is stashed, the cotangent is pulled back through each
+segment's adjoint, and each fused block yields all of its angle
+gradients from one 2**n_q x 2**n_q matrix.  The parameter-shift rule is
+provided separately as an independent route to the same angle
+gradients.
 
 Convention: qubit ``j`` owns bit ``n_q - 1 - j`` of the basis index,
 i.e. qubit 0 is the most significant axis.  All rotation and coupler
@@ -22,7 +28,7 @@ gates use exp(-i * theta * P / 2) for Pauli (product) P.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -104,105 +110,13 @@ def build_program(n_qubits: int, reps: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# vectorized kernels on (N, 2**n_q) complex arrays
+# vectorized kernels on amplitude-major (2**n_q, N) complex arrays
 
 
 def _zero_states(n_rows: int, n_qubits: int) -> np.ndarray:
-    states = np.zeros((n_rows, 2 ** n_qubits), dtype=np.complex128)
-    states[:, 0] = 1.0
+    states = np.zeros((2 ** n_qubits, n_rows), dtype=np.complex128)
+    states[0] = 1.0
     return states
-
-
-def _one_view(states: np.ndarray, n_qubits: int, q: int) -> np.ndarray:
-    t = states.reshape((states.shape[0],) + (2,) * n_qubits)
-    return np.moveaxis(t, 1 + q, -1)
-
-
-def _two_view(states: np.ndarray, n_qubits: int, q1: int, q2: int) -> np.ndarray:
-    t = states.reshape((states.shape[0],) + (2,) * n_qubits)
-    return np.moveaxis(t, (1 + q1, 1 + q2), (-2, -1))
-
-
-def _bcast(theta, view_rank: int):
-    arr = np.asarray(theta, dtype=np.float64)
-    if arr.ndim == 0:
-        return arr
-    return arr.reshape((-1,) + (1,) * (view_rank - 1))
-
-
-def _apply_gate(states: np.ndarray, n_qubits: int, gate: Gate, theta) -> None:
-    """In-place application; ``theta`` is a scalar or per-row vector."""
-    kind = gate.kind
-    if kind in ("rx", "ry", "rz"):
-        v = _one_view(states, n_qubits, gate.qubits[0])
-        half = _bcast(theta, v.ndim - 1) / 2.0
-        c, s = np.cos(half), np.sin(half)
-        a0, a1 = v[..., 0].copy(), v[..., 1].copy()
-        if kind == "rx":
-            v[..., 0] = c * a0 - 1j * s * a1
-            v[..., 1] = -1j * s * a0 + c * a1
-        elif kind == "ry":
-            v[..., 0] = c * a0 - s * a1
-            v[..., 1] = s * a0 + c * a1
-        else:
-            phase = np.exp(-1j * half)
-            v[..., 0] = phase * a0
-            v[..., 1] = np.conj(phase) * a1
-    else:
-        v = _two_view(states, n_qubits, *gate.qubits)
-        half = _bcast(theta, v.ndim - 2) / 2.0
-        c, s = np.cos(half), np.sin(half)
-        if kind == "zz":
-            phase = np.exp(-1j * half)
-            v[..., 0, 0] *= phase
-            v[..., 1, 1] *= phase
-            v[..., 0, 1] *= np.conj(phase)
-            v[..., 1, 0] *= np.conj(phase)
-        elif kind == "xx":
-            a00, a01 = v[..., 0, 0].copy(), v[..., 0, 1].copy()
-            a10, a11 = v[..., 1, 0].copy(), v[..., 1, 1].copy()
-            v[..., 0, 0] = c * a00 - 1j * s * a11
-            v[..., 1, 1] = c * a11 - 1j * s * a00
-            v[..., 0, 1] = c * a01 - 1j * s * a10
-            v[..., 1, 0] = c * a10 - 1j * s * a01
-        elif kind == "yy":
-            a00, a01 = v[..., 0, 0].copy(), v[..., 0, 1].copy()
-            a10, a11 = v[..., 1, 0].copy(), v[..., 1, 1].copy()
-            v[..., 0, 0] = c * a00 + 1j * s * a11
-            v[..., 1, 1] = c * a11 + 1j * s * a00
-            v[..., 0, 1] = c * a01 - 1j * s * a10
-            v[..., 1, 0] = c * a10 - 1j * s * a01
-        else:
-            raise ValueError(f"unknown gate kind {kind!r}")
-
-
-def _apply_pauli(states: np.ndarray, n_qubits: int, gate: Gate) -> np.ndarray:
-    """Return P @ states for the generator Pauli (product) of ``gate``."""
-    out = states.copy()
-    kind = gate.kind
-    if kind in ("rx", "ry", "rz"):
-        v = _one_view(out, n_qubits, gate.qubits[0])
-        a0, a1 = v[..., 0].copy(), v[..., 1].copy()
-        if kind == "rx":
-            v[..., 0], v[..., 1] = a1, a0
-        elif kind == "ry":
-            v[..., 0], v[..., 1] = -1j * a1, 1j * a0
-        else:
-            v[..., 1] = -a1
-    else:
-        v = _two_view(out, n_qubits, *gate.qubits)
-        a00, a01 = v[..., 0, 0].copy(), v[..., 0, 1].copy()
-        a10, a11 = v[..., 1, 0].copy(), v[..., 1, 1].copy()
-        if kind == "zz":
-            v[..., 0, 1] = -a01
-            v[..., 1, 0] = -a10
-        elif kind == "xx":
-            v[..., 0, 0], v[..., 1, 1] = a11, a00
-            v[..., 0, 1], v[..., 1, 0] = a10, a01
-        else:
-            v[..., 0, 0], v[..., 1, 1] = -a11, -a00
-            v[..., 0, 1], v[..., 1, 0] = a10, a01
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -223,46 +137,208 @@ def _resolve_theta(gate: Gate, u_rows: np.ndarray, angles: np.ndarray):
     return float(angles[r, c])
 
 
-def _run_program(u_rows: np.ndarray, angles: np.ndarray, n_qubits: int,
+# ---------------------------------------------------------------------------
+# the program compiled into encoding layers and fused parameter blocks
+
+_PAULI = {
+    "x": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    "y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    "z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
+}
+
+
+def _generator(gate: Gate, n_qubits: int) -> np.ndarray:
+    """Dense Pauli (product) P of ``gate`` on the full register."""
+    pauli = _PAULI[gate.kind[-1]]
+    out = np.ones((1, 1), dtype=np.complex128)
+    for j in range(n_qubits):
+        out = np.kron(out, pauli if j in gate.qubits else np.eye(2))
+    return out
+
+
+class _Segments(NamedTuple):
+    """The angle-free layout of a program.
+
+    ``blocks`` has one entry per segment: ``None`` for an encoding layer,
+    else the slice of the parameter gates that the block fuses.
+    """
+
+    blocks: tuple
+    index: tuple           # (reps, cols) of every parameter gate's angle
+    paulis: np.ndarray     # (n_param_gates, 2**n_q, 2**n_q) generators
+
+
+@lru_cache(maxsize=None)
+def _segments(n_qubits: int, reps: int) -> _Segments:
+    """Split the program into encoding layers and parameter blocks.
+
+    ``build_program`` writes each encoding layer as qubits 0..n_q-1 in a
+    row, so a layer starts at every encoding gate on qubit 0.
+    """
+    blocks: list = []
+    params: list[Gate] = []
+    for gate in build_program(n_qubits, reps):
+        if gate.source[0] == "param":
+            if blocks[-1] is None:  # the program opens with an encoding layer
+                blocks.append(slice(len(params), len(params)))
+            params.append(gate)
+            blocks[-1] = slice(blocks[-1].start, len(params))
+        elif gate.qubits[0] == 0:
+            blocks.append(None)
+    dim = 2 ** n_qubits
+    index = tuple(np.array([g.source[i] for g in params], dtype=np.intp)
+                  for i in (1, 2))
+    paulis = np.array([_generator(g, n_qubits) for g in params],
+                      dtype=np.complex128).reshape(-1, dim, dim)
+    for arr in (*index, paulis):
+        arr.setflags(write=False)
+    return _Segments(tuple(blocks), index, paulis)
+
+
+def _product(gates: np.ndarray) -> np.ndarray:
+    """gates[-1] @ ... @ gates[0], multiplied pairwise in batches."""
+    while len(gates) > 1:
+        paired = gates[1::2] @ gates[:len(gates) - 1:2]
+        if len(gates) % 2:
+            paired = np.concatenate([paired, gates[-1:]])
+        gates = paired
+    return gates[0]
+
+
+class _FusedBlock:
+    """A run of parameter gates at fixed angles, and their product U."""
+
+    def __init__(self, gates: np.ndarray, paulis: np.ndarray, index: tuple):
+        self.gates = gates
+        self.paulis = paulis
+        self.index = index
+        self.unitary = _product(gates)
+
+    @cached_property
+    def observables(self) -> np.ndarray:
+        """Rows W_k P_k W_kᴴ, flattened, with W_k the gates after gate k.
+
+        Gate k's angle gradient is Im tr(P_k C_k), where C = sum over rows
+        of psi_out lambda_outᴴ is swept back to gate k as C_k = W_kᴴ C W_k;
+        by the cyclic trace that is Im tr(W_k P_k W_kᴴ C).  Built on the
+        first pullback and reused by every later one.
+        """
+        after = np.empty_like(self.gates)
+        w = np.eye(self.gates.shape[1], dtype=np.complex128)
+        for k in range(len(self.gates) - 1, -1, -1):
+            after[k] = w
+            w = w @ self.gates[k]
+        obs = after @ self.paulis @ np.conj(np.swapaxes(after, 1, 2))
+        return obs.reshape(len(obs), -1)
+
+
+def _compile(angles: np.ndarray, n_qubits: int) -> tuple:
+    """The program at ``angles``: ``None`` per encoding layer, else a block."""
+    seg = _segments(n_qubits, angles.shape[0])
+    half = 0.5 * angles[seg.index][:, None, None]
+    gates = (np.cos(half) * np.eye(2 ** n_qubits)
+             - 1j * np.sin(half) * seg.paulis)
+    return tuple(None if span is None else
+                 _FusedBlock(gates[span], seg.paulis[span],
+                             (seg.index[0][span], seg.index[1][span]))
+                 for span in seg.blocks)
+
+
+def _half_turns(u_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos(u / 2) as (n_q, 2N) and (-sin, +sin)(u / 2) as (n_q, 2, 1, 2N).
+
+    Each row's value appears twice, once for the real and once for the
+    imaginary part of an amplitude in the float view of the states.
+    """
+    half = np.repeat(0.5 * u_rows.T, 2, axis=1)
+    sin = np.sin(half)
+    return np.cos(half), np.stack([-sin, sin], axis=1)[:, :, None]
+
+
+def _encode(states: np.ndarray, cos: np.ndarray,
+            sin_pm: np.ndarray) -> np.ndarray:
+    """One encoding layer, out of place: R_y(u_j) on qubit j of every row.
+
+    R_y(u) maps each amplitude pair (a0, a1) of its qubit to
+    cos(u/2) (a0, a1) + sin(u/2) (-a1, a0).  It is real, so it acts on the
+    real and imaginary parts alike, and the rows stay the contiguous
+    innermost axis of every update.
+    """
+    parts = states.view(np.float64)
+    width = parts.shape[1]
+    for q in range(len(cos)):
+        v = parts.reshape(2 ** q, 2, -1, width)
+        parts = cos[q] * v + sin_pm[q] * v[:, ::-1]
+    return parts.reshape(len(states), width).view(np.complex128)
+
+
+def _encoding_grad(lam: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Per-row angle gradient of one encoding layer, (N, n_q).
+
+    The layer's gates commute with every generator Y_j in it, so gate j
+    reads Im(lambdaᴴ Y_j psi) at the layer's output state psi and its
+    cotangent lambda: Re(conj(lambda_1) psi_0 - conj(lambda_0) psi_1) over
+    the amplitude pairs that differ in qubit j.
+    """
+    dim, n_rows = psi.shape
+    n_qubits = dim.bit_length() - 1
+    lam_bar = np.conj(lam)
+    out = np.empty((n_rows, n_qubits))
+    for q in range(n_qubits):
+        lv = lam_bar.reshape(2 ** q, 2, -1, n_rows)
+        pv = psi.reshape(2 ** q, 2, -1, n_rows)
+        pairs = lv[:, 1] * pv[:, 0] - lv[:, 0] * pv[:, 1]
+        out[:, q] = pairs.real.sum(axis=(0, 1))
+    return out
+
+
+def _run_program(u_rows: np.ndarray, program: tuple,
                  stash: list | None = None) -> np.ndarray:
-    states = _zero_states(u_rows.shape[0], n_qubits)
-    if stash is not None:
-        stash.append(states.copy())
-    for gate in build_program(n_qubits, angles.shape[0]):
-        _apply_gate(states, n_qubits, gate, _resolve_theta(gate, u_rows, angles))
+    """Final amplitude-major states (2**n_q, N) of the rows of ``u_rows``.
+
+    ``stash`` collects every segment's output state.
+    """
+    cos, sin_pm = _half_turns(u_rows)
+    states = _zero_states(u_rows.shape[0], u_rows.shape[1])
+    for fused in program:
+        states = (_encode(states, cos, sin_pm) if fused is None
+                  else fused.unitary @ states)
         if stash is not None:
-            stash.append(states.copy())
+            stash.append(states)
     return states
 
 
 def _expectations(states: np.ndarray, n_qubits: int) -> np.ndarray:
-    return (states.real ** 2 + states.imag ** 2) @ _z_signs(n_qubits).T
+    """(N, n_q) Pauli-Z expectations of amplitude-major states (2**n_q, N)."""
+    return (_z_signs(n_qubits) @ (states.real ** 2 + states.imag ** 2)).T
 
 
-def _backward(u_rows: np.ndarray, angles: np.ndarray, n_qubits: int,
+def _backward(u_rows: np.ndarray, angle_shape: tuple, program: tuple,
               stash: list, g_m: np.ndarray):
     """Adjoint sweep: cotangent on expectations -> (dU, dAngles).
 
-    For a gate G = exp(-i th P / 2) at step k the contribution is
-    Im(lambda_k^dagger P psi_k) with psi_k the post-gate state and
-    lambda_k the state cotangent dL/dpsi* at the same point; pulling
-    lambda back one step is an application of G(-th).
+    The state cotangent lambda = dL/dpsi* starts at the final state and is
+    pulled back one segment at a time, to the output of the segment before
+    it: through a fused block as lambda <- Uᴴ lambda, through an encoding
+    layer by R_y(-u).  Each segment reads its gradients at its own output
+    state ``stash[k]`` and cotangent.
     """
-    gates = build_program(n_qubits, angles.shape[0])
-    lam = (g_m @ _z_signs(n_qubits)) * stash[-1]
+    cos, sin_pm = _half_turns(u_rows)
+    sin_back = -sin_pm
+    lam = (_z_signs(u_rows.shape[1]).T @ g_m.T) * stash[-1]
     d_u = np.zeros_like(u_rows)
-    d_ang = np.zeros_like(angles)
-    for k in range(len(gates) - 1, -1, -1):
-        gate = gates[k]
-        psi_k = stash[k + 1]
-        w = np.sum(np.conj(lam) * _apply_pauli(psi_k, n_qubits, gate), axis=1).imag
-        theta = _resolve_theta(gate, u_rows, angles)
-        if gate.source[0] == "enc":
-            d_u[:, gate.source[1]] += w
+    d_ang = np.zeros(angle_shape)
+    for k in range(len(program) - 1, -1, -1):
+        fused, psi = program[k], stash[k]
+        if fused is None:
+            d_u += _encoding_grad(lam, psi)
+            if k:
+                lam = _encode(lam, cos, sin_back)
         else:
-            _, r, c = gate.source
-            d_ang[r, c] += w.sum()
-        _apply_gate(lam, n_qubits, gate, np.negative(theta))
+            c_t = np.conj(lam) @ psi.T          # transpose of C
+            d_ang[fused.index] = (fused.observables @ c_t.reshape(-1)).imag
+            if k:
+                lam = np.conj(fused.unitary).T @ lam
     return d_u, d_ang
 
 
@@ -270,25 +346,26 @@ def circuit_expectations(u: Tensor, angles: Tensor, n_qubits: int) -> Tensor:
     """Per-row Pauli-Z expectations of the ansatz, as a differentiable op.
 
     ``u``: (N, n_q) encoding angles; ``angles``: (reps, per-rep count)
-    trainable circuit angles.  Output is (N, n_q) in [-1, 1].
+    trainable circuit angles.  Output is (N, n_q) in [-1, 1].  The program
+    is compiled at the angles' current values on every call, and every
+    pullback of the recorded op reuses that compiled program.
     """
     if u.cols != n_qubits:
         raise ValueError(f"expected {n_qubits} encoding angles, got {u.cols}")
     if angles.cols != per_rep_param_count(n_qubits):
         raise ValueError("angle row width does not match qubit count")
     u_rows = u.data
-    ang = angles.data
-    tracked = ad._active_tape() is not None
-    stash: list | None = [] if tracked else None
-    states = _run_program(u_rows, ang, n_qubits, stash)
-    m = _expectations(states, n_qubits)
+    angle_shape = angles.data.shape
+    program = _compile(angles.data, n_qubits)
+    stash: list | None = [] if ad._active_tape() is not None else None
+    m = _expectations(_run_program(u_rows, program, stash), n_qubits)
 
     cache: dict = {}
 
     def shared(g):
         if cache.get("seed") is not g:
             cache["seed"] = g
-            cache["grads"] = _backward(u_rows, ang, n_qubits, stash, g)
+            cache["grads"] = _backward(u_rows, angle_shape, program, stash, g)
         return cache["grads"]
 
     return ad.record_op(
@@ -323,10 +400,8 @@ def angle_encode(u) -> StateVector:
     if not np.all(np.abs(u) < 1.0):
         raise ValueError("encoding angles must lie in (-1, 1)")
     n_q = u.shape[0]
-    states = _zero_states(1, n_q)
-    for j in range(n_q):
-        _apply_gate(states, n_q, Gate("ry", (j,), ("enc", j)), u[j])
-    out = StateVector(states[0], n_q)
+    states = _encode(_zero_states(1, n_q), *_half_turns(u.reshape(1, -1)))
+    out = StateVector(states[:, 0], n_q)
     out.check_norm()
     return out
 
@@ -338,20 +413,21 @@ def apply_deep_xyz(state: StateVector, params: "DeepXyzParams", u) -> StateVecto
     u_rows = np.asarray(u, dtype=np.float64).reshape(1, -1)
     if u_rows.shape[1] != state.n_qubits:
         raise ValueError("one encoding angle per qubit required")
-    states = state.amplitudes.reshape(1, -1).astype(np.complex128).copy()
-    ang = params.angles.data
+    states = state.amplitudes.reshape(-1, 1).astype(np.complex128)
+    cos, sin_pm = _half_turns(u_rows)
     n_q = state.n_qubits
-    full = build_program(n_q, params.reps)
-    for gate in full[n_q:]:  # skip the initial encoding: already in `state`
-        _apply_gate(states, n_q, gate, _resolve_theta(gate, u_rows, ang))
-    out = StateVector(states[0], n_q)
+    # skip the initial encoding: already in `state`
+    for fused in _compile(params.angles.data, n_q)[1:]:
+        states = (_encode(states, cos, sin_pm) if fused is None
+                  else fused.unitary @ states)
+    out = StateVector(states[:, 0], n_q)
     out.check_norm()
     return out
 
 
 def pauli_z_expectations(state: StateVector) -> np.ndarray:
     """<Z_j> for every qubit, each in [-1, 1]."""
-    return _expectations(state.amplitudes.reshape(1, -1), state.n_qubits)[0]
+    return _expectations(state.amplitudes.reshape(-1, 1), state.n_qubits)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +595,7 @@ def parameter_shift_grad(module: QuantumModule, s, index: int) -> np.ndarray:
     def measure(shift: float) -> np.ndarray:
         ang = module.params.angles.data.copy()
         ang[r, c] += shift
-        return _expectations(_run_program(u, ang, n_q), n_q)[0]
+        return _expectations(_run_program(u, _compile(ang, n_q)), n_q)[0]
 
     dm = (measure(np.pi / 2) - measure(-np.pi / 2)) / 2.0
     return out_map @ dm

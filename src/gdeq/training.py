@@ -399,13 +399,15 @@ def train_epoch(model: GraphClassifier, opt: AdamW, batches, lr: float,
 def evaluate(model: GraphClassifier, batches) -> tuple:
     """(mean loss, accuracy, mean forward iterations) without recording.
 
-    Graphs in a diverged batch count as misclassified rather than being
-    silently dropped.
+    Leaves the model untouched, spectral normalization state included, so
+    repeated evaluations agree.  Graphs in a diverged batch count as
+    misclassified rather than being silently dropped.
     """
     loss_sum, hits, seen, iters = 0.0, 0, 0, []
     missed = 0
     for batch in batches:
-        loss, logits, report = model.forward_batch(batch, train=False)
+        loss, logits, report = model.forward_batch(batch, train=False,
+                                                   refresh=False)
         if loss is None:
             missed += len(batch.labels)
             continue

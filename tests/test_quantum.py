@@ -139,6 +139,37 @@ def test_amplitudes_match_dense_product(n_q, reps):
                    oracle_expectations(want, n_q)) < 1e-12
 
 
+GRID = [(n_q, reps) for n_q in (1, 2, 3, 4) for reps in (1, 2)]
+
+
+@pytest.mark.parametrize("n_q,reps", GRID)
+def test_compiled_program_matches_dense_product(n_q, reps):
+    rng = np.random.default_rng(100 + 10 * n_q + reps)
+    u = rng.uniform(-0.99, 0.99, size=(5, n_q))
+    angles = rng.uniform(-np.pi, np.pi, size=(reps, qm.per_rep_param_count(n_q)))
+    states = qm._run_program(u, qm._compile(angles, n_q))
+    m = qm.circuit_expectations(ad.Tensor(u), ad.Tensor(angles), n_q).data
+    for i in range(len(u)):
+        want = oracle_state(u[i], angles, n_q)
+        assert np.max(np.abs(states[:, i] - want)) < 1e-12
+        assert np.max(np.abs(m[i] - oracle_expectations(want, n_q))) < 1e-12
+
+
+def test_in_place_angle_update_reaches_the_next_call():
+    # the optimizer edits angle arrays in place; no compiled program may
+    # outlive the call that compiled it
+    rng = np.random.default_rng(8)
+    angles = ad.Tensor(rng.uniform(-0.5, 0.5, size=(1, qm.per_rep_param_count(3))))
+    u = ad.Tensor(rng.uniform(-0.9, 0.9, size=(4, 3)))
+    before = qm.circuit_expectations(u, angles, 3).data
+    angles.data += 0.3
+    after = qm.circuit_expectations(u, angles, 3).data
+    want = [oracle_expectations(oracle_state(row, angles.data, 3), 3)
+            for row in u.data]
+    assert np.max(np.abs(after - before)) > 1e-3
+    assert np.max(np.abs(after - np.array(want))) < 1e-12
+
+
 def test_batched_rows_match_single_rows():
     rng = np.random.default_rng(7)
     n_q, n = 3, 5
@@ -155,8 +186,8 @@ def test_norm_preserved_and_expectations_bounded():
     for n_q in (1, 2, 4):
         params = qm.DeepXyzParams.init(n_q, 2, rng)
         u = rng.uniform(-0.99, 0.99, size=(6, n_q))
-        states = qm._run_program(u, params.angles.data, n_q)
-        norms = np.linalg.norm(states, axis=1)
+        states = qm._run_program(u, qm._compile(params.angles.data, n_q))
+        norms = np.linalg.norm(states, axis=0)
         assert np.max(np.abs(norms - 1.0)) < 1e-10
         m = qm._expectations(states, n_q)
         assert np.all(np.abs(m) <= 1.0 + 1e-12)
@@ -170,15 +201,17 @@ def test_norm_drift_guard_raises():
 
 # --- gradients -----------------------------------------------------------------
 
-def test_circuit_gradients_match_fd():
+@pytest.mark.parametrize("n_q,reps", GRID)
+def test_circuit_gradients_match_fd(n_q, reps):
     rng = np.random.default_rng(11)
-    n_q, n = 2, 3
+    n = 3
     u0 = rng.uniform(-0.8, 0.8, size=(n, n_q))
-    ang0 = rng.uniform(-0.5, 0.5, size=(1, qm.per_rep_param_count(n_q)))
+    ang0 = rng.uniform(-0.5, 0.5, size=(reps, qm.per_rep_param_count(n_q)))
     weight = rng.normal(size=(n, n_q))
 
     def loss_arrays(u_arr, ang_arr):
-        m = qm._expectations(qm._run_program(u_arr, ang_arr, n_q), n_q)
+        program = qm._compile(ang_arr, n_q)
+        m = qm._expectations(qm._run_program(u_arr, program), n_q)
         return float((weight * m).sum())
 
     tape = ad.Tape()

@@ -337,6 +337,14 @@ def test_diverged_batch_is_skipped_with_warning():
                for n, t in model.parameters())
 
 
+def test_evaluate_leaves_the_model_unchanged():
+    ds = toy_dataset()
+    model = GraphClassifier(small_config("sd"), ds.feature_dim, 2, seed=5)
+    batches = [collate(ds.graphs[:6]), collate(ds.graphs[6:])]
+    first = evaluate(model, batches)
+    assert evaluate(model, batches) == first
+
+
 def test_single_batch_overfit_reaches_full_accuracy(mutag_dir):
     from gdeq.graphs import load_tu_dataset
     ds = load_tu_dataset(mutag_dir, "MUTAG")
