@@ -183,41 +183,29 @@ def write_table(path, header, rows) -> None:
 # aggregation records
 
 
-def emit_summary(runs, dataset: str = "") -> list:
-    """One record per variant: mean/std accuracy (n-1), iterations, minutes."""
-    if not runs:
-        raise ValueError("no runs to summarise")
-    variants = list(dict.fromkeys(r.pathway for r in runs))
-    records = []
-    for v in variants:
-        agg = aggregate_runs([r for r in runs if r.pathway == v])
-        records.append({"variant": v, "dataset": dataset,
-                        "acc_mean": agg["acc_mean"], "acc_std": agg["acc_std"],
-                        "iter_mean": agg["iter_mean"],
-                        "time_minutes_mean": agg["time_minutes_mean"]})
-    return records
+def emit_summary(runs, dataset: str = "") -> dict:
+    """The pathway's record: mean/std accuracy (n-1), iterations, minutes."""
+    agg = aggregate_runs(runs)
+    return {"variant": runs[0].pathway, "dataset": dataset,
+            "acc_mean": agg["acc_mean"], "acc_std": agg["acc_std"],
+            "iter_mean": agg["iter_mean"],
+            "time_minutes_mean": agg["time_minutes_mean"]}
 
 
 def emit_iteration_curves(runs):
-    """(header, rows): per-epoch mean/std of forward iterations per variant."""
+    """(header, rows): per-epoch mean/std of forward iterations over runs."""
     if not runs:
         raise ValueError("no runs to emit")
     epochs = len(runs[0].iterations)
     if any(len(r.iterations) != epochs for r in runs):
         raise ValueError("runs disagree on epoch count")
-    variants = list(dict.fromkeys(r.pathway for r in runs))
-    header = ["epoch"]
-    for v in variants:
-        header += [f"{v}_iter_mean", f"{v}_iter_std"]
+    pathway = runs[0].pathway
     rows = []
     for e in range(epochs):
-        row = [e]
-        for v in variants:
-            vals = np.array([r.iterations[e] for r in runs if r.pathway == v])
-            row.append(float(vals.mean()))
-            row.append(float(vals.std(ddof=1)) if len(vals) > 1 else 0.0)
-        rows.append(row)
-    return header, rows
+        vals = np.array([r.iterations[e] for r in runs])
+        rows.append([e, float(vals.mean()),
+                     float(vals.std(ddof=1)) if len(vals) > 1 else 0.0])
+    return ["epoch", f"{pathway}_iter_mean", f"{pathway}_iter_std"], rows
 
 
 # ---------------------------------------------------------------------------
@@ -308,20 +296,15 @@ def run_experiment(cfg: ExperimentConfig) -> int:
                   f"({metrics.wall_minutes:.2f} min)")
 
     if runs:
-        records = emit_summary(runs, dataset=cfg.dataset)
-        write_table(base / "summary.csv",
-                    ["variant", "dataset", "acc_mean", "acc_std",
-                     "iter_mean", "time_minutes_mean"],
-                    [[r[k] for k in ("variant", "dataset", "acc_mean",
-                                     "acc_std", "iter_mean",
-                                     "time_minutes_mean")] for r in records])
-        write_kv(base / "summary.txt", records[0])
+        record = emit_summary(runs, dataset=cfg.dataset)
+        write_table(base / "summary.csv", list(record),
+                    [list(record.values())])
+        write_kv(base / "summary.txt", record)
         header, rows = emit_iteration_curves(runs)
         write_table(base / "iteration_curves.csv", header, rows)
-        agg = aggregate_runs(runs)
         print(f"{cfg.pathway} on {cfg.dataset}: "
-              f"acc {agg['acc_mean']:.4f} +- {agg['acc_std']:.4f} "
-              f"over {agg['runs']} runs")
+              f"acc {record['acc_mean']:.4f} +- {record['acc_std']:.4f} "
+              f"over {len(runs)} runs")
     return 1 if failed or violations else 0
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .contraction import spectral_norm
-from .quantum import QuantumModule
+from .quantum import DeepXyzParams, QuantumModule
 
 PATHWAYS = ("classical", "id", "sd", "bd")
 
@@ -162,8 +162,10 @@ class EquilibriumOperator:
                                 self.backbone.kappa)
             quantum = self.quantum
             if quantum is not None and "w_in" in by_name:
-                quantum = quantum.with_tensors(
-                    by_name["w_in"], by_name["w_out"], by_name["angles"])
+                quantum = QuantumModule(
+                    by_name["w_in"], by_name["w_out"],
+                    DeepXyzParams(by_name["angles"], quantum.n_qubits),
+                    quantum.spectral_normalize)
             op = EquilibriumOperator(self.kind, bb, quantum, self.alpha)
             ctx2 = replace(ctx, h=by_name["h"], q_id=by_name.get("q_id"))
             return op.apply(z, ctx2)

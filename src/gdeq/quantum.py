@@ -20,6 +20,11 @@ gradients from one 2**n_q x 2**n_q matrix.  The parameter-shift rule is
 provided separately as an independent route to the same angle
 gradients.
 
+Under spectral normalization W_in and W_out enter as W / sigma(W), with
+sigma from one exact SVD per map and call; the derivative through sigma
+is part of the recorded op, so the module carries no normalization state
+and a forward pass never changes what the next one computes.
+
 Convention: qubit ``j`` owns bit ``n_q - 1 - j`` of the basis index,
 i.e. qubit 0 is the most significant axis.  All rotation and coupler
 gates use exp(-i * theta * P / 2) for Pauli (product) P.
@@ -128,13 +133,6 @@ def _z_signs(n_qubits: int) -> np.ndarray:
         bit = (np.arange(dim) >> (n_qubits - 1 - j)) & 1
         signs[j] = 1.0 - 2.0 * bit
     return signs
-
-
-def _resolve_theta(gate: Gate, u_rows: np.ndarray, angles: np.ndarray):
-    if gate.source[0] == "enc":
-        return u_rows[:, gate.source[1]]
-    _, r, c = gate.source
-    return float(angles[r, c])
 
 
 # ---------------------------------------------------------------------------
@@ -375,62 +373,6 @@ def circuit_expectations(u: Tensor, angles: Tensor, n_qubits: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# single-state helpers
-
-
-@dataclass
-class StateVector:
-    """Amplitudes of one n-qubit register."""
-
-    amplitudes: np.ndarray
-    n_qubits: int
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def check_norm(self, tol: float = 1e-10) -> None:
-        drift = abs(self.norm() - 1.0)
-        if drift > tol:
-            raise FloatingPointError(f"state norm drifted by {drift:.3e}")
-
-
-def angle_encode(u) -> StateVector:
-    """R_y(u_j) on each qubit of |0...0>; u entries must lie in (-1, 1)."""
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
-    if not np.all(np.abs(u) < 1.0):
-        raise ValueError("encoding angles must lie in (-1, 1)")
-    n_q = u.shape[0]
-    states = _encode(_zero_states(1, n_q), *_half_turns(u.reshape(1, -1)))
-    out = StateVector(states[:, 0], n_q)
-    out.check_norm()
-    return out
-
-
-def apply_deep_xyz(state: StateVector, params: "DeepXyzParams", u) -> StateVector:
-    """Apply the repeated three-block ansatz with re-encoding of ``u``."""
-    if params.n_qubits != state.n_qubits:
-        raise ValueError("parameter and state qubit counts differ")
-    u_rows = np.asarray(u, dtype=np.float64).reshape(1, -1)
-    if u_rows.shape[1] != state.n_qubits:
-        raise ValueError("one encoding angle per qubit required")
-    states = state.amplitudes.reshape(-1, 1).astype(np.complex128)
-    cos, sin_pm = _half_turns(u_rows)
-    n_q = state.n_qubits
-    # skip the initial encoding: already in `state`
-    for fused in _compile(params.angles.data, n_q)[1:]:
-        states = (_encode(states, cos, sin_pm) if fused is None
-                  else fused.unitary @ states)
-    out = StateVector(states[:, 0], n_q)
-    out.check_norm()
-    return out
-
-
-def pauli_z_expectations(state: StateVector) -> np.ndarray:
-    """<Z_j> for every qubit, each in [-1, 1]."""
-    return _expectations(state.amplitudes.reshape(-1, 1), state.n_qubits)[0]
-
-
-# ---------------------------------------------------------------------------
 # trainable module
 
 
@@ -464,24 +406,31 @@ class DeepXyzParams:
         return cls(Tensor(rng.uniform(-scale, scale, size=shape)), n_qubits)
 
 
-def _power_iteration_update(w: np.ndarray, u: np.ndarray):
-    """One two-sided power iteration; returns (sigma, u, v) or None on guard."""
-    wu = w.T @ u
-    nu = np.linalg.norm(wu)
-    if nu < NORM_GUARD:
-        return None
-    v = wu / nu
-    wv = w @ v
-    nv = np.linalg.norm(wv)
-    if nv < NORM_GUARD:
-        return None
-    u_new = wv / nv
-    sigma = float(u_new @ w @ v)
-    return sigma, u_new, v
+def _normalized(w: Tensor) -> Tensor:
+    """W / sigma(W) as one recorded op, sigma the exact top singular value.
+
+    sigma's derivative is u_1 v_1ᵀ, so the pullback of W / sigma is
+    (G - <G, W / sigma> u_1 v_1ᵀ) / sigma.  A zero map is returned as is.
+    """
+    u, s, vt = np.linalg.svd(w.data, full_matrices=False)
+    sigma = s[0]
+    if sigma < NORM_GUARD:
+        return w
+    out = w.data / sigma
+
+    def back(g):
+        return (g - np.vdot(g, out) * np.outer(u[:, 0], vt[0])) / sigma
+
+    return ad.record_op(out, [(w, back)])
 
 
 class QuantumModule:
-    """W_in / ansatz / W_out stack applied row-wise to node states."""
+    """W_in / ansatz / W_out stack applied row-wise to node states.
+
+    With ``spectral_normalize`` the maps enter the circuit as W / sigma(W),
+    recomputed exactly from the live weights on every call, so the module
+    holds no normalization state.  ``rng`` is accepted and unused.
+    """
 
     def __init__(self, w_in, w_out, params: DeepXyzParams,
                  spectral_normalize: bool = False, rng=None):
@@ -492,13 +441,6 @@ class QuantumModule:
         if self.w_in.rows != self.n_qubits or self.w_out.cols != self.n_qubits:
             raise ValueError("map shapes must match the qubit count")
         self.spectral_normalize = bool(spectral_normalize)
-        rng = rng or np.random.default_rng(0)
-        self._sn = {
-            "in": {"u": rng.normal(size=self.w_in.rows), "v": None, "sigma": None},
-            "out": {"u": rng.normal(size=self.w_out.rows), "v": None, "sigma": None},
-        }
-        if self.spectral_normalize:
-            self.refresh_normalization()
 
     @property
     def d_in(self) -> int:
@@ -509,46 +451,16 @@ class QuantumModule:
         return self.w_out.rows
 
     def refresh_normalization(self, iters: int = 1) -> None:
-        """Advance the persistent power-iteration state; no-op when disabled."""
-        if not self.spectral_normalize:
-            return
-        for key, w in (("in", self.w_in.data), ("out", self.w_out.data)):
-            state = self._sn[key]
-            for _ in range(iters):
-                upd = _power_iteration_update(w, state["u"])
-                if upd is None:
-                    state["sigma"] = None  # zero map: leave unchanged
-                    break
-                state["sigma"], state["u"], state["v"] = upd
-
-    def _effective(self, key: str, w: Tensor) -> Tensor:
-        state = self._sn[key]
-        if not self.spectral_normalize or state["sigma"] is None:
-            return w
-        # sigma = u^T W v with u, v held constant; gradient flows through W.
-        u_row = ad.constant(state["u"].reshape(1, -1))
-        v_col = ad.constant(state["v"].reshape(-1, 1))
-        sigma = ad.matmul(ad.matmul(u_row, w), v_col)
-        return ad.mul_scalar(w, ad.reciprocal(sigma))
+        """No-op kept for callers: the normalization has no state to advance."""
 
     def effective_maps(self) -> tuple[Tensor, Tensor]:
-        return self._effective("in", self.w_in), self._effective("out", self.w_out)
+        if not self.spectral_normalize:
+            return self.w_in, self.w_out
+        return _normalized(self.w_in), _normalized(self.w_out)
 
     def tensors(self) -> list[tuple[str, Tensor]]:
         return [("w_in", self.w_in), ("w_out", self.w_out),
                 ("angles", self.params.angles)]
-
-    def with_tensors(self, w_in: Tensor, w_out: Tensor,
-                     angles: Tensor) -> "QuantumModule":
-        """Rebind onto other tensors, sharing the frozen normalization state."""
-        clone = object.__new__(QuantumModule)
-        clone.w_in = w_in
-        clone.w_out = w_out
-        clone.params = DeepXyzParams(angles, self.n_qubits)
-        clone.n_qubits = self.n_qubits
-        clone.spectral_normalize = self.spectral_normalize
-        clone._sn = self._sn
-        return clone
 
     def forward_rows(self, s: Tensor) -> Tensor:
         """Apply the module to every row of ``s``; returns (N, d_out)."""
@@ -565,14 +477,6 @@ def qmodule_forward(module: QuantumModule, s) -> np.ndarray:
     row = np.asarray(s, dtype=np.float64).reshape(1, -1)
     with ad.no_grad():
         return module.forward_rows(Tensor(row)).data[0]
-
-
-def spectral_normalize_maps(module: QuantumModule, iters: int = 1):
-    """Advance normalization and return the effective map arrays."""
-    module.refresh_normalization(iters)
-    with ad.no_grad():
-        w_in_eff, w_out_eff = module.effective_maps()
-    return w_in_eff.data, w_out_eff.data
 
 
 def parameter_shift_grad(module: QuantumModule, s, index: int) -> np.ndarray:
@@ -599,20 +503,3 @@ def parameter_shift_grad(module: QuantumModule, s, index: int) -> np.ndarray:
 
     dm = (measure(np.pi / 2) - measure(-np.pi / 2)) / 2.0
     return out_map @ dm
-
-
-def describe_circuit(module: QuantumModule, s) -> str:
-    """Human-readable gate list with resolved angles, for debugging."""
-    row = np.asarray(s, dtype=np.float64).reshape(1, -1)
-    with ad.no_grad():
-        w_in_eff, _ = module.effective_maps()
-        u = np.tanh(row @ w_in_eff.data.T)
-    lines = [f"qubits={module.n_qubits} reps={module.params.reps}"]
-    for gate in build_program(module.n_qubits, module.params.reps):
-        theta = _resolve_theta(gate, u, module.params.angles.data)
-        theta = float(np.asarray(theta).reshape(-1)[0])
-        where = ",".join(str(q) for q in gate.qubits)
-        origin = ("encode u[%d]" % gate.source[1] if gate.source[0] == "enc"
-                  else "theta[%d,%d]" % gate.source[1:])
-        lines.append(f"{gate.kind.upper():>2s} q{where} angle={theta:+.6f} ({origin})")
-    return "\n".join(lines)

@@ -144,34 +144,6 @@ def solve_fixed_point(f: Callable[[Array], Array], z0: Array,
     return anderson_solve(f, z0, cfg)
 
 
-def _adjoint_solve(jt_vjp: Callable[[Array], Array], g: Array,
-                   cfg: SolverConfig) -> tuple[Array, SolveReport]:
-    def step(u: Array) -> Array:
-        return g + jt_vjp(u)
-
-    report = solve_fixed_point(step, np.zeros_like(g), cfg)
-    return report.z_star, report
-
-
-def implicit_backward(f: Callable[[Tensor], Tensor], z_star: Array,
-                      g: Array, cfg: SolverConfig) -> tuple[Array, SolveReport]:
-    """Solve u = g + J^T u for the map's Jacobian at ``z_star``.
-
-    ``f`` must rebuild the operator from recorded primitives so the tape
-    can form transpose-Jacobian products at the fixed point.
-    """
-    g = np.asarray(g, dtype=np.float64)
-    tape = ad.Tape()
-    leaf = tape.watch(Tensor(np.asarray(z_star, dtype=np.float64)))
-    with tape:
-        out = f(leaf)
-
-    def jt_vjp(u: Array) -> Array:
-        return tape.vjp(out, u)[leaf]
-
-    return _adjoint_solve(jt_vjp, g, cfg)
-
-
 def equilibrium_solve(apply_fn: Callable[[Tensor, list], Tensor],
                       tensors: list, z0: Array, fwd: SolverConfig,
                       bwd: SolverConfig) -> tuple[Tensor, SolveReport]:
@@ -208,13 +180,13 @@ def equilibrium_solve(apply_fn: Callable[[Tensor, list], Tensor],
 
     def pullback(g: Array) -> ad.Gradients:
         if cache.get("seed") is not g:
-            def jt_vjp(u: Array) -> Array:
-                return sub.vjp(out, u)[z_leaf]
+            def step(u: Array) -> Array:
+                return g + sub.vjp(out, u)[z_leaf]
 
-            u, back = _adjoint_solve(jt_vjp, g, bwd)
+            back = solve_fixed_point(step, np.zeros_like(g), bwd)
             report.backward = back
             cache["seed"] = g
-            cache["grads"] = sub.vjp(out, u)
+            cache["grads"] = sub.vjp(out, back.z_star)
         return cache["grads"]
 
     parents = [(t, lambda g, c=c: pullback(g)[c])

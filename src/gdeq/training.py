@@ -240,7 +240,7 @@ class GraphClassifier:
             angles = DeepXyzParams.init(cfg.n_qubits, cfg.reps, rng)
             self.quantum = QuantumModule(
                 w_in, w_out, angles,
-                spectral_normalize=cfg.pathway in ("sd", "bd"), rng=rng)
+                spectral_normalize=cfg.pathway in ("sd", "bd"))
         self.attention = AttentionParams.init(d, cfg.heads, rng)
         self.classifier = ClassifierParams.init(d, cfg.mlp_hidden, n_classes, rng)
         self.operator = EquilibriumOperator(cfg.pathway, self.backbone,
@@ -267,13 +267,11 @@ class GraphClassifier:
         """(loss, logits, solve report) for one block-diagonal batch.
 
         Returns (None, None, report) when the forward solve diverges so the
-        caller can skip the batch.  ``refresh=False`` freezes the spectral
-        normalization state; finite-difference probes need that, because
-        the backward pass treats the stored norm as a constant.
+        caller can skip the batch.  The model is left unchanged.  ``refresh``
+        is accepted and ignored: the spectral normalization of the circuit
+        maps is exact and stateless.
         """
         cfg = self.cfg
-        if refresh and self.quantum is not None and cfg.pathway in ("sd", "bd"):
-            self.quantum.refresh_normalization()
         h = encode(batch.features, self.encoder)
         ctx = GraphContext(a_norm=ad.constant(batch.a_norm), h=h)
         if cfg.pathway == "id":
@@ -399,15 +397,14 @@ def train_epoch(model: GraphClassifier, opt: AdamW, batches, lr: float,
 def evaluate(model: GraphClassifier, batches) -> tuple:
     """(mean loss, accuracy, mean forward iterations) without recording.
 
-    Leaves the model untouched, spectral normalization state included, so
-    repeated evaluations agree.  Graphs in a diverged batch count as
-    misclassified rather than being silently dropped.
+    Leaves the model untouched, so repeated evaluations agree.  Graphs in a
+    diverged batch count as misclassified rather than being silently
+    dropped.
     """
     loss_sum, hits, seen, iters = 0.0, 0, 0, []
     missed = 0
     for batch in batches:
-        loss, logits, report = model.forward_batch(batch, train=False,
-                                                   refresh=False)
+        loss, logits, report = model.forward_batch(batch, train=False)
         if loss is None:
             missed += len(batch.labels)
             continue

@@ -345,6 +345,18 @@ def test_evaluate_leaves_the_model_unchanged():
     assert evaluate(model, batches) == first
 
 
+def test_training_forward_leaves_the_next_evaluation_unchanged():
+    # the circuit maps' spectral normalization holds no state that a
+    # training forward could advance
+    ds = toy_dataset()
+    model = GraphClassifier(small_config("sd"), ds.feature_dim, 2, seed=5)
+    batches = [collate(ds.graphs[:6]), collate(ds.graphs[6:])]
+    first = evaluate(model, batches)
+    model.forward_batch(batches[0], train=True,
+                        dropout_rng=np.random.default_rng(0))
+    assert evaluate(model, batches) == first
+
+
 def test_single_batch_overfit_reaches_full_accuracy(mutag_dir):
     from gdeq.graphs import load_tu_dataset
     ds = load_tu_dataset(mutag_dir, "MUTAG")
