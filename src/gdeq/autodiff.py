@@ -150,17 +150,34 @@ class Tape:
         _tape_stack().pop()
         return False
 
-    def vjp(self, output: Tensor, cotangent) -> Gradients:
-        """Pull ``cotangent`` at ``output`` back to every tracked node."""
+    def _depending_on(self, leaves: Sequence[Tensor]) -> set:
+        """Ids of the leaves and of every recorded node computed from them."""
+        reached = {t.nid for t in leaves if t.tape is self}
+        for out_id, parents in self._records:
+            if any(in_id in reached for in_id, _ in parents):
+                reached.add(out_id)
+        return reached
+
+    def vjp(self, output: Tensor, cotangent,
+            wrt: Sequence[Tensor] | None = None) -> Gradients:
+        """Pull ``cotangent`` at ``output`` back to every tracked node.
+
+        With ``wrt``, only inputs that depend on one of those leaves are
+        pulled back to; the cotangents of the ``wrt`` leaves are the same,
+        bit for bit, as in the full sweep.
+        """
         if output.tape is not self:
             raise ValueError("output tensor is not bound to this tape")
         seed = np.asarray(cotangent, dtype=np.float64).reshape(output.data.shape)
         grads: dict[int, Array] = {output.nid: seed}
+        wanted = None if wrt is None else self._depending_on(wrt)
         for out_id, parents in reversed(self._records):
             g = grads.get(out_id)
             if g is None:
                 continue
             for in_id, vjp_fn in parents:
+                if wanted is not None and in_id not in wanted:
+                    continue
                 contrib = vjp_fn(g)
                 prev = grads.get(in_id)
                 grads[in_id] = contrib if prev is None else prev + contrib
@@ -355,28 +372,6 @@ def slice_cols(a: Tensor, j0: int, j1: int) -> Tensor:
         return full
 
     return record_op(a.data[:, j0:j1].copy(), [(a, back)])
-
-
-def mul_scalar(a: Tensor, s: Tensor) -> Tensor:
-    """Multiply every entry of ``a`` by the 1x1 tensor ``s``."""
-    if s.data.shape != (1, 1):
-        raise ValueError("scalar tensor must be 1x1")
-    ad, sv = a.data, s.data[0, 0]
-    return record_op(
-        ad * sv,
-        [(a, lambda g: g * sv), (s, lambda g: (g * ad).sum().reshape(1, 1))],
-    )
-
-
-def reciprocal(s: Tensor) -> Tensor:
-    """Reciprocal of a 1x1 tensor."""
-    if s.data.shape != (1, 1):
-        raise ValueError("scalar tensor must be 1x1")
-    v = s.data[0, 0]
-    return record_op(
-        np.array([[1.0 / v]]),
-        [(s, lambda g: -g / (v * v))],
-    )
 
 
 def cross_entropy_mean(logits: Tensor, labels) -> Tensor:

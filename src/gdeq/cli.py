@@ -216,7 +216,7 @@ def certificate_report(model, batch, rng_seed=0) -> LipschitzReport:
     """Lipschitz analysis of a trained operator on a probe batch."""
     with ad.no_grad():
         h = encode(batch.features, model.encoder)
-        ctx = GraphContext(a_norm=ad.constant(batch.a_norm), h=h)
+        ctx = GraphContext(a_norm=batch.a_norm, h=h)
         if model.cfg.pathway == "id":
             ctx = replace(ctx, q_id=model.operator.compute_id_conditioning(
                 h, batch.tau))

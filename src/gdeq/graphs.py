@@ -48,11 +48,62 @@ class GraphDataset:
         return np.array([g.label for g in self.graphs], dtype=np.int64)
 
 
+class BlockAdjacency:
+    """A block-diagonal matrix kept as one zero-padded block per graph.
+
+    ``blocks`` is (B, n_max, n_max); ``rows`` maps every row of the stacked
+    (N, d) state to its row in the padded (B * n_max, d) layout, and is
+    ``None`` when the two layouts coincide (every block full, as for a
+    single dense block).  Products never form the N x N matrix.
+    """
+
+    __slots__ = ("blocks", "rows")
+
+    def __init__(self, blocks: np.ndarray, rows: np.ndarray | None = None):
+        self.blocks = blocks
+        self.rows = rows
+
+    @classmethod
+    def stack(cls, mats: list) -> "BlockAdjacency":
+        """block_diag(*mats), padded to the largest block."""
+        sizes = [m.shape[0] for m in mats]
+        n_max = max(sizes)
+        blocks = np.zeros((len(mats), n_max, n_max))
+        for b, (m, n) in enumerate(zip(mats, sizes)):
+            blocks[b, :n, :n] = m
+        rows = None
+        if min(sizes) < n_max:
+            rows = np.concatenate([b * n_max + np.arange(n)
+                                   for b, n in enumerate(sizes)])
+        return cls(blocks, rows)
+
+    def _product(self, blocks: np.ndarray, z: np.ndarray) -> np.ndarray:
+        b, n_max = blocks.shape[:2]
+        if self.rows is None:
+            if z.shape[0] != b * n_max:
+                raise ValueError(f"expected {b * n_max} rows, got {z.shape[0]}")
+            if b == 1:  # one dense matrix: skip the batched-matmul set-up
+                return blocks[0] @ z
+            return (blocks @ z.reshape(b, n_max, -1)).reshape(z.shape)
+        padded = np.zeros((b * n_max, z.shape[1]))
+        padded[self.rows] = z
+        out = blocks @ padded.reshape(b, n_max, -1)
+        return np.take(out.reshape(b * n_max, -1), self.rows, axis=0)
+
+    def matmul(self, z: np.ndarray) -> np.ndarray:
+        """A @ z for a stacked (N, d) array ``z``."""
+        return self._product(self.blocks, z)
+
+    def rmatmul(self, g: np.ndarray) -> np.ndarray:
+        """Aᵀ @ g, block by block."""
+        return self._product(self.blocks.transpose(0, 2, 1), g)
+
+
 @dataclass
 class Batch:
     """Several graphs stacked into one block-diagonal problem."""
 
-    a_norm: np.ndarray
+    a_norm: BlockAdjacency
     features: np.ndarray
     tau: np.ndarray
     ranges: list            # [(row0, row1)] per graph
@@ -272,17 +323,13 @@ def collate(graphs: list) -> Batch:
     """Stack graphs into one block-diagonal batch."""
     if not graphs:
         raise ValueError("cannot collate an empty batch")
-    sizes = [g.n_nodes for g in graphs]
-    total = int(np.sum(sizes))
-    a = np.zeros((total, total))
     ranges = []
     row = 0
     for g in graphs:
-        a[row:row + g.n_nodes, row:row + g.n_nodes] = g.a_norm
         ranges.append((row, row + g.n_nodes))
         row += g.n_nodes
     return Batch(
-        a_norm=a,
+        a_norm=BlockAdjacency.stack([g.a_norm for g in graphs]),
         features=np.concatenate([g.features for g in graphs], axis=0),
         tau=np.concatenate([g.tau for g in graphs], axis=0),
         ranges=ranges,

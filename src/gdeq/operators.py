@@ -23,6 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .contraction import spectral_norm
+from .graphs import BlockAdjacency
 from .quantum import DeepXyzParams, QuantumModule
 
 PATHWAYS = ("classical", "id", "sd", "bd")
@@ -76,9 +77,14 @@ def clip_spectral(w: Tensor, kappa: float) -> float:
     return sigma
 
 
-def backbone_apply(bb: BackboneParams, a_norm: Tensor, h: Tensor,
+def propagate(a_norm: BlockAdjacency, z: Tensor) -> Tensor:
+    """A Z as one recorded op; A is a constant, so only Z gets a cotangent."""
+    return ad.record_op(a_norm.matmul(z.data), [(z, a_norm.rmatmul)])
+
+
+def backbone_apply(bb: BackboneParams, a_norm: BlockAdjacency, h: Tensor,
                    z: Tensor, extra: Tensor | None = None) -> Tensor:
-    pre = ad.add(ad.matmul(ad.matmul(a_norm, z), ad.transpose(bb.w)),
+    pre = ad.add(ad.matmul(propagate(a_norm, z), ad.transpose(bb.w)),
                  ad.matmul(h, ad.transpose(bb.omega)))
     if extra is not None:
         pre = ad.add(pre, extra)
@@ -87,11 +93,23 @@ def backbone_apply(bb: BackboneParams, a_norm: Tensor, h: Tensor,
 
 @dataclass
 class GraphContext:
-    """Per-solve constants and conditioning for one (batched) graph."""
+    """Per-solve constants and conditioning for one (batched) graph.
 
-    a_norm: Tensor             # normalized adjacency, treated as constant
+    ``a_norm`` is the normalized adjacency, treated as constant: a batch's
+    per-graph blocks, or one dense (n, n) matrix (array or tensor), which
+    is taken as a single block.
+    """
+
+    a_norm: BlockAdjacency
     h: Tensor                  # encoder output rows
     q_id: Tensor | None = None  # input-conditioning rows, computed once per solve
+
+    def __post_init__(self):
+        if isinstance(self.a_norm, Tensor):
+            self.a_norm = self.a_norm.data
+        if not isinstance(self.a_norm, BlockAdjacency):
+            dense = np.asarray(self.a_norm, dtype=np.float64)
+            self.a_norm = BlockAdjacency(dense[None])
 
 
 class EquilibriumOperator:

@@ -311,33 +311,50 @@ def _expectations(states: np.ndarray, n_qubits: int) -> np.ndarray:
     return (_z_signs(n_qubits) @ (states.real ** 2 + states.imag ** 2)).T
 
 
-def _backward(u_rows: np.ndarray, angle_shape: tuple, program: tuple,
-              stash: list, g_m: np.ndarray):
-    """Adjoint sweep: cotangent on expectations -> (dU, dAngles).
+def _backward(u_rows: np.ndarray, program: tuple, stash: list,
+              g_m: np.ndarray) -> tuple[np.ndarray, list]:
+    """Adjoint sweep: cotangent on expectations -> (dU, block cotangents).
 
     The state cotangent lambda = dL/dpsi* starts at the final state and is
     pulled back one segment at a time, to the output of the segment before
     it: through a fused block as lambda <- Uᴴ lambda, through an encoding
-    layer by R_y(-u).  Each segment reads its gradients at its own output
-    state ``stash[k]`` and cotangent.
+    layer by R_y(-u).  Each encoding layer reads its u-gradient at its own
+    output state ``stash[k]`` and cotangent.  The second value holds the
+    cotangent at every fused block's output (``None`` at encoding layers),
+    from which ``_angle_grads`` reads the angle gradients when they are
+    asked for.
     """
     cos, sin_pm = _half_turns(u_rows)
     sin_back = -sin_pm
     lam = (_z_signs(u_rows.shape[1]).T @ g_m.T) * stash[-1]
     d_u = np.zeros_like(u_rows)
-    d_ang = np.zeros(angle_shape)
+    lams = [None] * len(program)
     for k in range(len(program) - 1, -1, -1):
-        fused, psi = program[k], stash[k]
+        fused = program[k]
         if fused is None:
-            d_u += _encoding_grad(lam, psi)
+            d_u += _encoding_grad(lam, stash[k])
             if k:
                 lam = _encode(lam, cos, sin_back)
         else:
-            c_t = np.conj(lam) @ psi.T          # transpose of C
-            d_ang[fused.index] = (fused.observables @ c_t.reshape(-1)).imag
+            lams[k] = lam
             if k:
                 lam = np.conj(fused.unitary).T @ lam
-    return d_u, d_ang
+    return d_u, lams
+
+
+def _angle_grads(angle_shape: tuple, program: tuple, stash: list,
+                 lams: list) -> np.ndarray:
+    """All angle gradients of the fused blocks, from ``_backward``'s cotangents.
+
+    Each block reads them as Im tr(W_k P_k W_kᴴ C) at its output state
+    psi and cotangent lambda, with C = sum over rows of psi lambdaᴴ.
+    """
+    d_ang = np.zeros(angle_shape)
+    for fused, psi, lam in zip(program, stash, lams):
+        if fused is not None:
+            c_t = np.conj(lam) @ psi.T          # transpose of C
+            d_ang[fused.index] = (fused.observables @ c_t.reshape(-1)).imag
+    return d_ang
 
 
 def circuit_expectations(u: Tensor, angles: Tensor, n_qubits: int) -> Tensor:
@@ -346,7 +363,8 @@ def circuit_expectations(u: Tensor, angles: Tensor, n_qubits: int) -> Tensor:
     ``u``: (N, n_q) encoding angles; ``angles``: (reps, per-rep count)
     trainable circuit angles.  Output is (N, n_q) in [-1, 1].  The program
     is compiled at the angles' current values on every call, and every
-    pullback of the recorded op reuses that compiled program.
+    pullback of the recorded op reuses that compiled program.  A pullback
+    that asks for the ``u`` cotangent alone skips the angle gradients.
     """
     if u.cols != n_qubits:
         raise ValueError(f"expected {n_qubits} encoding angles, got {u.cols}")
@@ -360,15 +378,17 @@ def circuit_expectations(u: Tensor, angles: Tensor, n_qubits: int) -> Tensor:
 
     cache: dict = {}
 
-    def shared(g):
+    def sweep(g):
         if cache.get("seed") is not g:
             cache["seed"] = g
-            cache["grads"] = _backward(u_rows, angle_shape, program, stash, g)
-        return cache["grads"]
+            cache["sweep"] = _backward(u_rows, program, stash, g)
+        return cache["sweep"]
 
     return ad.record_op(
         m,
-        [(u, lambda g: shared(g)[0]), (angles, lambda g: shared(g)[1])],
+        [(u, lambda g: sweep(g)[0]),
+         (angles, lambda g: _angle_grads(angle_shape, program, stash,
+                                         sweep(g)[1]))],
     )
 
 

@@ -83,58 +83,67 @@ def anderson_solve(f: Callable[[Array], Array], z0: Array,
     scaled by the mean squared residual so the damping is scale invariant and
     the acceleration survives into the small-residual tail; a degenerate
     system falls back to a plain Picard step.
+
+    The window lives in two preallocated ``(history, n)`` buffers, filled
+    as a ring: pair ``it`` goes to slot ``(it - 1) % history``, so the first
+    ``k`` slots always hold the window.  One holds the residuals
+    f(x_j) - x_j; the other the Picard steps (1 - beta) x_j + beta f(x_j),
+    so one weighted sum over it gives the mixed iterate, and the fallback
+    is the newest slot.
+    The residual Gram matrix is kept across iterations, and each new
+    residual refreshes one row and one column of it.
     """
     z0 = np.asarray(z0, dtype=np.float64)
     shape = z0.shape
-    xs: list[Array] = [z0.ravel().copy()]
-    fs: list[Array] = []
+    m, beta = cfg.history, cfg.beta
+    steps = np.empty((m, z0.size))
+    rs = np.empty_like(steps)
+    gram = np.empty((m, m))
+    diff = np.empty(z0.size)
+    x = z0.ravel().copy()
     fallback = 0
     residual = np.inf
 
     for it in range(1, cfg.max_iter + 1):
-        fk = f(xs[-1].reshape(shape)).ravel()
-        if not np.all(np.isfinite(fk)):
-            return SolveReport(False, it, np.inf, z_star=xs[-1].reshape(shape),
+        fk = f(x.reshape(shape)).ravel()
+        if not np.isfinite(fk).all():
+            return SolveReport(False, it, np.inf, z_star=x.reshape(shape),
                                diverged=True, fallback_steps=fallback)
-        fs.append(fk)
-        rs = [fv - xv for xv, fv in zip(xs[-len(fs):], fs)]
-        k = len(rs)
+        slot, k = (it - 1) % m, min(it, m)
+        np.subtract(fk, x, out=rs[slot])
+        picard = np.multiply(fk, beta, out=steps[slot])
+        if beta != 1.0:
+            picard += (1.0 - beta) * x
+        gram[slot, :k] = gram[:k, slot] = rs[:k] @ rs[slot]
         x_next = None
         if k > 1:
-            r = np.stack(rs)
-            gram = r @ r.T
-            scale = np.trace(gram) / k
+            scale = np.trace(gram[:k, :k]) / k
             h = np.zeros((k + 1, k + 1))
             h[0, 1:] = 1.0
             h[1:, 0] = 1.0
-            h[1:, 1:] = gram + cfg.lam * scale * np.eye(k)
+            h[1:, 1:] = gram[:k, :k] + cfg.lam * scale * np.eye(k)
             rhs = np.zeros(k + 1)
             rhs[0] = 1.0
             try:
                 alpha = np.linalg.solve(h, rhs)[1:]
             except np.linalg.LinAlgError:
                 alpha = None
-            if alpha is not None and np.all(np.isfinite(alpha)):
-                xw = alpha @ np.stack(xs[-k:])
-                fw = alpha @ np.stack(fs[-k:])
-                x_next = (1.0 - cfg.beta) * xw + cfg.beta * fw
-            if x_next is None:
+            if alpha is not None and np.isfinite(alpha).all():
+                x_next = alpha @ steps[:k]
+            else:
                 fallback += 1
         if x_next is None:
-            x_next = (1.0 - cfg.beta) * xs[-1] + cfg.beta * fk
-        if not np.all(np.isfinite(x_next)):
-            return SolveReport(False, it, np.inf, z_star=xs[-1].reshape(shape),
+            x_next = picard.copy()
+        if not np.isfinite(x_next).all():
+            return SolveReport(False, it, np.inf, z_star=x.reshape(shape),
                                diverged=True, fallback_steps=fallback)
-        residual = _norm(x_next - xs[-1])
-        xs.append(x_next)
-        if len(xs) > cfg.history:
-            xs = xs[-cfg.history:]
-            fs = fs[-(cfg.history - 1):] if cfg.history > 1 else []
+        residual = _norm(np.subtract(x_next, x, out=diff))
+        x = x_next
         if residual <= cfg.tol:
-            return SolveReport(True, it, residual, z_star=xs[-1].reshape(shape),
+            return SolveReport(True, it, residual, z_star=x.reshape(shape),
                                fallback_steps=fallback)
     return SolveReport(False, cfg.max_iter, residual,
-                       z_star=xs[-1].reshape(shape), fallback_steps=fallback)
+                       z_star=x.reshape(shape), fallback_steps=fallback)
 
 
 def solve_fixed_point(f: Callable[[Array], Array], z0: Array,
@@ -176,12 +185,15 @@ def equilibrium_solve(apply_fn: Callable[[Tensor, list], Tensor],
     with sub:
         out = apply_fn(z_leaf, clones)
 
+    # Adjoint iterations need only the state cotangent; the parameter
+    # cotangents come from one full sweep at the adjoint solution.
+    wrt = (z_leaf,)
     cache: dict = {}
 
     def pullback(g: Array) -> ad.Gradients:
         if cache.get("seed") is not g:
             def step(u: Array) -> Array:
-                return g + sub.vjp(out, u)[z_leaf]
+                return g + sub.vjp(out, u, wrt=wrt)[z_leaf]
 
             back = solve_fixed_point(step, np.zeros_like(g), bwd)
             report.backward = back

@@ -273,7 +273,7 @@ class GraphClassifier:
         """
         cfg = self.cfg
         h = encode(batch.features, self.encoder)
-        ctx = GraphContext(a_norm=ad.constant(batch.a_norm), h=h)
+        ctx = GraphContext(a_norm=batch.a_norm, h=h)
         if cfg.pathway == "id":
             ctx = replace(
                 ctx, q_id=self.operator.compute_id_conditioning(h, batch.tau))

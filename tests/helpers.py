@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from gdeq.solvers import SolveReport, SolverConfig
+
 
 def numeric_grad(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Central finite differences of a scalar function of an array."""
@@ -28,3 +30,60 @@ def rel_err(approx: np.ndarray, exact: np.ndarray) -> float:
     exact = np.asarray(exact, dtype=np.float64)
     denom = max(1.0, float(np.max(np.abs(exact))) if exact.size else 0.0)
     return float(np.max(np.abs(approx - exact))) / denom
+
+
+def reference_anderson_solve(f, z0: np.ndarray, cfg: SolverConfig) -> SolveReport:
+    """Anderson mixing that re-stacks its window and rebuilds the Gram
+    matrix on every iteration: the oracle for ``gdeq.solvers.anderson_solve``.
+    """
+    z0 = np.asarray(z0, dtype=np.float64)
+    shape = z0.shape
+    xs = [z0.ravel().copy()]
+    fs = []
+    fallback = 0
+    residual = np.inf
+
+    for it in range(1, cfg.max_iter + 1):
+        fk = f(xs[-1].reshape(shape)).ravel()
+        if not np.all(np.isfinite(fk)):
+            return SolveReport(False, it, np.inf, z_star=xs[-1].reshape(shape),
+                               diverged=True, fallback_steps=fallback)
+        fs.append(fk)
+        rs = [fv - xv for xv, fv in zip(xs[-len(fs):], fs)]
+        k = len(rs)
+        x_next = None
+        if k > 1:
+            r = np.stack(rs)
+            gram = r @ r.T
+            scale = np.trace(gram) / k
+            h = np.zeros((k + 1, k + 1))
+            h[0, 1:] = 1.0
+            h[1:, 0] = 1.0
+            h[1:, 1:] = gram + cfg.lam * scale * np.eye(k)
+            rhs = np.zeros(k + 1)
+            rhs[0] = 1.0
+            try:
+                alpha = np.linalg.solve(h, rhs)[1:]
+            except np.linalg.LinAlgError:
+                alpha = None
+            if alpha is not None and np.all(np.isfinite(alpha)):
+                xw = alpha @ np.stack(xs[-k:])
+                fw = alpha @ np.stack(fs[-k:])
+                x_next = (1.0 - cfg.beta) * xw + cfg.beta * fw
+            if x_next is None:
+                fallback += 1
+        if x_next is None:
+            x_next = (1.0 - cfg.beta) * xs[-1] + cfg.beta * fk
+        if not np.all(np.isfinite(x_next)):
+            return SolveReport(False, it, np.inf, z_star=xs[-1].reshape(shape),
+                               diverged=True, fallback_steps=fallback)
+        residual = float(np.linalg.norm(x_next - xs[-1]))
+        xs.append(x_next)
+        if len(xs) > cfg.history:
+            xs = xs[-cfg.history:]
+            fs = fs[-(cfg.history - 1):] if cfg.history > 1 else []
+        if residual <= cfg.tol:
+            return SolveReport(True, it, residual, z_star=xs[-1].reshape(shape),
+                               fallback_steps=fallback)
+    return SolveReport(False, cfg.max_iter, residual,
+                       z_star=xs[-1].reshape(shape), fallback_steps=fallback)

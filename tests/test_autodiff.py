@@ -126,15 +126,6 @@ def test_softmax_all_masked_row_rejected():
         ad.softmax_rows(ad.Tensor(x), mask)
 
 
-def test_scalar_ops_grads():
-    rng = np.random.default_rng(7)
-    a = rng.normal(size=(3, 3))
-    s = np.array([[0.7]])
-    w = ad.constant(rng.normal(size=(3, 3)))
-    check_op(lambda u, v: ad.sum_all(ad.mul(ad.mul_scalar(u, v), w)), a, s)
-    check_op(lambda v: ad.mul_scalar(ad.constant([[2.0]]), ad.reciprocal(v)), s)
-
-
 def test_cross_entropy_grad_and_value():
     rng = np.random.default_rng(8)
     logits = rng.normal(size=(6, 3))
@@ -254,6 +245,27 @@ def test_vjp_reusable_with_different_seeds():
     assert np.allclose(g1, s1 * (1 - np.tanh(x) ** 2))
     assert np.allclose(g2, s2 * (1 - np.tanh(x) ** 2))
     assert np.allclose(tape.vjp(y, s1)[xt], g1)  # sweeps do not interfere
+
+
+def test_vjp_wrt_skips_unwanted_inputs_and_keeps_the_cotangent_bitwise():
+    rng = np.random.default_rng(12)
+    tape = ad.Tape()
+    x = tape.watch(ad.Tensor(rng.normal(size=(4, 3))))
+    w = tape.watch(ad.Tensor(rng.normal(size=(3, 3))))
+    w_calls = []
+    with tape:
+        # w2 depends on w alone, so a sweep for x alone never pulls back to it
+        w2 = ad.record_op(2.0 * w.data,
+                          [(w, lambda g: w_calls.append(1) or 2.0 * g)])
+        y = ad.tanh(ad.add(ad.matmul(x, w), ad.matmul(x, ad.transpose(w2))))
+        out = ad.mul(y, ad.relu(ad.matmul(y, w2)))
+    seed = rng.normal(size=out.shape)
+    full = tape.vjp(out, seed)
+    assert len(w_calls) == 1
+    part = tape.vjp(out, seed, wrt=[x])
+    assert len(w_calls) == 1
+    assert np.array_equal(part[x], full[x])
+    assert part.get(w) is None and part.get(w2) is None
 
 
 @settings(max_examples=30, deadline=None)

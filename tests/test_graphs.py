@@ -236,9 +236,12 @@ def test_batch_blocks_bit_equal_to_singles(tiny_tu):
     ds = gr.load_tu_dataset(tiny_tu, "TINY")
     batch = gr.collate(ds.graphs)
     assert batch.ranges == [(0, 3), (3, 5)]
-    assert np.array_equal(batch.a_norm[0:3, 0:3], ds.graphs[0].a_norm)
-    assert np.array_equal(batch.a_norm[3:5, 3:5], ds.graphs[1].a_norm)
-    assert np.all(batch.a_norm[0:3, 3:5] == 0.0)
+    blocks = batch.a_norm.blocks
+    assert blocks.shape == (2, 3, 3)
+    assert np.array_equal(blocks[0], ds.graphs[0].a_norm)
+    assert np.array_equal(blocks[1, :2, :2], ds.graphs[1].a_norm)
+    assert np.all(blocks[1, 2] == 0.0) and np.all(blocks[1, :, 2] == 0.0)
+    assert batch.a_norm.rows.tolist() == [0, 1, 2, 3, 4]
     assert np.array_equal(batch.labels, np.array([1, 0]))
     assert np.array_equal(batch.tau[0:3], ds.graphs[0].tau)
 

@@ -3,9 +3,10 @@ import pytest
 
 import gdeq.autodiff as ad
 from gdeq.autodiff import Tensor
-from gdeq.graphs import normalize_adjacency, topology_descriptors
+from gdeq.graphs import (BlockAdjacency, normalize_adjacency,
+                         topology_descriptors)
 from gdeq.operators import (BackboneParams, EquilibriumOperator, GraphContext,
-                            backbone_apply, clip_spectral)
+                            backbone_apply, clip_spectral, propagate)
 from gdeq.quantum import DeepXyzParams, QuantumModule
 
 from helpers import numeric_grad, rel_err
@@ -64,10 +65,49 @@ def test_backbone_matches_direct_formula():
     ctx = GraphContext(a_norm=ctx.a_norm, h=Tensor(rng.normal(size=(n, d_in))))
     z = Tensor(rng.normal(size=(n, d_h)))
     out = backbone_apply(bb, ctx.a_norm, ctx.h, z)
-    want = np.tanh(ctx.a_norm.data @ z.data @ bb.w.data.T
+    want = np.tanh(normalize_adjacency(a) @ z.data @ bb.w.data.T
                    + ctx.h.data @ bb.omega.data.T
                    + bb.bias.data)
     assert np.allclose(out.data, want, atol=1e-14)
+
+
+def random_blocks(rng, sizes):
+    """Non-symmetric blocks, so a product by A and one by Aᵀ differ."""
+    mats = [rng.normal(size=(n, n)) for n in sizes]
+    dense = np.zeros((sum(sizes), sum(sizes)))
+    row = 0
+    for m in mats:
+        dense[row:row + len(m), row:row + len(m)] = m
+        row += len(m)
+    return mats, dense
+
+
+@pytest.mark.parametrize("sizes", [(3, 1, 5, 2), (4, 4), (6,), (1,)])
+def test_block_product_and_vjp_match_the_dense_matrix(sizes):
+    rng = np.random.default_rng(sum(sizes))
+    mats, dense = random_blocks(rng, sizes)
+    a_norm = BlockAdjacency.stack(mats)
+    assert (a_norm.rows is None) == (len(set(sizes)) == 1)
+    z = Tensor(rng.normal(size=(len(dense), 4)))
+    seed = rng.normal(size=(len(dense), 4))
+    tape = ad.Tape()
+    tape.watch(z)
+    with tape:
+        out = propagate(a_norm, z)
+    assert np.max(np.abs(out.data - dense @ z.data)) <= 1e-14
+    assert np.max(np.abs(tape.vjp(out, seed)[z] - dense.T @ seed)) <= 1e-14
+
+
+def test_dense_context_is_one_block():
+    rng = np.random.default_rng(4)
+    _, dense = random_blocks(rng, (5,))
+    z = rng.normal(size=(5, 3))
+    for given in (dense, ad.constant(dense)):
+        ctx = GraphContext(a_norm=given, h=Tensor(np.zeros((5, 2))))
+        assert ctx.a_norm.blocks.shape == (1, 5, 5) and ctx.a_norm.rows is None
+        assert np.max(np.abs(ctx.a_norm.matmul(z) - dense @ z)) <= 1e-14
+    with pytest.raises(ValueError):
+        ctx.a_norm.matmul(z[:4])
 
 
 def test_alpha_zero_variants_match_classical_bitwise():

@@ -6,7 +6,7 @@ from gdeq.autodiff import Tensor
 from gdeq.solvers import (SolverConfig, anderson_solve, equilibrium_solve,
                           picard_solve, solve_fixed_point)
 
-from helpers import numeric_grad, rel_err
+from helpers import numeric_grad, reference_anderson_solve, rel_err
 
 
 def scaled_to(m, sigma):
@@ -103,6 +103,66 @@ def test_max_iter_exhaustion():
     assert not rep.converged and not rep.diverged
     assert rep.iterations == 10
     assert np.isfinite(rep.residual) and rep.residual > cfg.tol
+
+
+def assert_matches_reference(f, z0, cfg):
+    """The ring-buffer solver against the re-stacking oracle."""
+    got = anderson_solve(f, z0, cfg)
+    want = reference_anderson_solve(f, z0, cfg)
+    assert rel_err(got.z_star, want.z_star) <= 1e-12
+    for name in ("iterations", "fallback_steps", "converged", "diverged"):
+        assert getattr(got, name) == getattr(want, name), name
+    return got
+
+
+def contraction_map(seed=13, shape=(12, 3)):
+    rng = np.random.default_rng(seed)
+    n = shape[0]
+    m = scaled_to(rng.normal(size=(n, n)), 0.9)
+    b = rng.normal(size=shape)
+    return lambda z: np.tanh(m @ z + b)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0])
+@pytest.mark.parametrize("history", [1, 2, 5])
+def test_anderson_matches_restacking_oracle(history, beta):
+    cfg = SolverConfig(history=history, beta=beta, tol=1e-10, max_iter=500)
+    rep = assert_matches_reference(contraction_map(), np.zeros((12, 3)), cfg)
+    assert rep.converged
+
+
+def test_anderson_matches_oracle_at_max_iter():
+    cfg = SolverConfig(max_iter=7, tol=1e-14)
+    rep = assert_matches_reference(contraction_map(), np.zeros((12, 3)), cfg)
+    assert rep.iterations == 7 and not rep.converged and not rep.diverged
+
+
+def test_anderson_matches_oracle_on_a_nonfinite_map():
+    f = contraction_map()
+
+    def fails_near_the_solution(z):
+        out = f(z)
+        return out if np.linalg.norm(out - z) > 1e-4 else np.full_like(out, np.inf)
+
+    rep = assert_matches_reference(fails_near_the_solution, np.zeros((12, 3)),
+                                   SolverConfig())
+    assert rep.diverged and rep.iterations > 3
+
+
+def test_anderson_matches_oracle_through_fallback():
+    # a translation keeps every residual equal, so without damping the
+    # bordered system is singular and each mixing step falls back
+    c = np.array([[1.0, -2.0, 0.5]])
+    cfg = SolverConfig(lam=0.0, max_iter=20)
+    rep = assert_matches_reference(lambda z: z + c, np.zeros((1, 3)), cfg)
+    assert rep.fallback_steps == 19
+    # residuals of 1e160 overflow the Gram matrix, so the weights are not
+    # finite until 25 Picard steps have shrunk them; five mixing steps follow
+    cfg = SolverConfig(max_iter=30)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = assert_matches_reference(lambda z: 0.5 * z + 1e160,
+                                       np.zeros((4, 2)), cfg)
+    assert rep.fallback_steps == 25
 
 
 def test_config_validation():

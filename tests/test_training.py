@@ -296,6 +296,22 @@ def test_graph_relabeling_leaves_logits_unchanged():
     assert np.max(np.abs(logits.data - logits2.data)) <= 1e-9
 
 
+@pytest.mark.parametrize("pathway", ["classical", "id", "sd", "bd"])
+def test_batched_logits_match_each_graph_solved_alone(pathway):
+    rng = np.random.default_rng(9)
+    graphs = [random_graph(rng, n, i % 2) for i, n in enumerate((4, 1, 6, 3))]
+    tight = SolverConfig(max_iter=3000, tol=1e-13)
+    model = GraphClassifier(small_config(pathway, fwd=tight),
+                            feature_dim=3, n_classes=2, seed=4)
+    with ad.no_grad():
+        _, batched, report = model.forward_batch(collate(graphs))
+        assert report.converged
+        for i, g in enumerate(graphs):
+            _, alone, report = model.forward_batch(collate([g]))
+            assert report.converged
+            assert np.max(np.abs(batched.data[i] - alone.data[0])) <= 1e-10
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
