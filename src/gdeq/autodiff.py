@@ -280,53 +280,6 @@ def sum_all(a: Tensor) -> Tensor:
     )
 
 
-def sum_rows(a: Tensor) -> Tensor:
-    """Per-row totals, shape (n, 1)."""
-    m = a.cols
-    return record_op(
-        a.data.sum(axis=1, keepdims=True),
-        [(a, lambda g: np.repeat(g, m, axis=1))],
-    )
-
-
-def sum_cols(a: Tensor) -> Tensor:
-    """Per-column totals, shape (1, m)."""
-    n = a.rows
-    return record_op(
-        a.data.sum(axis=0, keepdims=True),
-        [(a, lambda g: np.repeat(g, n, axis=0))],
-    )
-
-
-def softmax_rows(a: Tensor, mask=None) -> Tensor:
-    """Row-wise softmax, optionally restricted to mask==1 entries.
-
-    Masked-out entries get probability exactly 0.  Every row must keep at
-    least one active entry.
-    """
-    x = a.data
-    if mask is None:
-        m = None
-        shifted = x - x.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-    else:
-        m = np.asarray(mask, dtype=np.float64)
-        if m.shape != x.shape:
-            raise ValueError("mask shape mismatch")
-        if not (m.sum(axis=1) > 0).all():
-            raise ValueError("softmax row with no active entries")
-        neg = np.where(m > 0, x, -np.inf)
-        shifted = x - neg.max(axis=1, keepdims=True)
-        e = np.exp(shifted) * m
-    y = e / e.sum(axis=1, keepdims=True)
-
-    def back(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
-        return y * (g - dot)
-
-    return record_op(y, [(a, back)])
-
-
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     if a.rows != b.rows:
         raise ValueError("concat_cols row mismatch")
@@ -335,43 +288,6 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
         np.concatenate([a.data, b.data], axis=1),
         [(a, lambda g: g[:, :ca]), (b, lambda g: g[:, ca:])],
     )
-
-
-def stack_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate tensors along rows."""
-    if not parts:
-        raise ValueError("stack_rows needs at least one tensor")
-    offsets = np.cumsum([0] + [p.rows for p in parts])
-    parents = []
-    for p, i0, i1 in zip(parts, offsets[:-1], offsets[1:]):
-        parents.append((p, lambda g, i0=i0, i1=i1: g[i0:i1]))
-    return record_op(np.concatenate([p.data for p in parts], axis=0), parents)
-
-
-def slice_rows(a: Tensor, i0: int, i1: int) -> Tensor:
-    n, m = a.data.shape
-    if not (0 <= i0 < i1 <= n):
-        raise ValueError(f"row slice [{i0}:{i1}] out of range for {n} rows")
-
-    def back(g):
-        full = np.zeros((n, m))
-        full[i0:i1] = g
-        return full
-
-    return record_op(a.data[i0:i1].copy(), [(a, back)])
-
-
-def slice_cols(a: Tensor, j0: int, j1: int) -> Tensor:
-    n, m = a.data.shape
-    if not (0 <= j0 < j1 <= m):
-        raise ValueError(f"col slice [{j0}:{j1}] out of range for {m} cols")
-
-    def back(g):
-        full = np.zeros((n, m))
-        full[:, j0:j1] = g
-        return full
-
-    return record_op(a.data[:, j0:j1].copy(), [(a, back)])
 
 
 def cross_entropy_mean(logits: Tensor, labels) -> Tensor:

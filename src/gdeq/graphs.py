@@ -48,13 +48,26 @@ class GraphDataset:
         return np.array([g.label for g in self.graphs], dtype=np.int64)
 
 
+def padded_layout(sizes) -> tuple[int, np.ndarray | None]:
+    """(n_max, rows) for per-graph blocks of ``sizes`` rows padded to the largest.
+
+    ``rows`` maps every row of the stacked (sum(sizes), d) layout to its row
+    in the padded (len(sizes) * n_max, d) layout, and is ``None`` when every
+    block is full, so that the two layouts coincide.
+    """
+    n_max = max(sizes)
+    if min(sizes) == n_max:
+        return n_max, None
+    return n_max, np.concatenate([b * n_max + np.arange(n)
+                                  for b, n in enumerate(sizes)])
+
+
 class BlockAdjacency:
     """A block-diagonal matrix kept as one zero-padded block per graph.
 
-    ``blocks`` is (B, n_max, n_max); ``rows`` maps every row of the stacked
-    (N, d) state to its row in the padded (B * n_max, d) layout, and is
-    ``None`` when the two layouts coincide (every block full, as for a
-    single dense block).  Products never form the N x N matrix.
+    ``blocks`` is (B, n_max, n_max) and ``rows`` is the row map of
+    :func:`padded_layout` (``None`` when no block is padded).  Products
+    never form the N x N matrix.
     """
 
     __slots__ = ("blocks", "rows")
@@ -67,14 +80,10 @@ class BlockAdjacency:
     def stack(cls, mats: list) -> "BlockAdjacency":
         """block_diag(*mats), padded to the largest block."""
         sizes = [m.shape[0] for m in mats]
-        n_max = max(sizes)
+        n_max, rows = padded_layout(sizes)
         blocks = np.zeros((len(mats), n_max, n_max))
         for b, (m, n) in enumerate(zip(mats, sizes)):
             blocks[b, :n, :n] = m
-        rows = None
-        if min(sizes) < n_max:
-            rows = np.concatenate([b * n_max + np.arange(n)
-                                   for b, n in enumerate(sizes)])
         return cls(blocks, rows)
 
     def _product(self, blocks: np.ndarray, z: np.ndarray) -> np.ndarray:

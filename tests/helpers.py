@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from gdeq import autodiff as ad
 from gdeq.solvers import SolveReport, SolverConfig
+
+# Tolerance of a tape gradient against central differences, relative to
+# max(1, |gradient|_inf).
+FD_TOL = 1e-8
 
 
 def numeric_grad(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -30,6 +37,61 @@ def rel_err(approx: np.ndarray, exact: np.ndarray) -> float:
     exact = np.asarray(exact, dtype=np.float64)
     denom = max(1.0, float(np.max(np.abs(exact))) if exact.size else 0.0)
     return float(np.max(np.abs(approx - exact))) / denom
+
+
+def tape_grad(build, *arrays):
+    """Gradient of a scalar-valued tape program w.r.t. each input array."""
+    tape = ad.Tape()
+    tensors = [ad.Tensor(a) for a in arrays]
+    for t in tensors:
+        tape.watch(t)
+    with tape:
+        loss = build(*tensors)
+    grads = tape.backward(loss)
+    return [grads[t] for t in tensors]
+
+
+def check_op(build, *arrays, tol=FD_TOL):
+    """Tape gradients of ``build`` against central differences, per input."""
+    gots = tape_grad(build, *arrays)
+    for i, got in enumerate(gots):
+        def scalar(x, i=i):
+            args = [a.copy() for a in arrays]
+            args[i] = x
+            tensors = [ad.Tensor(a) for a in args]
+            return build(*tensors).item()
+        want = numeric_grad(scalar, arrays[i].copy())
+        assert rel_err(got, want) <= tol, f"input {i}: {rel_err(got, want)}"
+
+
+def reference_attention_readout(z: np.ndarray, ranges, att) -> np.ndarray:
+    """Per-graph, per-head attention readout in plain NumPy: the oracle for
+    ``gdeq.training.attention_readout``.
+
+    Each graph's rows are projected on their own, each head takes a
+    max-shifted softmax of its scaled scores, the heads are concatenated,
+    mapped by ``W_o`` with ``b_o`` added per row, and the rows are summed.
+    """
+    w_q, b_q, w_k, b_k, w_v, b_v, w_o, b_o = (
+        t.data for _, t in att.tensors())
+    width = w_q.shape[0] // att.heads
+    inv_scale = 1.0 / math.sqrt(width)
+    pooled = []
+    for i0, i1 in ranges:
+        rows = z[i0:i1]
+        q = rows @ w_q.T + b_q
+        k = rows @ w_k.T + b_k
+        v = rows @ w_v.T + b_v
+        heads = []
+        for h in range(att.heads):
+            cols = slice(h * width, (h + 1) * width)
+            scores = (q[:, cols] @ k[:, cols].T) * inv_scale
+            e = np.exp(scores - scores.max(axis=1, keepdims=True))
+            weights = e / e.sum(axis=1, keepdims=True)
+            heads.append(weights @ v[:, cols])
+        out = np.concatenate(heads, axis=1) @ w_o.T + b_o
+        pooled.append(out.sum(axis=0, keepdims=True))
+    return np.concatenate(pooled, axis=0)
 
 
 def reference_anderson_solve(f, z0: np.ndarray, cfg: SolverConfig) -> SolveReport:

@@ -6,33 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdeq import autodiff as ad
-from helpers import numeric_grad, rel_err
-
-TOL = 1e-8
-
-
-def tape_grad(build, *arrays):
-    """Gradient of a scalar-valued tape program w.r.t. each input array."""
-    tape = ad.Tape()
-    tensors = [ad.Tensor(a) for a in arrays]
-    for t in tensors:
-        tape.watch(t)
-    with tape:
-        loss = build(*tensors)
-    grads = tape.backward(loss)
-    return [grads[t] for t in tensors]
-
-
-def check_op(build, *arrays, tol=TOL):
-    gots = tape_grad(build, *arrays)
-    for i, got in enumerate(gots):
-        def scalar(x, i=i):
-            args = [a.copy() for a in arrays]
-            args[i] = x
-            tensors = [ad.Tensor(a) for a in args]
-            return build(*tensors).item()
-        want = numeric_grad(scalar, arrays[i].copy())
-        assert rel_err(got, want) <= tol, f"input {i}: {rel_err(got, want)}"
+from helpers import check_op, tape_grad
 
 
 def test_matmul_grad_matches_fd():
@@ -75,55 +49,14 @@ def test_add_sub_scale_add_row():
     check_op(lambda a, b: ad.sum_all(ad.mul(ad.add_row(a, b), weight)), x, r)
 
 
-def test_reductions_and_slices():
-    rng = np.random.default_rng(4)
-    x = rng.normal(size=(5, 4))
-    w1 = ad.constant(rng.normal(size=(5, 1)))
-    w2 = ad.constant(rng.normal(size=(1, 4)))
-    check_op(lambda a: ad.sum_all(ad.mul(ad.sum_rows(a), w1)), x)
-    check_op(lambda a: ad.sum_all(ad.mul(ad.sum_cols(a), w2)), x)
-    w3 = ad.constant(rng.normal(size=(2, 4)))
-    check_op(lambda a: ad.sum_all(ad.mul(ad.slice_rows(a, 1, 3), w3)), x)
-    w4 = ad.constant(rng.normal(size=(5, 2)))
-    check_op(lambda a: ad.sum_all(ad.mul(ad.slice_cols(a, 1, 3), w4)), x)
-
-
 def test_concat_stack_transpose():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(3, 2))
     b = rng.normal(size=(3, 4))
     w = ad.constant(rng.normal(size=(3, 6)))
     check_op(lambda u, v: ad.sum_all(ad.mul(ad.concat_cols(u, v), w)), a, b)
-    c = rng.normal(size=(2, 2))
-    w2 = ad.constant(rng.normal(size=(5, 2)))
-    check_op(
-        lambda u, v: ad.sum_all(ad.mul(ad.stack_rows([u, v]), w2)),
-        rng.normal(size=(3, 2)),
-        c,
-    )
     w3 = ad.constant(rng.normal(size=(2, 3)))
     check_op(lambda u: ad.sum_all(ad.mul(ad.transpose(u), w3)), a)
-
-
-def test_softmax_rows_grad_and_mask():
-    rng = np.random.default_rng(6)
-    x = rng.normal(size=(4, 5))
-    w = ad.constant(rng.normal(size=(4, 5)))
-    check_op(lambda a: ad.sum_all(ad.mul(ad.softmax_rows(a), w)), x)
-
-    mask = (rng.random((4, 5)) > 0.3).astype(float)
-    mask[:, 0] = 1.0  # every row keeps an active entry
-    check_op(lambda a: ad.sum_all(ad.mul(ad.softmax_rows(a, mask), w)), x)
-    y = ad.softmax_rows(ad.Tensor(x), mask).data
-    assert np.all(y[mask == 0] == 0.0)
-    assert np.allclose(y.sum(axis=1), 1.0)
-
-
-def test_softmax_all_masked_row_rejected():
-    x = np.zeros((2, 3))
-    mask = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
-    with pytest.raises(ValueError):
-        ad.softmax_rows(ad.Tensor(x), mask)
 
 
 def test_cross_entropy_grad_and_value():
@@ -274,7 +207,9 @@ def test_vjp_wrt_skips_unwanted_inputs_and_keeps_the_cotangent_bitwise():
 def test_tanh_output_bounded(n, m, seed):
     x = np.random.default_rng(seed).normal(scale=5.0, size=(n, m))
     y = ad.tanh(ad.Tensor(x)).data
-    assert np.all(np.abs(y) < 1.0)
+    # float64 tanh rounds to exactly ±1 from |x| ≈ 19 on
+    assert np.all(np.abs(y) <= 1.0)
+    assert np.all(np.abs(y[np.abs(x) < 18.0]) < 1.0)
 
 
 def test_1d_input_promoted_to_row():

@@ -14,7 +14,8 @@ from gdeq.training import (AdamW, AttentionParams, ClassifierParams,
                            load_checkpoint, restore_checkpoint, run_training,
                            save_checkpoint, train_epoch)
 
-from helpers import numeric_grad
+from helpers import (check_op, numeric_grad, reference_attention_readout,
+                     rel_err)
 
 
 def random_graph(rng, n, label):
@@ -110,16 +111,87 @@ def test_readout_is_invariant_to_node_order_within_a_graph():
     assert np.max(np.abs(base - swapped)) <= 1e-12
 
 
-def test_batched_readout_matches_per_graph_readout_bitwise():
+def random_attention(d, heads, rng):
+    """Attention parameters with every tensor, biases included, random."""
+    att = AttentionParams.init(d, heads, rng)
+    for _, t in att.tensors():
+        t.data[...] = rng.normal(size=t.data.shape)
+    return att
+
+
+def tiling(sizes):
+    bounds = np.cumsum([0, *sizes])
+    return [(int(i0), int(i1)) for i0, i1 in zip(bounds[:-1], bounds[1:])]
+
+
+# a 1-node graph, and graphs of 8 rows or more, where NumPy's 8-way pairwise
+# sums meet the padding of the batched layout
+READOUT_SIZES = (1, 3, 9, 17, 28)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_readout_matches_per_graph_per_head_reference(heads):
+    rng = np.random.default_rng(10 + heads)
+    att = random_attention(8, heads, rng)
+    z = rng.normal(size=(sum(READOUT_SIZES), 8))
+    ranges = tiling(READOUT_SIZES)
+    got = attention_readout(Tensor(z), ranges, att).data
+    assert rel_err(got, reference_attention_readout(z, ranges, att)) <= 1e-12
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_readout_vjp_matches_finite_differences(heads):
+    # weights at their init scale and a cotangent scaled by 1/n_b keep the
+    # loss O(10), so central differences resolve to about 4e-9
+    rng = np.random.default_rng(20 + heads)
+    att = AttentionParams.init(8, heads, rng)
+    for b in (att.b_q, att.b_k, att.b_v, att.b_o):
+        b.data[...] = rng.normal(size=b.data.shape)
+    z = rng.normal(size=(sum(READOUT_SIZES), 8))
+    ranges = tiling(READOUT_SIZES)
+    w = ad.constant(rng.normal(size=(len(READOUT_SIZES), 8))
+                    / np.array(READOUT_SIZES)[:, None])
+
+    def build(zt, *tensors):
+        a = AttentionParams(*tensors, heads=heads)
+        return ad.sum_all(ad.mul(attention_readout(zt, ranges, a), w))
+
+    check_op(build, z, *(t.data for _, t in att.tensors()))
+
+
+def test_batched_readout_matches_per_graph_readout():
     rng = np.random.default_rng(5)
-    att = AttentionParams.init(8, 2, rng)
-    za, zb = rng.normal(size=(4, 8)), rng.normal(size=(3, 8))
-    batch = attention_readout(Tensor(np.vstack([za, zb])),
-                              [(0, 4), (4, 7)], att).data
-    alone_a = attention_readout(Tensor(za), [(0, 4)], att).data
-    alone_b = attention_readout(Tensor(zb), [(0, 3)], att).data
-    assert np.array_equal(batch[0:1], alone_a)
-    assert np.array_equal(batch[1:2], alone_b)
+    att = random_attention(8, 2, rng)
+    z = rng.normal(size=(sum(READOUT_SIZES), 8))
+    ranges = tiling(READOUT_SIZES)
+    batch = attention_readout(Tensor(z), ranges, att).data
+    alone = np.vstack([attention_readout(Tensor(z[i0:i1]), [(0, i1 - i0)],
+                                         att).data for i0, i1 in ranges])
+    assert rel_err(batch, alone) <= 1e-12
+
+
+def test_readout_of_the_same_batch_is_byte_identical():
+    rng = np.random.default_rng(7)
+    att = random_attention(8, 4, rng)
+    z = rng.normal(size=(sum(READOUT_SIZES), 8))
+    ranges = tiling(READOUT_SIZES)
+    first = attention_readout(Tensor(z), ranges, att).data
+    again = attention_readout(Tensor(z.copy()), list(ranges), att).data
+    assert np.array_equal(first, again)
+
+
+@pytest.mark.parametrize("ranges", [
+    [(0, 2), (3, 5)],   # gap
+    [(0, 3), (2, 5)],   # overlap
+    [(2, 5), (0, 2)],   # out of order
+    [(0, 3)],           # rows left over
+    [(0, 3), (3, 6)],   # past the last row
+    [],
+])
+def test_readout_rejects_ranges_that_do_not_tile_the_rows(ranges):
+    att = AttentionParams.init(8, 2, np.random.default_rng(8))
+    with pytest.raises(ValueError):
+        attention_readout(Tensor(np.zeros((5, 8))), ranges, att)
 
 
 def test_readout_rejects_empty_range():
