@@ -244,12 +244,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return record_op(a.data + b.data, [(a, lambda g: g), (b, lambda g: g)])
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"sub shape mismatch {a.data.shape} vs {b.data.shape}")
-    return record_op(a.data - b.data, [(a, lambda g: g), (b, lambda g: -g)])
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ValueError(f"mul shape mismatch {a.data.shape} vs {b.data.shape}")
@@ -269,14 +263,6 @@ def add_row(a: Tensor, row: Tensor) -> Tensor:
     return record_op(
         a.data + row.data,
         [(a, lambda g: g), (row, lambda g: g.sum(axis=0, keepdims=True))],
-    )
-
-
-def sum_all(a: Tensor) -> Tensor:
-    shape = a.data.shape
-    return record_op(
-        a.data.sum().reshape(1, 1),
-        [(a, lambda g: np.full(shape, g[0, 0]))],
     )
 
 

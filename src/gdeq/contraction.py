@@ -92,6 +92,16 @@ def pathway_bound(kind: str, kappa: float, alpha: float,
     return getattr(bounds, kind)
 
 
+# Most rows one operator application takes when probing a certificate.
+# Larger stacks save little per-call overhead and raise peak memory.
+_PROBE_ROWS = 512
+
+
+def _pairs_per_call(n_rows: int) -> int:
+    """Probe pairs stacked into one application on an ``n_rows``-row graph."""
+    return max(1, _PROBE_ROWS // (2 * n_rows))
+
+
 def empirical_lipschitz(f: Callable[[np.ndarray], np.ndarray],
                         shape: tuple[int, int],
                         rng: np.random.Generator,
@@ -103,24 +113,40 @@ def empirical_lipschitz(f: Callable[[np.ndarray], np.ndarray],
     Alternates independent pairs at each scale with tight pairs offset by a
     random direction of Frobenius norm ``delta``.  A lower bound on the true
     constant, never a certificate.
+
+    ``f`` maps a stack of ``shape[0]``-row blocks block by block: given the
+    (m * shape[0], shape[1]) array of m probes on top of each other, it
+    returns what each block alone would map to, stacked the same way.  The
+    probes go to ``f`` in chunks of ``max(1, 512 // (2 * shape[0]))`` pairs,
+    stacked as ``[a_1 .. a_k, b_1 .. b_k]``, so one call sees at most
+    512 rows (or one pair, if a pair alone is larger).  They are drawn from
+    ``rng`` pair by pair, in the same order as one pair per call would draw
+    them, and only the current chunk is held.
     """
     if n_pairs < 1:
         raise ValueError("need at least one pair")
+    per_call = _pairs_per_call(shape[0])
     best = 0.0
-    for i in range(n_pairs):
-        scale = scales[i % len(scales)]
-        a = rng.normal(scale=scale, size=shape)
-        if i % 2 == 0:
-            b = rng.normal(scale=scale, size=shape)
-        else:
-            d = rng.normal(size=shape)
-            d *= delta / max(np.linalg.norm(d), 1e-30)
-            b = a + d
-        denom = np.linalg.norm(a - b)
-        if denom < 1e-15:
-            continue
-        ratio = np.linalg.norm(f(a) - f(b)) / denom
-        best = max(best, float(ratio))
+    for start in range(0, n_pairs, per_call):
+        k = min(per_call, n_pairs - start)
+        stack = np.empty((2, k) + tuple(shape))
+        denoms = []
+        for j, i in enumerate(range(start, start + k)):
+            scale = scales[i % len(scales)]
+            a = rng.normal(scale=scale, size=shape)
+            if i % 2 == 0:
+                b = rng.normal(scale=scale, size=shape)
+            else:
+                d = rng.normal(size=shape)
+                d *= delta / max(np.linalg.norm(d), 1e-30)
+                b = a + d
+            stack[0, j], stack[1, j] = a, b
+            denoms.append(np.linalg.norm(a - b))
+        out = f(stack.reshape(-1, shape[1])).reshape(stack.shape)
+        for diff, denom in zip(out[0] - out[1], denoms):
+            if denom < 1e-15:
+                continue
+            best = max(best, float(np.linalg.norm(diff) / denom))
     return best
 
 
@@ -170,7 +196,14 @@ class LipschitzReport:
 
 def analyze_operator(op, ctx, rng: np.random.Generator,
                      n_pairs: int = 200) -> PathwayAnalysis:
-    """Empirical-vs-analytic check of one operator on a fixed graph context."""
+    """Empirical-vs-analytic check of one operator on a fixed graph context.
+
+    The operator acts row-wise within each graph's block, so the probe
+    stacks of :func:`empirical_lipschitz` run as copies of ``ctx`` (see
+    :meth:`GraphContext.repeat`): one application per chunk of at most 512
+    rows, not one per probe.  The copies are built once, for a full chunk;
+    a shorter last chunk uses their head.
+    """
     from . import autodiff as ad
 
     lq = None
@@ -178,11 +211,14 @@ def analyze_operator(op, ctx, rng: np.random.Generator,
         lq = lemma2_bound(op.quantum)
     analytic = pathway_bound(op.kind, op.backbone.kappa, op.alpha, lq)
 
+    n = ctx.h.rows
+    copies = ctx.repeat(2 * _pairs_per_call(n))
+
     def f(zd: np.ndarray) -> np.ndarray:
         with ad.no_grad():
-            return op.apply(ad.Tensor(zd), ctx).data
+            return op.apply(ad.Tensor(zd), copies.head(zd.shape[0])).data
 
-    shape = (ctx.h.rows, op.backbone.d_hidden)
+    shape = (n, op.backbone.d_hidden)
     emp = empirical_lipschitz(f, shape, rng, n_pairs=n_pairs)
     return PathwayAnalysis(kind=op.kind, analytic=analytic,
                            empirical=emp, pairs=n_pairs, lq=lq)

@@ -86,6 +86,28 @@ class BlockAdjacency:
             blocks[b, :n, :n] = m
         return cls(blocks, rows)
 
+    def repeat(self, k: int) -> "BlockAdjacency":
+        """block_diag(M, ..., M) with k copies of this matrix M, copy-major.
+
+        The row map is offset per copy.  The copies are contiguous, so the
+        first c of them are ``head(c * N)`` for an N-row M.
+        """
+        blocks = np.tile(self.blocks, (k, 1, 1))
+        if self.rows is None:
+            return BlockAdjacency(blocks)
+        stride = self.blocks.shape[0] * self.blocks.shape[1]
+        return BlockAdjacency(
+            blocks, (stride * np.arange(k)[:, None] + self.rows).ravel())
+
+    def head(self, n_rows: int) -> "BlockAdjacency":
+        """The leading blocks that hold the first ``n_rows`` rows; those rows
+        must end where a block ends."""
+        n_max = self.blocks.shape[1]
+        if self.rows is None:
+            return BlockAdjacency(self.blocks[:n_rows // n_max])
+        rows = self.rows[:n_rows]
+        return BlockAdjacency(self.blocks[:rows[-1] // n_max + 1], rows)
+
     def _product(self, blocks: np.ndarray, z: np.ndarray) -> np.ndarray:
         b, n_max = blocks.shape[:2]
         if self.rows is None:

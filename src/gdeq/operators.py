@@ -111,6 +111,26 @@ class GraphContext:
             dense = np.asarray(self.a_norm, dtype=np.float64)
             self.a_norm = BlockAdjacency(dense[None])
 
+    def repeat(self, k: int) -> "GraphContext":
+        """k copies of this context, copy-major.
+
+        The adjacency becomes block_diag(A, ..., A) (:meth:`BlockAdjacency.repeat`)
+        and ``h`` and ``q_id`` are tiled to match.  Every pathway acts
+        row-wise within each graph's block, so applying an operator to k
+        stacked states on the copies gives each state the result it would
+        get alone on this context.  ``head(c * N)`` is the first c copies.
+        """
+        def tile(t: Tensor | None) -> Tensor | None:
+            return None if t is None else Tensor(np.tile(t.data, (k, 1)))
+
+        return GraphContext(self.a_norm.repeat(k), tile(self.h), tile(self.q_id))
+
+    def head(self, n_rows: int) -> "GraphContext":
+        """The graphs holding the first ``n_rows`` rows, which must end a graph."""
+        return GraphContext(
+            self.a_norm.head(n_rows), Tensor(self.h.data[:n_rows]),
+            None if self.q_id is None else Tensor(self.q_id.data[:n_rows]))
+
 
 class EquilibriumOperator:
     """One injection pathway bound to a backbone (and maybe a module)."""

@@ -428,13 +428,15 @@ def train_epoch(model: GraphClassifier, opt: AdamW, batches, lr: float,
 
     Per batch: forward solve, readout, cross-entropy, implicit backward,
     global-norm gradient clip, AdamW step, spectral re-clip of W.  A
-    diverged solve skips its batch.  The dropout stream is keyed on
+    diverged forward or adjoint solve skips its batch with a warning, and
+    counts in ``skipped``; ``fwd_max_iter`` and ``adj_max_iter`` count the
+    solves that stopped at ``max_iter``.  The dropout stream is keyed on
     (seed, epoch, batch) so reruns are bit-identical.
     """
     params = model.parameters()
     loss_sum, hits, seen = 0.0, 0, 0
     iters: list = []
-    skipped = 0
+    skipped = fwd_max_iter = adj_max_iter = 0
     for bi, batch in enumerate(batches):
         drop = np.random.default_rng((seed, epoch, bi))
         tape = ad.Tape()
@@ -448,7 +450,15 @@ def train_epoch(model: GraphClassifier, opt: AdamW, batches, lr: float,
             warnings.warn(f"forward solve diverged; skipping batch {bi}",
                           RuntimeWarning)
             continue
+        fwd_max_iter += not report.converged
         grads = tape.backward(loss)
+        back = report.backward
+        if back.diverged:
+            skipped += 1
+            warnings.warn(f"adjoint solve diverged; skipping batch {bi}",
+                          RuntimeWarning)
+            continue
+        adj_max_iter += not back.converged
         gd = {name: grads[t] for name, t in params}
         clip_gradients(gd, grad_clip)
         opt.step(gd, lr=lr)
@@ -463,6 +473,8 @@ def train_epoch(model: GraphClassifier, opt: AdamW, batches, lr: float,
         "accuracy": hits / seen if seen else 0.0,
         "iterations": float(np.mean(iters)) if iters else 0.0,
         "skipped": skipped,
+        "fwd_max_iter": fwd_max_iter,
+        "adj_max_iter": adj_max_iter,
     }
 
 

@@ -39,6 +39,13 @@ def rel_err(approx: np.ndarray, exact: np.ndarray) -> float:
     return float(np.max(np.abs(approx - exact))) / denom
 
 
+def sum_all(a: ad.Tensor) -> ad.Tensor:
+    """Sum of every entry as a recorded (1, 1) op: a scalar loss for tests."""
+    shape = a.data.shape
+    return ad.record_op(a.data.sum().reshape(1, 1),
+                        [(a, lambda g: np.full(shape, g[0, 0]))])
+
+
 def tape_grad(build, *arrays):
     """Gradient of a scalar-valued tape program w.r.t. each input array."""
     tape = ad.Tape()
@@ -62,6 +69,32 @@ def check_op(build, *arrays, tol=FD_TOL):
             return build(*tensors).item()
         want = numeric_grad(scalar, arrays[i].copy())
         assert rel_err(got, want) <= tol, f"input {i}: {rel_err(got, want)}"
+
+
+def reference_empirical_lipschitz(f, shape, rng: np.random.Generator,
+                                  n_pairs: int = 200,
+                                  scales: tuple = (0.1, 1.0, 10.0),
+                                  delta: float = 1e-3) -> float:
+    """One pair per call of ``f``, which maps a single probe: the oracle for
+    ``gdeq.contraction.empirical_lipschitz``, which draws the same probes
+    from ``rng`` in the same order and maps them in stacks.
+    """
+    best = 0.0
+    for i in range(n_pairs):
+        scale = scales[i % len(scales)]
+        a = rng.normal(scale=scale, size=shape)
+        if i % 2 == 0:
+            b = rng.normal(scale=scale, size=shape)
+        else:
+            d = rng.normal(size=shape)
+            d *= delta / max(np.linalg.norm(d), 1e-30)
+            b = a + d
+        denom = np.linalg.norm(a - b)
+        if denom < 1e-15:
+            continue
+        ratio = np.linalg.norm(f(a) - f(b)) / denom
+        best = max(best, float(ratio))
+    return best
 
 
 def reference_attention_readout(z: np.ndarray, ranges, att) -> np.ndarray:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdeq import autodiff as ad
-from helpers import check_op, tape_grad
+from helpers import check_op, sum_all, tape_grad
 
 
 def test_matmul_grad_matches_fd():
@@ -14,7 +14,7 @@ def test_matmul_grad_matches_fd():
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(4, 2))
     w = rng.normal(size=(3, 2))
-    check_op(lambda x, y: ad.sum_all(ad.mul(ad.matmul(x, y), ad.constant(w))), a, b)
+    check_op(lambda x, y: sum_all(ad.mul(ad.matmul(x, y), ad.constant(w))), a, b)
 
 
 def test_matmul_vjp_closed_form():
@@ -22,7 +22,7 @@ def test_matmul_vjp_closed_form():
     rng = np.random.default_rng(1)
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(4, 2))
-    ga, gb = tape_grad(lambda x, y: ad.sum_all(ad.matmul(x, y)), a, b)
+    ga, gb = tape_grad(lambda x, y: sum_all(ad.matmul(x, y)), a, b)
     assert np.allclose(ga, np.ones((3, 2)) @ b.T)
     assert np.allclose(gb, a.T @ np.ones((3, 2)))
 
@@ -31,9 +31,9 @@ def test_tanh_relu_mul_grads():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(4, 3))
     y = rng.normal(size=(4, 3))
-    check_op(lambda a: ad.sum_all(ad.tanh(a)), x)
-    check_op(lambda a: ad.sum_all(ad.relu(a)), x + 0.05)  # keep away from the kink
-    check_op(lambda a, b: ad.sum_all(ad.mul(a, b)), x, y)
+    check_op(lambda a: sum_all(ad.tanh(a)), x)
+    check_op(lambda a: sum_all(ad.relu(a)), x + 0.05)  # keep away from the kink
+    check_op(lambda a, b: sum_all(ad.mul(a, b)), x, y)
 
 
 def test_add_sub_scale_add_row():
@@ -43,10 +43,9 @@ def test_add_sub_scale_add_row():
     r = rng.normal(size=(1, 3))
     w = rng.normal(size=(5, 3))
     weight = ad.constant(w)
-    check_op(lambda a, b: ad.sum_all(ad.mul(ad.add(a, b), weight)), x, y)
-    check_op(lambda a, b: ad.sum_all(ad.mul(ad.sub(a, b), weight)), x, y)
-    check_op(lambda a: ad.sum_all(ad.mul(ad.scale(a, -2.5), weight)), x)
-    check_op(lambda a, b: ad.sum_all(ad.mul(ad.add_row(a, b), weight)), x, r)
+    check_op(lambda a, b: sum_all(ad.mul(ad.add(a, b), weight)), x, y)
+    check_op(lambda a: sum_all(ad.mul(ad.scale(a, -2.5), weight)), x)
+    check_op(lambda a, b: sum_all(ad.mul(ad.add_row(a, b), weight)), x, r)
 
 
 def test_concat_stack_transpose():
@@ -54,9 +53,9 @@ def test_concat_stack_transpose():
     a = rng.normal(size=(3, 2))
     b = rng.normal(size=(3, 4))
     w = ad.constant(rng.normal(size=(3, 6)))
-    check_op(lambda u, v: ad.sum_all(ad.mul(ad.concat_cols(u, v), w)), a, b)
+    check_op(lambda u, v: sum_all(ad.mul(ad.concat_cols(u, v), w)), a, b)
     w3 = ad.constant(rng.normal(size=(2, 3)))
-    check_op(lambda u: ad.sum_all(ad.mul(ad.transpose(u), w3)), a)
+    check_op(lambda u: sum_all(ad.mul(ad.transpose(u), w3)), a)
 
 
 def test_cross_entropy_grad_and_value():
@@ -84,7 +83,7 @@ def test_chained_graph_matches_fd():
                    ad.constant(h)),
             bt,
         )
-        return ad.sum_all(ad.tanh(pre))
+        return sum_all(ad.tanh(pre))
 
     check_op(build, w, b)
 
@@ -92,7 +91,7 @@ def test_chained_graph_matches_fd():
 def test_shared_input_accumulates():
     # mul(a, a): both parent slots feed the same accumulator.
     a = np.array([[1.5, -2.0]])
-    (got,) = tape_grad(lambda t: ad.sum_all(ad.mul(t, t)), a)
+    (got,) = tape_grad(lambda t: sum_all(ad.mul(t, t)), a)
     assert np.allclose(got, 2.0 * a)
 
 
@@ -101,7 +100,7 @@ def test_disconnected_leaf_gets_zeros():
     a = tape.watch(ad.Tensor(np.ones((2, 2))))
     b = tape.watch(ad.Tensor(np.ones((2, 2))))
     with tape:
-        loss = ad.sum_all(ad.tanh(a))
+        loss = sum_all(ad.tanh(a))
     grads = tape.backward(loss)
     assert grads.get(b) is None
     assert np.all(grads[b] == 0.0)
@@ -130,7 +129,7 @@ def test_other_tape_inputs_are_constants():
     a = t1.watch(ad.Tensor(np.full((2, 2), 0.5)))
     b = t2.watch(ad.Tensor(np.full((2, 2), 2.0)))
     with t2:
-        loss = ad.sum_all(ad.mul(a, b))  # a belongs to t1: constant here
+        loss = sum_all(ad.mul(a, b))  # a belongs to t1: constant here
     grads = t2.backward(loss)
     assert grads.get(a) is None
     assert np.allclose(grads[b], 0.5)

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_empirical_lipschitz
+
 import gdeq.autodiff as ad
 from gdeq.autodiff import Tensor
 from gdeq.contraction import (LipschitzReport, PathwayAnalysis, analyze_operator,
                               empirical_lipschitz, lemma2_bound, pathway_bound,
                               spectral_norm, theorem_bounds)
-from gdeq.graphs import normalize_adjacency
+from gdeq.graphs import BlockAdjacency, normalize_adjacency
 from gdeq.operators import BackboneParams, EquilibriumOperator, GraphContext
 from gdeq.quantum import DeepXyzParams, QuantumModule
 
@@ -178,13 +180,56 @@ def test_clipped_backbone_is_contractive_empirically():
         ctx = GraphContext(a_norm=ad.constant(normalize_adjacency(a)),
                            h=Tensor(rng.normal(size=(n, d_h))))
         op = EquilibriumOperator("classical", bb)
-
-        def f(zd):
-            with ad.no_grad():
-                return op.apply(Tensor(zd), ctx).data
-
-        got = empirical_lipschitz(f, (n, d_h), rng, n_pairs=60)
+        got = analyze_operator(op, ctx, rng, n_pairs=60).empirical
         assert got <= 0.8 + 1e-9
+
+
+def _random_normalized_adjacency(rng, n):
+    a = np.triu((rng.random((n, n)) < 0.5).astype(float), 1)
+    return normalize_adjacency(a + a.T)
+
+
+# One dense block (51 pairs per application), four padded graphs of unequal
+# sizes (16 rows, 16 pairs), and a graph too large to stack two probes of
+# (260 rows, one pair).
+LAYOUTS = {"dense": (5,), "padded": (3, 6, 2, 5), "large": (260,)}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("kind", ["classical", "id", "sd", "bd"])
+def test_batched_probes_match_one_pair_per_application(kind, layout):
+    rng = np.random.default_rng(29)
+    sizes = LAYOUTS[layout]
+    d_h = 4
+    mats = [_random_normalized_adjacency(rng, n) for n in sizes]
+    a_norm = mats[0] if len(mats) == 1 else BlockAdjacency.stack(mats)
+    n = sum(sizes)
+    ctx = GraphContext(a_norm=a_norm, h=Tensor(rng.normal(size=(n, d_h))))
+    bb = BackboneParams.init(d_h, d_h, 0.8, rng)
+    module = None
+    if kind != "classical":
+        module = make_module(2, d_h, d_h, rng, sn=True)
+    if kind == "id":
+        ctx.q_id = Tensor(rng.normal(size=(n, d_h)))
+    op = EquilibriumOperator(kind, bb, module, alpha=0.05)
+    if len(mats) > 1:
+        assert ctx.a_norm.rows is not None
+
+    def f(zd):
+        with ad.no_grad():
+            return op.apply(Tensor(zd), ctx).data
+
+    for n_pairs in (1, 60, 200):
+        seed = (29, n_pairs)
+        rng_batched = np.random.default_rng(seed)
+        rng_oracle = np.random.default_rng(seed)
+        got = analyze_operator(op, ctx, rng_batched, n_pairs=n_pairs)
+        want = reference_empirical_lipschitz(f, (n, d_h), rng_oracle,
+                                             n_pairs=n_pairs)
+        assert got.pairs == n_pairs
+        assert abs(got.empirical - want) <= 1e-12 * want, (n_pairs, got, want)
+        assert (rng_batched.bit_generator.state
+                == rng_oracle.bit_generator.state)
 
 
 def test_analyze_operator_certifies_clipped_state_coupling():

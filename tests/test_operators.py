@@ -9,7 +9,7 @@ from gdeq.operators import (BackboneParams, EquilibriumOperator, GraphContext,
                             backbone_apply, clip_spectral, propagate)
 from gdeq.quantum import DeepXyzParams, QuantumModule
 
-from helpers import numeric_grad, rel_err
+from helpers import numeric_grad, rel_err, sum_all
 
 
 def make_backbone(d_h, d_in, rng, kappa=0.8):
@@ -253,7 +253,7 @@ def test_single_application_gradients_match_fd(kind):
         tape.watch(t)
     tape.watch(ctx.h)
     with tape:
-        loss = ad.sum_all(ad.tanh(op.apply(z, ctx)))
+        loss = sum_all(ad.tanh(op.apply(z, ctx)))
     grads = tape.backward(loss)
 
     def loss_for(t):
@@ -261,7 +261,7 @@ def test_single_application_gradients_match_fd(kind):
             keep = t.data.copy()
             t.data[:] = x
             with ad.no_grad():
-                val = ad.sum_all(ad.tanh(op.apply(z, ctx))).data[0, 0]
+                val = sum_all(ad.tanh(op.apply(z, ctx))).data[0, 0]
             t.data[:] = keep
             return val
         return f

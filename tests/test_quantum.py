@@ -5,7 +5,7 @@ import pytest
 
 from gdeq import autodiff as ad
 from gdeq import quantum as qm
-from helpers import numeric_grad, rel_err
+from helpers import numeric_grad, rel_err, sum_all
 
 # --- independent dense oracle -------------------------------------------------
 
@@ -214,7 +214,7 @@ def test_circuit_gradients_match_fd(n_q, reps):
     ang_t = tape.watch(ad.Tensor(ang0))
     with tape:
         m = qm.circuit_expectations(u_t, ang_t, n_q)
-        loss = ad.sum_all(ad.mul(m, ad.constant(weight)))
+        loss = sum_all(ad.mul(m, ad.constant(weight)))
     grads = tape.backward(loss)
 
     want_u = numeric_grad(lambda x: loss_arrays(x, ang0), u0.copy())
@@ -264,7 +264,7 @@ def test_gradient_triple_agreement():
             tape.watch(t)
         with tape:
             out = module.forward_rows(ad.Tensor(s.reshape(1, -1)))
-            loss = ad.sum_all(ad.mul(out, ad.constant(g_out.reshape(1, -1))))
+            loss = sum_all(ad.mul(out, ad.constant(g_out.reshape(1, -1))))
         grads = tape.backward(loss)
 
         w_in0 = module.w_in.data.copy()
@@ -344,7 +344,7 @@ def test_gradients_flow_through_frozen_normalization():
     tape.watch(module.w_in)
     with tape:
         out = module.forward_rows(ad.Tensor(s))
-        loss = ad.sum_all(ad.mul(out, ad.constant(g_out)))
+        loss = sum_all(ad.mul(out, ad.constant(g_out)))
     got = tape.backward(loss)[module.w_in]
 
     def scalar(w):

@@ -6,7 +6,7 @@ from gdeq.autodiff import Tensor
 from gdeq.solvers import (SolverConfig, anderson_solve, equilibrium_solve,
                           picard_solve, solve_fixed_point)
 
-from helpers import numeric_grad, reference_anderson_solve, rel_err
+from helpers import numeric_grad, reference_anderson_solve, rel_err, sum_all
 
 
 def scaled_to(m, sigma):
@@ -186,7 +186,7 @@ def adjoint(jac, g, cfg):
     with tape:
         z, rep = equilibrium_solve(lambda z, ts: ad.add(jac(z), ts[0]), [bias],
                                    np.zeros_like(g), cfg, cfg)
-        loss = ad.sum_all(ad.mul(z, ad.constant(g)))
+        loss = sum_all(ad.mul(z, ad.constant(g)))
     return tape.backward(loss)[bias], rep.backward
 
 
@@ -271,7 +271,7 @@ def test_equilibrium_gradients_match_finite_differences():
     tape.watch(b)
     with tape:
         z, rep = run()
-        loss = ad.sum_all(ad.mul(z, ad.constant(weight)))
+        loss = sum_all(ad.mul(z, ad.constant(weight)))
     grads = tape.backward(loss)
     assert rep.backward is not None and rep.backward.converged
 
@@ -309,7 +309,7 @@ def test_equilibrium_adjoint_runs_once_per_cotangent():
     tape.watch(b)
     with tape:
         z, rep = equilibrium_solve(counting, tensors, np.zeros((2, 3)), cfg, cfg)
-        loss = ad.sum_all(z)
+        loss = sum_all(z)
     fwd_calls = calls["n"]
     tape.backward(loss)
     # backward reuses the recorded sub-tape; no further operator rebuilds

@@ -15,7 +15,7 @@ from gdeq.training import (AdamW, AttentionParams, ClassifierParams,
                            save_checkpoint, train_epoch)
 
 from helpers import (check_op, numeric_grad, reference_attention_readout,
-                     rel_err)
+                     rel_err, sum_all)
 
 
 def random_graph(rng, n, label):
@@ -73,13 +73,13 @@ def test_encode_gradient_matches_finite_differences():
 
     def loss_of(ed):
         with ad.no_grad():
-            return float(ad.sum_all(ad.mul(encode(x, Tensor(ed)),
+            return float(sum_all(ad.mul(encode(x, Tensor(ed)),
                                            ad.constant(w))).data[0, 0])
 
     tape = ad.Tape()
     e = tape.watch(Tensor(e0))
     with tape:
-        loss = ad.sum_all(ad.mul(encode(x, e), ad.constant(w)))
+        loss = sum_all(ad.mul(encode(x, e), ad.constant(w)))
     got = tape.backward(loss)[e]
     want = numeric_grad(loss_of, e0)
     assert np.max(np.abs(got - want)) <= 1e-7
@@ -154,7 +154,7 @@ def test_readout_vjp_matches_finite_differences(heads):
 
     def build(zt, *tensors):
         a = AttentionParams(*tensors, heads=heads)
-        return ad.sum_all(ad.mul(attention_readout(zt, ranges, a), w))
+        return sum_all(ad.mul(attention_readout(zt, ranges, a), w))
 
     check_op(build, z, *(t.data for _, t in att.tensors()))
 
@@ -423,6 +423,51 @@ def test_diverged_batch_is_skipped_with_warning():
     # the surviving batch still stepped the parameters
     assert any(not np.array_equal(t.data, before[n])
                for n, t in model.parameters())
+
+
+def test_diverged_adjoint_skips_the_batch_with_warning(monkeypatch):
+    from gdeq import solvers
+    ds = toy_dataset()
+    model = GraphClassifier(small_config(), ds.feature_dim, 2, seed=4)
+    batches = [collate(ds.graphs[:4]), collate(ds.graphs[4:8])]
+    real_solve = solvers.solve_fixed_point
+    adjoints = []
+
+    def flaky(f, z0, cfg):
+        if cfg is not model.cfg.bwd:
+            return real_solve(f, z0, cfg)
+        adjoints.append(1)
+        if len(adjoints) == 1:
+            return solvers.SolveReport(False, 3, np.inf, diverged=True,
+                                       z_star=np.full_like(z0, np.nan))
+        return real_solve(f, z0, cfg)
+
+    monkeypatch.setattr(solvers, "solve_fixed_point", flaky)
+    before = {n: t.data.copy() for n, t in model.parameters()}
+    opt = AdamW(model.parameters(), exclude=model.decay_exclusions())
+    with pytest.warns(RuntimeWarning, match="adjoint solve diverged"):
+        s = train_epoch(model, opt, batches, lr=1e-3, seed=0, epoch=0)
+    assert len(adjoints) == 2
+    assert s["skipped"] == 1
+    assert opt.t == 1
+    for n, t in model.parameters():
+        assert np.all(np.isfinite(t.data)), n
+    assert any(not np.array_equal(t.data, before[n])
+               for n, t in model.parameters())
+
+
+def test_solves_stopped_at_max_iter_are_counted():
+    ds = toy_dataset()
+    batches = [collate(ds.graphs[:4]), collate(ds.graphs[4:8])]
+    for fwd_cap, bwd_cap in ((300, 2), (2, 150)):
+        cfg = small_config(fwd=SolverConfig(max_iter=fwd_cap, tol=1e-10),
+                           bwd=SolverConfig(max_iter=bwd_cap, tol=1e-9))
+        model = GraphClassifier(cfg, ds.feature_dim, 2, seed=4)
+        opt = AdamW(model.parameters(), exclude=model.decay_exclusions())
+        s = train_epoch(model, opt, batches, lr=1e-3, seed=0, epoch=0)
+        assert s["skipped"] == 0
+        assert s["fwd_max_iter"] == (2 if fwd_cap == 2 else 0)
+        assert s["adj_max_iter"] == (2 if bwd_cap == 2 else 0)
 
 
 def test_evaluate_leaves_the_model_unchanged():
