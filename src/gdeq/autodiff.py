@@ -150,34 +150,17 @@ class Tape:
         _tape_stack().pop()
         return False
 
-    def _depending_on(self, leaves: Sequence[Tensor]) -> set:
-        """Ids of the leaves and of every recorded node computed from them."""
-        reached = {t.nid for t in leaves if t.tape is self}
-        for out_id, parents in self._records:
-            if any(in_id in reached for in_id, _ in parents):
-                reached.add(out_id)
-        return reached
-
-    def vjp(self, output: Tensor, cotangent,
-            wrt: Sequence[Tensor] | None = None) -> Gradients:
-        """Pull ``cotangent`` at ``output`` back to every tracked node.
-
-        With ``wrt``, only inputs that depend on one of those leaves are
-        pulled back to; the cotangents of the ``wrt`` leaves are the same,
-        bit for bit, as in the full sweep.
-        """
+    def vjp(self, output: Tensor, cotangent) -> Gradients:
+        """Pull ``cotangent`` at ``output`` back to every tracked node."""
         if output.tape is not self:
             raise ValueError("output tensor is not bound to this tape")
         seed = np.asarray(cotangent, dtype=np.float64).reshape(output.data.shape)
         grads: dict[int, Array] = {output.nid: seed}
-        wanted = None if wrt is None else self._depending_on(wrt)
         for out_id, parents in reversed(self._records):
             g = grads.get(out_id)
             if g is None:
                 continue
             for in_id, vjp_fn in parents:
-                if wanted is not None and in_id not in wanted:
-                    continue
                 contrib = vjp_fn(g)
                 prev = grads.get(in_id)
                 grads[in_id] = contrib if prev is None else prev + contrib

@@ -14,7 +14,8 @@ Everything except the timing values and the checkpoint archive's internal
 zip timestamps is byte-deterministic in (config, seeds); numbers are
 written with 17 significant digits so records re-parse to the exact values
 used in aggregation.  The exit status is nonzero iff any run failed
-(exception, or more than 10% of its forward solves diverged) or a trained
+(exception, or more than 10% of its forward solves diverged, or more than
+10% of its forward or of its adjoint solves stopped at max_iter) or a trained
 operator's empirical Lipschitz estimate exceeded its analytic bound.
 """
 
@@ -36,7 +37,7 @@ from .solvers import SolverConfig
 from .training import (ModelConfig, TrainConfig, aggregate_runs, encode,
                        run_training, save_checkpoint)
 
-FAILURE_RATE_LIMIT = 0.1   # diverged share of forward solves that fails a run
+FAILURE_RATE_LIMIT = 0.1   # diverged or max_iter share of solves that fails a run
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +236,8 @@ def _write_run_artifacts(run_dir: Path, cfg, metrics, model, dataset) -> list:
         "test_accuracy": metrics.test_accuracy,
         "final_iterations": metrics.final_iterations,
         "skipped_batches": metrics.skipped_batches,
+        "fwd_max_iter": metrics.fwd_max_iter,
+        "adj_max_iter": metrics.adj_max_iter,
     })
     write_kv(run_dir / "timing.txt", {"wall_minutes": metrics.wall_minutes})
     write_table(run_dir / "curves.csv",
@@ -281,9 +284,13 @@ def run_experiment(cfg: ExperimentConfig) -> int:
                 continue
             n_train = len(stratified_folds(labels, cfg.folds, seed)[fold][0])
             attempts = cfg.epochs * -(-n_train // cfg.batch_size)
-            if metrics.skipped_batches > FAILURE_RATE_LIMIT * attempts:
-                print(f"run {tag}: {metrics.skipped_batches}/{attempts} "
-                      "solves diverged", file=sys.stderr)
+            gated = [(metrics.skipped_batches, "solves diverged"),
+                     (metrics.fwd_max_iter, "forward solves stopped at max_iter"),
+                     (metrics.adj_max_iter, "adjoint solves stopped at max_iter")]
+            over = [f"{n}/{attempts} {what}" for n, what in gated
+                    if n > FAILURE_RATE_LIMIT * attempts]
+            if over:
+                print(f"run {tag}: " + "; ".join(over), file=sys.stderr)
                 failed.append(tag)
             bad = _write_run_artifacts(base / tag, cfg, metrics, model, dataset)
             if bad:

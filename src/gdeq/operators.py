@@ -12,6 +12,10 @@ state rows.  Quantum signals enter one of three ways:
 
 With alpha = 0 (or no module) every variant degenerates to the plain
 backbone, bit for bit.
+
+``EquilibriumOperator.apply`` is the map on the tape.  A solve runs on
+``EquilibriumOperator.plan``: the same map in plain NumPy, with every
+per-solve constant read once, and its closed-form adjoint at a state.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .contraction import spectral_norm
 from .graphs import BlockAdjacency
-from .quantum import DeepXyzParams, QuantumModule
+from .quantum import DeepXyzParams, ModulePlan, QuantumModule
+from .solvers import Plan
 
 PATHWAYS = ("classical", "id", "sd", "bd")
 
@@ -172,6 +177,58 @@ class EquilibriumOperator:
         if self.kind == "sd":
             return ad.add(base, ad.scale(self.quantum.forward_rows(z), self.alpha))
         return ad.add(base, ad.scale(self.quantum.forward_rows(base), self.alpha))
+
+    def plan(self, ctx: GraphContext) -> Plan:
+        """The operator on ``ctx`` at the live weights, for one solve.
+
+        H Omᵀ, W and the circuit's normalized maps and compiled program are
+        read once here, and ``f`` keeps the additions of :meth:`apply` in
+        order, so ``f`` equals ``apply`` bit for bit.  ``linearize(z)``
+        returns u -> J_f(z)ᵀ u in closed form, with y = h(z):
+
+        * classical, id: Aᵀ((u ⊙ (1 - y²)) W);
+        * sd: that plus J_q(z)ᵀ(α u);
+        * bd: Aᵀ(((u + J_q(y)ᵀ(α u)) ⊙ (1 - y²)) W);
+
+        where J_q is the module's row-wise Jacobian
+        (:meth:`ModulePlan.linearize`).
+        """
+        if self.kind == "id" and ctx.q_id is None:
+            raise ValueError("input-conditioning pathway needs ctx.q_id")
+        a = ctx.a_norm
+        w_t = self.backbone.w.data.T
+        h_om = ctx.h.data @ self.backbone.omega.data.T
+        q_id = ctx.q_id.data if self.kind == "id" else None
+        bias = self.backbone.bias.data
+        coupled = self.kind in ("sd", "bd") and self.alpha != 0.0
+        q = ModulePlan(self.quantum) if coupled else None
+        alpha, state = self.alpha, self.kind == "sd"
+
+        def backbone(z: np.ndarray) -> np.ndarray:
+            pre = a.matmul(z) @ w_t
+            pre += h_om
+            if q_id is not None:
+                pre += q_id
+            pre += bias
+            return np.tanh(pre, out=pre)
+
+        def f(z: np.ndarray) -> np.ndarray:
+            y = backbone(z)
+            if q is not None:
+                y += q(z if state else y) * alpha
+            return y
+
+        def linearize(z: np.ndarray):
+            y = backbone(z)
+            dy = 1.0 - y * y
+            if q is None:
+                return lambda u: a.rmatmul((u * dy) @ w_t.T)
+            jq = q.linearize(z if state else y)
+            if state:
+                return lambda u: a.rmatmul((u * dy) @ w_t.T) + jq(u * alpha)
+            return lambda u: a.rmatmul(((u + jq(u * alpha)) * dy) @ w_t.T)
+
+        return Plan(f, linearize)
 
     def compute_id_conditioning(self, h: Tensor, tau: np.ndarray) -> Tensor:
         """Q rows from [encoder output, topology descriptors]; once per solve."""

@@ -21,9 +21,13 @@ provided separately as an independent route to the same angle
 gradients.
 
 Under spectral normalization W_in and W_out enter as W / sigma(W), with
-sigma from one exact SVD per map and call; the derivative through sigma
-is part of the recorded op, so the module carries no normalization state
-and a forward pass never changes what the next one computes.
+sigma from one exact SVD per map, taken from the live weights: once per
+``forward_rows`` call, or once per solve in a :class:`ModulePlan`, which
+also compiles the program once and reads the per-row Jacobian of the
+expectations at the solution from n_q adjoint sweeps.  The derivative
+through sigma is part of the recorded op, so the module carries no
+normalization state and a forward pass never changes what the next one
+computes.
 
 Convention: qubit ``j`` owns bit ``n_q - 1 - j`` of the basis index,
 i.e. qubit 0 is the most significant axis.  All rotation and coupler
@@ -363,8 +367,8 @@ def circuit_expectations(u: Tensor, angles: Tensor, n_qubits: int) -> Tensor:
     ``u``: (N, n_q) encoding angles; ``angles``: (reps, per-rep count)
     trainable circuit angles.  Output is (N, n_q) in [-1, 1].  The program
     is compiled at the angles' current values on every call, and every
-    pullback of the recorded op reuses that compiled program.  A pullback
-    that asks for the ``u`` cotangent alone skips the angle gradients.
+    pullback of the recorded op reuses that compiled program.  The angle
+    gradients are read only when the angles are on the tape.
     """
     if u.cols != n_qubits:
         raise ValueError(f"expected {n_qubits} encoding angles, got {u.cols}")
@@ -490,6 +494,52 @@ class QuantumModule:
         u = ad.tanh(ad.matmul(s, ad.transpose(w_in_eff)))
         m = circuit_expectations(u, self.params.angles, self.n_qubits)
         return ad.matmul(m, ad.transpose(w_out_eff))
+
+
+class ModulePlan:
+    """The module at its live weights, as plain NumPy maps on row stacks.
+
+    Built once per solve: the effective maps (one SVD each under spectral
+    normalization) and the compiled program.  Calling the plan equals
+    ``forward_rows`` bit for bit.
+    """
+
+    def __init__(self, module: QuantumModule):
+        with ad.no_grad():
+            w_in, w_out = module.effective_maps()
+        self.w_in, self.w_out = w_in.data, w_out.data
+        self.n_qubits = module.n_qubits
+        self.program = _compile(module.params.angles.data, self.n_qubits)
+
+    def __call__(self, s: np.ndarray) -> np.ndarray:
+        u = np.tanh(s @ self.w_in.T)
+        m = _expectations(_run_program(u, self.program), self.n_qubits)
+        return m @ self.w_out.T
+
+    def linearize(self, s: np.ndarray):
+        """g -> J(s)ᵀ g for cotangent rows g, J the row-wise Jacobian at s.
+
+        The per-row Jacobian of the expectations in the encoding angles,
+        (N, n_q, n_q), is read once here, one adjoint sweep per output
+        qubit; each pullback is then
+        ((g W_out) · Jm ⊙ (1 - t²)) W_in, t = tanh(s W_inᵀ).
+        """
+        t = np.tanh(s @ self.w_in.T)
+        dt = 1.0 - t * t
+        stash: list = []
+        _run_program(t, self.program, stash)
+        jm = np.empty((len(t), self.n_qubits, self.n_qubits))
+        seed = np.zeros_like(t)
+        for a in range(self.n_qubits):
+            seed[:, a] = 1.0
+            jm[:, a] = _backward(t, self.program, stash, seed)[0]
+            seed[:, a] = 0.0
+
+        def pullback(g: np.ndarray) -> np.ndarray:
+            d_u = np.einsum("ia,iab->ib", g @ self.w_out, jm)
+            return (d_u * dt) @ self.w_in
+
+        return pullback
 
 
 def qmodule_forward(module: QuantumModule, s) -> np.ndarray:

@@ -1,20 +1,22 @@
 """Fixed-point solvers and implicit differentiation through them.
 
-Forward: run Picard or Anderson iteration on z <- f(z) outside any tape.
+Forward: run Picard or Anderson iteration on z <- f(z) outside any tape,
+with f the plain-NumPy map of a :class:`Plan` built once per solve.
 Backward: at the solution z*, the gradient of a loss L through z* is
 obtained from the adjoint fixed point
 
     u = g + J_f(z*)^T u,      g = dL/dz*,
 
-solved with the same machinery, followed by a single vector-Jacobian
-product with cotangent u into the operator's parameters.  Gradients never
-flow through the forward iterates themselves.
+solved with the same machinery on the plan's closed-form J_f(z*)^T,
+followed by a single vector-Jacobian product with cotangent u into the
+operator's parameters, on a sub-tape recorded once at z*.  Gradients
+never flow through the forward iterates themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,6 +55,16 @@ class SolveReport:
     diverged: bool = False
     fallback_steps: int = 0
     backward: "SolveReport | None" = field(default=None, repr=False)
+
+
+class Plan(NamedTuple):
+    """A map z <- f(z) at fixed weights, in plain NumPy, for one solve.
+
+    ``linearize(z)`` returns the pullback u -> J_f(z)ᵀ u at the state z.
+    """
+
+    f: Callable[[Array], Array]
+    linearize: Callable[[Array], Callable[[Array], Array]]
 
 
 def _norm(a: Array) -> float:
@@ -153,49 +165,40 @@ def solve_fixed_point(f: Callable[[Array], Array], z0: Array,
     return anderson_solve(f, z0, cfg)
 
 
-def equilibrium_solve(apply_fn: Callable[[Tensor, list], Tensor],
+def equilibrium_solve(plan: Plan, apply_fn: Callable[[Tensor, list], Tensor],
                       tensors: list, z0: Array, fwd: SolverConfig,
                       bwd: SolverConfig) -> tuple[Tensor, SolveReport]:
-    """Differentiable fixed point of ``z <- apply_fn(z, tensors)``.
+    """Differentiable fixed point of ``z <- plan.f(z)``.
 
-    The forward solve runs without recording.  If a tape is active and the
-    solve did not diverge, the result is recorded as a single operation
-    whose backward pass solves the adjoint equation once per loss cotangent
-    and routes one vector-Jacobian product into each input tensor.
+    ``apply_fn(z, tensors)`` is the same map on the tape.  The forward
+    solve runs on ``plan.f`` without recording.  If a tape is active and
+    the solve did not diverge, ``apply_fn`` is recorded once at z* on
+    clones of ``tensors``, and the result is recorded as a single
+    operation whose backward pass solves the adjoint equation on
+    ``plan.linearize(z*)`` once per loss cotangent and routes one
+    vector-Jacobian product into each input tensor.
     """
-    z0 = np.asarray(z0, dtype=np.float64)
-
-    def f_raw(zd: Array) -> Array:
-        with ad.no_grad():
-            return apply_fn(Tensor(zd), tensors).data
-
-    report = solve_fixed_point(f_raw, z0, fwd)
+    report = solve_fixed_point(plan.f, np.asarray(z0, dtype=np.float64), fwd)
     z_star = report.z_star
-    outer = ad._active_tape()
-    if outer is None or report.diverged:
+    if ad._active_tape() is None or report.diverged:
         return Tensor(z_star), report
 
-    # Rebuild the operator once on cloned leaves; the clones isolate the
-    # sub-tape from whatever else the outer tape is recording.
+    # The clones isolate the sub-tape from whatever else the outer tape is
+    # recording; the state is a constant on it, as only the parameter
+    # cotangents are read from it.
     clones = [Tensor(t.data) for t in tensors]
     sub = ad.Tape()
-    z_leaf = sub.watch(Tensor(z_star))
     for c in clones:
         sub.watch(c)
     with sub:
-        out = apply_fn(z_leaf, clones)
+        out = apply_fn(Tensor(z_star), clones)
 
-    # Adjoint iterations need only the state cotangent; the parameter
-    # cotangents come from one full sweep at the adjoint solution.
-    wrt = (z_leaf,)
     cache: dict = {}
 
     def pullback(g: Array) -> ad.Gradients:
         if cache.get("seed") is not g:
-            def step(u: Array) -> Array:
-                return g + sub.vjp(out, u, wrt=wrt)[z_leaf]
-
-            back = solve_fixed_point(step, np.zeros_like(g), bwd)
+            jt = plan.linearize(z_star)
+            back = solve_fixed_point(lambda u: g + jt(u), np.zeros_like(g), bwd)
             report.backward = back
             cache["seed"] = g
             cache["grads"] = sub.vjp(out, back.z_star)

@@ -102,6 +102,8 @@ class RunMetrics:
     final_iterations: float  # = iterations[-1]
     wall_minutes: float
     skipped_batches: int = 0
+    fwd_max_iter: int = 0    # forward solves that stopped at max_iter
+    adj_max_iter: int = 0    # adjoint solves that stopped at max_iter
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +353,8 @@ class GraphClassifier:
                 ctx, q_id=self.operator.compute_id_conditioning(h, batch.tau))
         apply_fn, tensors = self.operator.solve_inputs(ctx)
         z0 = np.zeros((batch.features.shape[0], cfg.d_hidden))
-        z, report = equilibrium_solve(apply_fn, tensors, z0, cfg.fwd, cfg.bwd)
+        z, report = equilibrium_solve(self.operator.plan(ctx), apply_fn,
+                                      tensors, z0, cfg.fwd, cfg.bwd)
         if report.diverged:
             return None, None, report
         pooled = attention_readout(z, batch.ranges, self.attention)
@@ -523,7 +526,7 @@ def run_training(dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
                 weight_decay=train_cfg.weight_decay,
                 exclude=model.decay_exclusions())
     loss_series, acc_series, iter_series = [], [], []
-    skipped = 0
+    counts = {"skipped": 0, "fwd_max_iter": 0, "adj_max_iter": 0}
     for epoch in range(train_cfg.epochs):
         lr = cosine_lr(epoch, train_cfg.epochs, train_cfg.lr, train_cfg.lr_min)
         batches = make_batches(dataset, train_idx, train_cfg.batch_size,
@@ -533,7 +536,8 @@ def run_training(dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
         loss_series.append(s["loss"])
         acc_series.append(s["accuracy"])
         iter_series.append(s["iterations"])
-        skipped += s["skipped"]
+        for key in counts:
+            counts[key] += s[key]
     _, test_acc, _ = evaluate(
         model, make_batches(dataset, test_idx, train_cfg.batch_size))
     metrics = RunMetrics(
@@ -542,7 +546,9 @@ def run_training(dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
         iterations=iter_series, test_accuracy=test_acc,
         final_iterations=iter_series[-1],
         wall_minutes=(time.perf_counter() - t0) / 60.0,
-        skipped_batches=skipped)
+        skipped_batches=counts["skipped"],
+        fwd_max_iter=counts["fwd_max_iter"],
+        adj_max_iter=counts["adj_max_iter"])
     return metrics, model
 
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from gdeq import autodiff as ad
-from gdeq.solvers import SolveReport, SolverConfig
+from gdeq.solvers import Plan, SolveReport, SolverConfig
 
 # Tolerance of a tape gradient against central differences, relative to
 # max(1, |gradient|_inf).
@@ -69,6 +69,28 @@ def check_op(build, *arrays, tol=FD_TOL):
             return build(*tensors).item()
         want = numeric_grad(scalar, arrays[i].copy())
         assert rel_err(got, want) <= tol, f"input {i}: {rel_err(got, want)}"
+
+
+def replay_plan(apply_fn, tensors) -> Plan:
+    """The plan of ``z <- apply_fn(z, tensors)`` read off the tape: the
+    oracle for ``EquilibriumOperator.plan``.
+
+    ``f`` runs ``apply_fn`` without recording.  ``linearize(z)`` records it
+    once at z on a sub-tape that watches the state alone, and each
+    pullback replays that sub-tape.
+    """
+    def f(z):
+        with ad.no_grad():
+            return apply_fn(ad.Tensor(z), tensors).data
+
+    def linearize(z):
+        sub = ad.Tape()
+        leaf = sub.watch(ad.Tensor(z))
+        with sub:
+            out = apply_fn(leaf, tensors)
+        return lambda u: sub.vjp(out, u)[leaf]
+
+    return Plan(f, linearize)
 
 
 def reference_empirical_lipschitz(f, shape, rng: np.random.Generator,

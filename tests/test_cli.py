@@ -213,3 +213,19 @@ def test_missing_dataset_is_a_config_error(tmp_path):
     code = main(["--data-dir", str(tmp_path), "--dataset", "NOPE",
                  "--out", str(tmp_path / "runs")])
     assert code == 2
+
+
+def test_solves_stopped_at_max_iter_are_written_and_fail_the_run(
+        mutag_dir, tmp_path, capsys):
+    out = tmp_path / "runs"
+    code = main(DESK + ["--pathway", "classical", "--seeds", "3", "--folds",
+                        "2", "--epochs", "1", "--bwd-max-iter", "2",
+                        "--out", str(out)])
+    assert code != 0
+    err = capsys.readouterr().err
+    for tag in ("3_0", "3_1"):
+        record = read_kv(out / "MUTAG" / "classical" / tag / "metrics.txt")
+        assert int(record["adj_max_iter"]) > 0
+        assert int(record["fwd_max_iter"]) == 0
+        assert f"run {tag}: " in err
+    assert "adjoint solves stopped at max_iter" in err

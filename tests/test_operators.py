@@ -9,7 +9,9 @@ from gdeq.operators import (BackboneParams, EquilibriumOperator, GraphContext,
                             backbone_apply, clip_spectral, propagate)
 from gdeq.quantum import DeepXyzParams, QuantumModule
 
-from helpers import numeric_grad, rel_err, sum_all
+from gdeq.solvers import SolverConfig, solve_fixed_point
+
+from helpers import numeric_grad, rel_err, replay_plan, sum_all
 
 
 def make_backbone(d_h, d_in, rng, kappa=0.8):
@@ -236,6 +238,67 @@ def test_solve_inputs_id_includes_conditioning():
     assert tensors[-1] is ctx.q_id
     z = Tensor(rng.normal(size=(n, d_h)))
     assert np.array_equal(apply_fn(z, tensors).data, op.apply(z, ctx).data)
+
+
+def plan_case(kind, sizes, alpha, seed=20):
+    """(operator, context) on the blocks of ``sizes``, circuit maps
+    spectrally normalized as in training."""
+    rng = np.random.default_rng(seed)
+    d_h, n_q = 5, 3
+    bb = make_backbone(d_h, d_h, rng)
+    d_in = d_h + 4 if kind == "id" else d_h
+    module = None if kind == "classical" else make_module(
+        n_q, d_in, d_h, rng, sn=kind != "id")
+    op = EquilibriumOperator(kind, bb, module, alpha=alpha)
+    mats, _ = random_blocks(rng, sizes)
+    a_norm = BlockAdjacency.stack([0.3 * m for m in mats])
+    h = Tensor(rng.normal(size=(sum(sizes), d_h)))
+    ctx = GraphContext(a_norm=a_norm, h=h)
+    if kind == "id":
+        ctx.q_id = op.compute_id_conditioning(
+            h, rng.normal(size=(sum(sizes), 4)))
+    return op, ctx
+
+
+PLAN_CASES = [(kind, sizes, alpha)
+              for kind in ("classical", "id", "sd", "bd")
+              for sizes, alpha in (((6,), 0.3), ((3, 6, 2, 5), 0.3),
+                                   ((3, 6, 2, 5), 0.0))]
+
+
+@pytest.mark.parametrize("kind,sizes,alpha", PLAN_CASES)
+def test_plan_map_equals_apply_bitwise(kind, sizes, alpha):
+    op, ctx = plan_case(kind, sizes, alpha)
+    plan = op.plan(ctx)
+    rng = np.random.default_rng(21)
+    for _ in range(3):
+        z = rng.normal(size=(sum(sizes), 5))
+        assert np.array_equal(plan.f(z), op.apply(Tensor(z), ctx).data)
+
+
+@pytest.mark.parametrize("kind,sizes,alpha", PLAN_CASES)
+def test_plan_linearization_matches_the_tape_replay(kind, sizes, alpha):
+    op, ctx = plan_case(kind, sizes, alpha)
+    plan = op.plan(ctx)
+    rep = solve_fixed_point(plan.f, np.zeros((sum(sizes), 5)),
+                            SolverConfig(tol=1e-10))
+    assert rep.converged
+    got = plan.linearize(rep.z_star)
+    want = replay_plan(*op.solve_inputs(ctx)).linearize(rep.z_star)
+    rng = np.random.default_rng(22)
+    for _ in range(3):
+        u = rng.normal(size=rep.z_star.shape)
+        g, w = got(u), want(u)
+        if kind in ("classical", "id") or alpha == 0.0:
+            assert np.array_equal(g, w)
+        else:
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+def test_plan_needs_conditioning_on_the_id_pathway():
+    op, ctx = plan_case("id", (4,), 0.1)
+    with pytest.raises(ValueError):
+        op.plan(GraphContext(a_norm=ctx.a_norm, h=ctx.h))
 
 
 @pytest.mark.parametrize("kind", ["classical", "sd", "bd"])

@@ -367,24 +367,3 @@ def test_forward_deterministic():
     a = qm.qmodule_forward(module, s)
     b = qm.qmodule_forward(module, s)
     assert (a == b).all()
-
-
-def test_state_only_pullback_skips_angle_gradients(monkeypatch):
-    calls = []
-    read = qm._angle_grads
-    monkeypatch.setattr(qm, "_angle_grads",
-                        lambda *args: calls.append(1) or read(*args))
-    rng = np.random.default_rng(21)
-    n_q = 3
-    tape = ad.Tape()
-    u = tape.watch(ad.Tensor(rng.uniform(-1, 1, size=(5, n_q))))
-    angles = tape.watch(qm.DeepXyzParams.init(n_q, 2, rng).angles)
-    with tape:
-        m = qm.circuit_expectations(u, angles, n_q)
-    seed = rng.normal(size=m.shape)
-    part = tape.vjp(m, seed, wrt=[u])
-    assert calls == []
-    full = tape.vjp(m, seed)
-    assert calls == [1]
-    assert np.array_equal(part[u], full[u])
-    assert part.get(angles) is None

@@ -6,7 +6,8 @@ from gdeq.autodiff import Tensor
 from gdeq.solvers import (SolverConfig, anderson_solve, equilibrium_solve,
                           picard_solve, solve_fixed_point)
 
-from helpers import numeric_grad, reference_anderson_solve, rel_err, sum_all
+from helpers import (numeric_grad, reference_anderson_solve, rel_err,
+                     replay_plan, sum_all)
 
 
 def scaled_to(m, sigma):
@@ -181,11 +182,12 @@ def adjoint(jac, g, cfg):
     the fixed point z* = jac(z*) + b, taken at b = 0.
     """
     bias = Tensor(np.zeros_like(g))
+    apply_fn = lambda z, ts: ad.add(jac(z), ts[0])
     tape = ad.Tape()
     tape.watch(bias)
     with tape:
-        z, rep = equilibrium_solve(lambda z, ts: ad.add(jac(z), ts[0]), [bias],
-                                   np.zeros_like(g), cfg, cfg)
+        z, rep = equilibrium_solve(replay_plan(apply_fn, [bias]), apply_fn,
+                                   [bias], np.zeros_like(g), cfg, cfg)
         loss = sum_all(ad.mul(z, ad.constant(g)))
     return tape.backward(loss)[bias], rep.backward
 
@@ -243,7 +245,8 @@ def test_equilibrium_solve_without_tape_is_plain():
     b = Tensor(rng.normal(size=(1, 4)))
     apply_fn, tensors = tanh_affine(w, b)
     cfg = SolverConfig(tol=1e-12)
-    z, rep = equilibrium_solve(apply_fn, tensors, np.zeros((3, 4)), cfg, cfg)
+    z, rep = equilibrium_solve(replay_plan(apply_fn, tensors), apply_fn,
+                               tensors, np.zeros((3, 4)), cfg, cfg)
     assert rep.converged
     assert z.tape is None
     # fixed-point property
@@ -262,7 +265,8 @@ def test_equilibrium_gradients_match_finite_differences():
     weight = np.asarray(rng.normal(size=(3, 4)))
 
     def run():
-        z, rep = equilibrium_solve(apply_fn, tensors, np.zeros((3, 4)), fwd, bwd)
+        z, rep = equilibrium_solve(replay_plan(apply_fn, tensors), apply_fn,
+                                   tensors, np.zeros((3, 4)), fwd, bwd)
         assert rep.converged
         return z, rep
 
@@ -298,23 +302,24 @@ def test_equilibrium_adjoint_runs_once_per_cotangent():
     apply_fn, tensors = tanh_affine(w, b)
     cfg = SolverConfig(tol=1e-11)
     calls = {"n": 0}
-    inner = apply_fn
 
     def counting(z, ts):
         calls["n"] += 1
-        return inner(z, ts)
+        return apply_fn(z, ts)
 
     tape = ad.Tape()
     tape.watch(w)
     tape.watch(b)
     with tape:
-        z, rep = equilibrium_solve(counting, tensors, np.zeros((2, 3)), cfg, cfg)
+        z, rep = equilibrium_solve(replay_plan(apply_fn, tensors), counting,
+                                   tensors, np.zeros((2, 3)), cfg, cfg)
         loss = sum_all(z)
-    fwd_calls = calls["n"]
+    # the forward solve runs on the plan; the tape records the map once, at z*
+    assert calls["n"] == 1
     tape.backward(loss)
-    # backward reuses the recorded sub-tape; no further operator rebuilds
-    assert calls["n"] == fwd_calls
-    assert rep.backward is not None
+    # the adjoint runs on the plan's linearization; the sub-tape is reused
+    assert calls["n"] == 1
+    assert rep.backward is not None and rep.backward.converged
 
 
 def test_equilibrium_divergence_skips_recording():
@@ -327,6 +332,7 @@ def test_equilibrium_divergence_skips_recording():
     tape.watch(w)
     cfg = SolverConfig(tol=1e-8, max_iter=50)
     with tape, np.errstate(over="ignore"):
-        z, rep = equilibrium_solve(apply_fn, [w], np.full((1, 2), 1e200), cfg, cfg)
+        z, rep = equilibrium_solve(replay_plan(apply_fn, [w]), apply_fn, [w],
+                                   np.full((1, 2), 1e200), cfg, cfg)
     assert rep.diverged
     assert z.tape is None
