@@ -5,13 +5,13 @@ applied to tensors bound to it, as a list of (output id, [(input id,
 vjp closure), ...]) entries in forward execution order.  Replaying the
 list in reverse is a valid reverse-topological walk, so ``backward``
 is a single sweep with a dict of cotangent accumulators keyed by node
-id.  Tapes are define-by-run and thread-local: tapes on different
-threads share no state.
+id.  Tapes are define-by-run and nest; the stack of active tapes is one
+per process, so tapes must not be used from several threads at once.
 """
 
 from __future__ import annotations
 
-import threading
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,25 +23,14 @@ class NonFiniteError(FloatingPointError):
     """A recorded forward operation produced a NaN or Inf entry."""
 
 
-_STATE = threading.local()
-
-
-def _tape_stack() -> list:
-    if not hasattr(_STATE, "stack"):
-        _STATE.stack = []
-        _STATE.grad_enabled = True
-    return _STATE.stack
-
-
-def _grad_enabled() -> bool:
-    _tape_stack()
-    return _STATE.grad_enabled
+# Active tapes, innermost last, and whether recording is on.  One state per
+# process: runs train in separate worker processes, not threads.
+_STATE = SimpleNamespace(stack=[], grad_enabled=True)
 
 
 def _active_tape():
-    stack = _tape_stack()
-    if stack and _STATE.grad_enabled:
-        return stack[-1]
+    if _STATE.stack and _STATE.grad_enabled:
+        return _STATE.stack[-1]
     return None
 
 
@@ -49,7 +38,6 @@ class no_grad:
     """Context manager that suspends recording on all tapes."""
 
     def __enter__(self):
-        _tape_stack()
         self._prev = _STATE.grad_enabled
         _STATE.grad_enabled = False
         return self
@@ -143,11 +131,11 @@ class Tape:
         return t
 
     def __enter__(self):
-        _tape_stack().append(self)
+        _STATE.stack.append(self)
         return self
 
     def __exit__(self, *exc):
-        _tape_stack().pop()
+        _STATE.stack.pop()
         return False
 
     def vjp(self, output: Tensor, cotangent) -> Gradients:

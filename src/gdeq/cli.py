@@ -10,8 +10,12 @@ aggregates:
     <out>/<dataset>/<pathway>/                 summary.{txt,csv},
                                                iteration_curves.csv, config.txt
 
-Everything except the timing values and the checkpoint archive's internal
-zip timestamps is byte-deterministic in (config, seeds); numbers are
+Each run trains in a worker process (``--workers`` of them, 1 by default)
+with BLAS pinned to one thread, and writes its own directory there; the
+parent gates, prints and aggregates the returned metrics.  Everything
+except the timing values and the checkpoint archive's internal zip
+timestamps is byte-deterministic in (config, seeds), whatever the worker
+count or the caller's BLAS threads; numbers are
 written with 17 significant digits so records re-parse to the exact values
 used in aggregation.  The exit status is nonzero iff any run failed
 (exception, or more than 10% of its forward solves diverged, or more than
@@ -23,7 +27,6 @@ import argparse
 import csv
 import hashlib
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -35,7 +38,7 @@ from .graphs import collate, load_tu_dataset, stratified_folds
 from .operators import GraphContext, PATHWAYS
 from .solvers import SolverConfig
 from .training import (ModelConfig, TrainConfig, aggregate_runs, encode,
-                       run_training, save_checkpoint)
+                       run_jobs, run_training, save_checkpoint)
 
 FAILURE_RATE_LIMIT = 0.1   # diverged or max_iter share of solves that fails a run
 
@@ -227,8 +230,12 @@ def certificate_report(model, batch, rng_seed=0) -> LipschitzReport:
     return report
 
 
-def _write_run_artifacts(run_dir: Path, cfg, metrics, model, dataset) -> list:
-    """Write one run's files; returns the certificate violations."""
+def _run_job(cfg: ExperimentConfig, dataset, seed: int, fold: int) -> tuple:
+    """Train one run in a worker and write its files; returns (RunMetrics,
+    certificate violations)."""
+    metrics, model = run_training(dataset, cfg.model_config(),
+                                  cfg.train_config(), seed, fold)
+    run_dir = Path(cfg.out) / cfg.dataset / cfg.pathway / f"{seed}_{fold}"
     run_dir.mkdir(parents=True, exist_ok=True)
     write_kv(run_dir / "metrics.txt", {
         "dataset": cfg.dataset, "pathway": metrics.pathway,
@@ -248,12 +255,11 @@ def _write_run_artifacts(run_dir: Path, cfg, metrics, model, dataset) -> list:
     save_checkpoint(run_dir / "checkpoint.npz", model,
                     config_hash=config_digest(cfg))
     labels = [g.label for g in dataset.graphs]
-    test_idx = stratified_folds(labels, cfg.folds, metrics.seed)[metrics.fold][1]
+    test_idx = stratified_folds(labels, cfg.folds, seed)[fold][1]
     probe = collate([dataset.graphs[i] for i in test_idx[:4]])
-    report = certificate_report(model, probe,
-                                rng_seed=(metrics.seed, metrics.fold, 99))
+    report = certificate_report(model, probe, rng_seed=(seed, fold, 99))
     (run_dir / "lipschitz.txt").write_text(report.to_text())
-    return report.violations()
+    return metrics, report.violations()
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
@@ -262,45 +268,39 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    mcfg = cfg.model_config()
-    tcfg = cfg.train_config()
     base = Path(cfg.out) / cfg.dataset / cfg.pathway
     base.mkdir(parents=True, exist_ok=True)
     (base / "config.txt").write_text(cfg.to_text())
 
-    jobs = [(s, f) for s in cfg.seeds for f in range(cfg.folds)]
+    jobs = [(cfg, dataset, s, f) for s in cfg.seeds for f in range(cfg.folds)]
     failed, violations, runs = [], [], []
     labels = [g.label for g in dataset.graphs]
-    with ThreadPoolExecutor(max_workers=max(1, cfg.workers)) as pool:
-        futures = [pool.submit(run_training, dataset, mcfg, tcfg, s, f)
-                   for s, f in jobs]
-        for (seed, fold), fut in zip(jobs, futures):
-            tag = f"{seed}_{fold}"
-            try:
-                metrics, model = fut.result()
-            except Exception as e:  # noqa: BLE001 - a run must not kill the rest
-                print(f"run {tag} failed: {e}", file=sys.stderr)
-                failed.append(tag)
-                continue
-            n_train = len(stratified_folds(labels, cfg.folds, seed)[fold][0])
-            attempts = cfg.epochs * -(-n_train // cfg.batch_size)
-            gated = [(metrics.skipped_batches, "solves diverged"),
-                     (metrics.fwd_max_iter, "forward solves stopped at max_iter"),
-                     (metrics.adj_max_iter, "adjoint solves stopped at max_iter")]
-            over = [f"{n}/{attempts} {what}" for n, what in gated
-                    if n > FAILURE_RATE_LIMIT * attempts]
-            if over:
-                print(f"run {tag}: " + "; ".join(over), file=sys.stderr)
-                failed.append(tag)
-            bad = _write_run_artifacts(base / tag, cfg, metrics, model, dataset)
-            if bad:
-                violations.append((tag, bad))
-                print(f"run {tag}: certificate violated for {bad}",
-                      file=sys.stderr)
-            runs.append(metrics)
-            print(f"run {tag}: acc {metrics.test_accuracy:.4f} "
-                  f"iters {metrics.final_iterations:.1f} "
-                  f"({metrics.wall_minutes:.2f} min)")
+    for (_, _, seed, fold), (ok, value) in zip(
+            jobs, run_jobs(_run_job, jobs, cfg.workers)):
+        tag = f"{seed}_{fold}"
+        if not ok:
+            print(f"run {tag} failed: {value}", file=sys.stderr)
+            failed.append(tag)
+            continue
+        metrics, bad = value
+        n_train = len(stratified_folds(labels, cfg.folds, seed)[fold][0])
+        attempts = cfg.epochs * -(-n_train // cfg.batch_size)
+        gated = [(metrics.skipped_batches, "solves diverged"),
+                 (metrics.fwd_max_iter, "forward solves stopped at max_iter"),
+                 (metrics.adj_max_iter, "adjoint solves stopped at max_iter")]
+        over = [f"{n}/{attempts} {what}" for n, what in gated
+                if n > FAILURE_RATE_LIMIT * attempts]
+        if over:
+            print(f"run {tag}: " + "; ".join(over), file=sys.stderr)
+            failed.append(tag)
+        if bad:
+            violations.append((tag, bad))
+            print(f"run {tag}: certificate violated for {bad}",
+                  file=sys.stderr)
+        runs.append(metrics)
+        print(f"run {tag}: acc {metrics.test_accuracy:.4f} "
+              f"iters {metrics.final_iterations:.1f} "
+              f"({metrics.wall_minutes:.2f} min)")
 
     if runs:
         record = emit_summary(runs, dataset=cfg.dataset)
@@ -363,4 +363,8 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # The imported module's main, so that jobs pickle as gdeq.cli._run_job,
+    # which a worker can import, and not as __main__._run_job.
+    from gdeq import cli
+
+    sys.exit(cli.main())

@@ -14,15 +14,23 @@ valid throughout optimisation.
 
 Forward solves that diverge skip their batch (with a warning) rather than
 stepping on garbage gradients.  One run is single-threaded and fully
-deterministic in (seed, fold, config); cross-validation schedules runs over
-a thread pool.
+deterministic in (seed, fold, config).  ``run_jobs`` runs a list of runs
+in worker processes with BLAS pinned to one thread, so their results do
+not depend on the worker count or on the caller's BLAS threads;
+``cross_validate`` and the CLI both drive their runs through it.
 """
 
 import math
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
 import time
+import traceback
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -566,21 +574,94 @@ def aggregate_runs(runs) -> dict:
     }
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+                    "VECLIB_MAXIMUM_THREADS")
+_WORKER = "from gdeq.training import serve_jobs; serve_jobs()"
+
+
+def run_jobs(fn, jobs, workers: int) -> list:
+    """``fn(*job)`` for every job, in worker processes.
+
+    Returns one ``(True, result)`` or ``(False, error text)`` per job, in
+    job order.  Every job runs in a worker, ``workers=1`` included; worker
+    i of n = min(workers, len(jobs)) gets ``jobs[i::n]``.  ``fn`` and the
+    jobs are pickled, so ``fn`` must be importable by its module path.  A
+    worker that exits without a result fails each of its jobs.  Every
+    worker is waited for before this returns or raises.
+    """
+    n = min(max(1, workers), len(jobs))
+    src = str(Path(__file__).resolve().parents[1])
+    env = dict(os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    procs = []
+    try:
+        for i in range(n):
+            with tempfile.TemporaryFile() as payload:
+                pickle.dump((fn, jobs[i::n]), payload)
+                payload.seek(0)
+                procs.append(subprocess.Popen(
+                    [sys.executable, "-c", _WORKER], stdin=payload,
+                    stdout=subprocess.PIPE, env=env))
+        results = [None] * len(jobs)
+        for i, proc in enumerate(procs):
+            out, _ = proc.communicate()
+            try:
+                share = pickle.loads(out) if proc.returncode == 0 else None
+            except (EOFError, pickle.UnpicklingError):
+                share = None
+            if share is None:
+                share = [(False, f"worker exited with status "
+                                 f"{proc.returncode} without a result")
+                         ] * len(jobs[i::n])
+            results[i::n] = share
+        return results
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait()
+            proc.stdout.close()
+
+
+def serve_jobs() -> None:
+    """Worker side of ``run_jobs``: (fn, jobs) pickled on stdin, one
+    (ok, result or error text) per job pickled on stdout."""
+    fn, jobs = pickle.load(sys.stdin.buffer)
+    results = os.fdopen(os.dup(1), "wb")
+    os.dup2(2, 1)   # stray prints go to stderr, not into the results
+    share = []
+    for job in jobs:
+        try:
+            share.append((True, fn(*job)))
+        except Exception as e:  # noqa: BLE001 - a run must not kill the rest
+            traceback.print_exc()
+            share.append((False, f"{type(e).__name__}: {e}"))
+    with results:
+        pickle.dump(share, results)
+
+
+def _run_metrics(*args) -> RunMetrics:
+    return run_training(*args)[0]
+
+
 def cross_validate(dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
                    seeds, folds: int | None = None, workers: int = 1):
-    """One run per (seed, fold) over a worker pool; returns (runs, summary)."""
+    """One run per (seed, fold) on ``run_jobs``; returns (runs, summary).
+
+    Raises RuntimeError naming the first run that failed.
+    """
     folds = train_cfg.folds if folds is None else folds
     if folds != train_cfg.folds:
         train_cfg = replace(train_cfg, folds=folds)
-    jobs = [(seed, fold) for seed in seeds for fold in range(folds)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_training, dataset, model_cfg,
-                                   train_cfg, s, f) for s, f in jobs]
-            runs = [fut.result()[0] for fut in futures]
-    else:
-        runs = [run_training(dataset, model_cfg, train_cfg, s, f)[0]
-                for s, f in jobs]
+    jobs = [(dataset, model_cfg, train_cfg, seed, fold)
+            for seed in seeds for fold in range(folds)]
+    runs = []
+    for job, (ok, value) in zip(jobs, run_jobs(_run_metrics, jobs, workers)):
+        if not ok:
+            raise RuntimeError(f"run {job[3]}_{job[4]} failed: {value}")
+        runs.append(value)
     return runs, aggregate_runs(runs)
 
 

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -204,3 +207,25 @@ def reference_anderson_solve(f, z0: np.ndarray, cfg: SolverConfig) -> SolveRepor
                                fallback_steps=fallback)
     return SolveReport(False, cfg.max_iter, residual,
                        z_star=xs[-1].reshape(shape), fallback_steps=fallback)
+
+
+def assert_nothing_left_running() -> None:
+    """No child of this process is alive or unreaped, and no
+    multiprocessing resource tracker was started.
+
+    Children are found by the parent pid in ``/proc/<pid>/stat``, which
+    also lists zombies and works where ``/proc/self/task/*/children`` is
+    not compiled in.
+    """
+    me = str(os.getpid())
+    children = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            after_name = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:     # exited while listing
+            continue
+        if after_name[1] == me:
+            children.append(int(stat.parent.name))
+    assert children == [], f"child processes left: {children}"
+    tracker = sys.modules.get("multiprocessing.resource_tracker")
+    assert tracker is None or tracker._resource_tracker._pid is None

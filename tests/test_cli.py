@@ -1,10 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gdeq
 from gdeq.cli import (ExperimentConfig, build_config, config_digest,
                       emit_iteration_curves, emit_summary, fmt, main,
                       parse_config, read_kv, write_kv, write_table)
 from gdeq.training import RunMetrics
+
+from helpers import assert_nothing_left_running
 
 
 def run_metrics(pathway="classical", acc=0.8, iters=None, seed=0, fold=0,
@@ -148,6 +156,7 @@ def test_run_layout_and_summary_counts(mutag_dir, tmp_path):
     code = main(DESK + ["--pathway", "id", "--seeds", "42", "--folds", "3",
                         "--epochs", "1", "--out", str(out), "--workers", "3"])
     assert code == 0
+    assert_nothing_left_running()
     base = out / "MUTAG" / "id"
     for tag in ("42_0", "42_1", "42_2"):
         for name in ("metrics.txt", "curves.csv", "checkpoint.npz",
@@ -207,6 +216,65 @@ def test_rerun_is_byte_identical_except_timing(mutag_dir, tmp_path):
     for la, lb in zip(sa, sb):
         if not la.startswith("time_minutes_mean"):
             assert la == lb
+
+
+def test_artifact_bytes_do_not_depend_on_workers_or_parent_blas_threads(
+        mutag_dir, tmp_path, monkeypatch):
+    # At the default width these runs' bytes move with the BLAS thread
+    # count (1 against 2) unless the workers pin it.
+    args = ["--data-dir", "data", "--dataset", "MUTAG", "--pathway",
+            "classical", "--seeds", "2", "--folds", "3", "--epochs", "2"]
+    outs = []
+    for workers, blas in ((1, "1"), (2, None), (3, "2")):
+        if blas:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+        else:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        outs.append(tmp_path / f"workers{workers}")
+        assert main(args + ["--workers", str(workers),
+                            "--out", str(outs[-1])]) == 0
+        assert_nothing_left_running()
+    for tag in ("2_0", "2_1", "2_2"):
+        for name in ("metrics.txt", "curves.csv", "lipschitz.txt"):
+            rel = f"MUTAG/classical/{tag}/{name}"
+            first = (outs[0] / rel).read_bytes()
+            for out in outs[1:]:
+                assert (out / rel).read_bytes() == first, (out.name, rel)
+
+
+def test_a_failing_run_is_reported_and_the_others_still_write(
+        mutag_dir, tmp_path, capsys):
+    out = tmp_path / "runs"
+    base = out / "MUTAG" / "classical"
+    base.mkdir(parents=True)
+    (base / "4_1").write_text("a file where the run directory should go")
+    code = main(DESK + ["--pathway", "classical", "--seeds", "4", "--folds",
+                        "3", "--epochs", "1", "--workers", "2",
+                        "--out", str(out)])
+    assert code == 1
+    assert_nothing_left_running()
+    captured = capsys.readouterr()
+    assert "run 4_1 failed: FileExistsError" in captured.err
+    for tag in ("4_0", "4_2"):
+        for name in ("metrics.txt", "curves.csv", "checkpoint.npz",
+                     "lipschitz.txt", "timing.txt"):
+            assert (base / tag / name).is_file()
+    assert "over 2 runs" in captured.out
+    assert read_kv(base / "summary.txt")["variant"] == "classical"
+
+
+def test_module_entry_point_runs_with_two_workers(mutag_dir, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(gdeq.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gdeq.cli", *DESK, "--pathway", "classical",
+         "--seeds", "1", "--folds", "2", "--epochs", "1", "--workers", "2",
+         "--out", str(tmp_path / "runs")],
+        cwd=mutag_dir.parent, env=env, capture_output=True, text=True,
+        timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    for tag in ("1_0", "1_1"):
+        assert (tmp_path / "runs" / "MUTAG" / "classical" / tag
+                / "metrics.txt").is_file()
 
 
 def test_missing_dataset_is_a_config_error(tmp_path):

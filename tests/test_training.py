@@ -1,21 +1,29 @@
+import math
+import operator
+import os
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gdeq
 from gdeq import autodiff as ad
 from gdeq.autodiff import Tensor
 from gdeq.graphs import (GraphDataset, GraphInstance, collate,
                          normalize_adjacency, topology_descriptors)
 from gdeq.solvers import SolverConfig
-from gdeq.training import (AdamW, AttentionParams, ClassifierParams,
-                           GraphClassifier, ModelConfig, RunMetrics,
-                           TrainConfig, aggregate_runs, attention_readout,
-                           classify, clip_gradients, cosine_lr,
-                           cross_validate, dropout_mask, encode, evaluate,
-                           load_checkpoint, restore_checkpoint, run_training,
-                           save_checkpoint, train_epoch)
+from gdeq.training import (BLAS_THREAD_VARS, AdamW, AttentionParams,
+                           ClassifierParams, GraphClassifier, ModelConfig,
+                           RunMetrics, TrainConfig, aggregate_runs,
+                           attention_readout, classify, clip_gradients,
+                           cosine_lr, cross_validate, dropout_mask, encode,
+                           evaluate, load_checkpoint, restore_checkpoint,
+                           run_jobs, run_training, save_checkpoint,
+                           train_epoch)
 
-from helpers import (check_op, numeric_grad, reference_attention_readout,
-                     rel_err, sum_all)
+from helpers import (assert_nothing_left_running, check_op, numeric_grad,
+                     reference_attention_readout, rel_err, sum_all)
 
 
 def random_graph(rng, n, label):
@@ -537,13 +545,54 @@ def test_cross_validate_counts_runs_and_aggregates():
     ds = toy_dataset()
     tcfg = TrainConfig(lr=1e-3, epochs=2, batch_size=4, folds=2)
     runs, agg = cross_validate(ds, small_config(), tcfg,
-                               seeds=[0, 1], folds=2, workers=2)
+                               seeds=[0, 1], folds=2, workers=3)
+    assert_nothing_left_running()
     assert len(runs) == 4
     assert {(r.seed, r.fold) for r in runs} == {(0, 0), (0, 1), (1, 0), (1, 1)}
     assert agg["runs"] == 4
     accs = np.array([r.test_accuracy for r in runs])
     assert agg["acc_mean"] == pytest.approx(accs.mean())
     assert agg["acc_std"] == pytest.approx(accs.std(ddof=1))
+
+
+def test_cross_validate_names_the_run_that_failed():
+    ds = replace(toy_dataset(), feature_dim=5)    # encoder shape mismatch
+    tcfg = TrainConfig(lr=1e-3, epochs=1, batch_size=4, folds=2)
+    with pytest.raises(RuntimeError, match=r"run 0_0 failed: ValueError"):
+        cross_validate(ds, small_config(), tcfg, seeds=[0], workers=2)
+    assert_nothing_left_running()
+
+
+def test_run_jobs_returns_results_and_errors_in_job_order():
+    jobs = [(4.0,), (-1.0,), (9.0,), (16.0,)]
+    assert run_jobs(math.sqrt, jobs, workers=3) == [
+        (True, 2.0), (False, "ValueError: math domain error"),
+        (True, 3.0), (True, 4.0)]
+    assert run_jobs(math.sqrt, [], workers=2) == []
+    assert_nothing_left_running()
+
+
+def test_worker_that_exits_without_a_result_fails_its_jobs():
+    # worker 0 gets jobs 0 and 3 and dies in job 0; worker 1 exits cleanly
+    # in job 1 without writing its result; worker 2 is unaffected
+    jobs = [(os._exit, 3), (os._exit, 0), (abs, -1), (abs, -2)]
+    assert run_jobs(operator.call, jobs, workers=3) == [
+        (False, "worker exited with status 3 without a result"),
+        (False, "worker exited with status 0 without a result"),
+        (True, 1),
+        (False, "worker exited with status 3 without a result")]
+    assert_nothing_left_running()
+
+
+def test_workers_pin_blas_threads_and_import_this_gdeq(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    got = run_jobs(os.getenv, [(v,) for v in BLAS_THREAD_VARS]
+                   + [("PYTHONPATH",)], workers=1)
+    assert got[:-1] == [(True, "1")] * len(BLAS_THREAD_VARS)
+    src = str(Path(gdeq.__file__).resolve().parents[1])
+    assert got[-1] == (True, os.pathsep.join([src, "elsewhere"]))
+    assert_nothing_left_running()
 
 
 def test_aggregate_handles_single_run():
