@@ -7,18 +7,20 @@ XYZ rotations + ZZ couplers, then XY rotations + XX couplers, then YZ
 rotations + YY couplers, re-encoding u before each block), and the
 per-qubit Pauli-Z expectations are read out and mixed by W_out.
 
-Simulation is vectorized across rows.  ``circuit_expectations`` compiles
-the program at the current angles into segments: each run of consecutive
-parameter gates becomes one fused 2**n_q x 2**n_q unitary, applied to
-all rows as one complex matmul, and each encoding layer is a set of
-per-row R_y updates on a reshaped view.  States are amplitude-major,
-(2**n_q, N), so the rows are the contiguous axis of every update.
-Gradients are exact reverse-mode through the state: the output state of
-every segment is stashed, the cotangent is pulled back through each
-segment's adjoint, and each fused block yields all of its angle
-gradients from one 2**n_q x 2**n_q matrix.  The parameter-shift rule is
-provided separately as an independent route to the same angle
-gradients.
+Simulation is vectorized across rows and runs in the encoding's
+eigenbasis: an encoding layer is W diag(Φ(u)) Wᴴ, W = V^{⊗n_q} with V the
+eigenvectors of Y (Schuld, Sweke & Meyer, PRA 103, 032430, 2021).
+``circuit_expectations`` compiles the program at the current angles into
+segments: each run of consecutive parameter gates becomes one fused
+2**n_q x 2**n_q unitary, with W and Wᴴ folded in where it meets an
+encoding layer, applied to all rows as one complex matmul; each encoding
+layer is one elementwise product with the per-row phases Φ.  States are
+amplitude-major, (2**n_q, N).  Gradients are exact
+reverse-mode through the state: the output state of every segment is
+stashed, the cotangent is pulled back through each segment's adjoint,
+and each fused block yields all of its angle gradients from one
+2**n_q x 2**n_q matrix.  The parameter-shift rule is provided separately
+as an independent route to the same angle gradients.
 
 Under spectral normalization W_in and W_out enter as W / sigma(W), with
 sigma from one exact SVD per map, taken from the live weights: once per
@@ -37,7 +39,7 @@ gates use exp(-i * theta * P / 2) for Pauli (product) P.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -122,21 +124,39 @@ def build_program(n_qubits: int, reps: int) -> tuple:
 # vectorized kernels on amplitude-major (2**n_q, N) complex arrays
 
 
-def _zero_states(n_rows: int, n_qubits: int) -> np.ndarray:
-    states = np.zeros((2 ** n_qubits, n_rows), dtype=np.complex128)
-    states[0] = 1.0
-    return states
-
-
 @lru_cache(maxsize=None)
 def _z_signs(n_qubits: int) -> np.ndarray:
     """(n_q, 2**n_q) matrix of Z eigenvalues per qubit and basis state."""
-    dim = 2 ** n_qubits
-    signs = np.empty((n_qubits, dim))
-    for j in range(n_qubits):
-        bit = (np.arange(dim) >> (n_qubits - 1 - j)) & 1
-        signs[j] = 1.0 - 2.0 * bit
+    shifts = np.arange(n_qubits - 1, -1, -1)[:, None]
+    signs = 1.0 - 2.0 * ((np.arange(2 ** n_qubits) >> shifts) & 1)
+    signs.setflags(write=False)
     return signs
+
+
+@lru_cache(maxsize=None)
+def _frame(n_qubits: int) -> np.ndarray:
+    """W = V^{⊗n_q}; V's columns are the Y eigenvectors (1, i)/√2
+    (eigenvalue +1) and (1, -i)/√2 (eigenvalue -1)."""
+    v = np.array([[1, 1], [1j, -1j]]) / np.sqrt(2)
+    w = reduce(np.kron, [v] * n_qubits)
+    w.setflags(write=False)
+    return w
+
+
+def _phases(u_rows: np.ndarray) -> np.ndarray:
+    """Φ (2**n_q, N): one encoding layer in the eigenbasis of its gates.
+
+    R_y(u) = V diag(e^{-iu/2}, e^{iu/2}) Vᴴ, so the layer ⊗_j R_y(u_j) is
+    W diag(Φ) Wᴴ with Φ[b, n] = exp(-i/2 · Σ_j S[j, b] u[n, j]), built as
+    the product of the per-qubit factors e^{∓iu/2}, qubit 0 outermost.
+    """
+    n_rows = len(u_rows)
+    half = 0.5 * u_rows.T
+    phases = np.ones((1, n_rows), dtype=np.complex128)
+    for turn in np.cos(half) - 1j * np.sin(half):
+        phases = (phases[:, None] * np.stack([turn, np.conj(turn)])
+                  ).reshape(-1, n_rows)
+    return phases
 
 
 # ---------------------------------------------------------------------------
@@ -152,17 +172,16 @@ _PAULI = {
 def _generator(gate: Gate, n_qubits: int) -> np.ndarray:
     """Dense Pauli (product) P of ``gate`` on the full register."""
     pauli = _PAULI[gate.kind[-1]]
-    out = np.ones((1, 1), dtype=np.complex128)
-    for j in range(n_qubits):
-        out = np.kron(out, pauli if j in gate.qubits else np.eye(2))
-    return out
+    return reduce(np.kron, [pauli if j in gate.qubits else np.eye(2)
+                            for j in range(n_qubits)])
 
 
 class _Segments(NamedTuple):
     """The angle-free layout of a program.
 
     ``blocks`` has one entry per segment: ``None`` for an encoding layer,
-    else the slice of the parameter gates that the block fuses.
+    else the slice of the parameter gates that the block fuses.  The last
+    is a block (empty after a final encoding layer): its W ends the run.
     """
 
     blocks: tuple
@@ -187,6 +206,8 @@ def _segments(n_qubits: int, reps: int) -> _Segments:
             blocks[-1] = slice(blocks[-1].start, len(params))
         elif gate.qubits[0] == 0:
             blocks.append(None)
+    if blocks[-1] is None:
+        blocks.append(slice(len(params), len(params)))
     dim = 2 ** n_qubits
     index = tuple(np.array([g.source[i] for g in params], dtype=np.intp)
                   for i in (1, 2))
@@ -208,25 +229,30 @@ def _product(gates: np.ndarray) -> np.ndarray:
 
 
 class _FusedBlock:
-    """A run of parameter gates at fixed angles, and their product U."""
+    """A run of parameter gates at fixed angles, and left · product · W:
+    W leaves the encoding eigenbasis the state arrives in, and ``left`` is
+    Wᴴ before an encoding layer, else the identity."""
 
-    def __init__(self, gates: np.ndarray, paulis: np.ndarray, index: tuple):
+    def __init__(self, gates: np.ndarray, paulis: np.ndarray, index: tuple,
+                 left: np.ndarray, right: np.ndarray):
         self.gates = gates
         self.paulis = paulis
         self.index = index
-        self.unitary = _product(gates)
+        self.left = left
+        self.unitary = _product(np.concatenate([right[None], gates,
+                                                left[None]]))
 
     @cached_property
     def observables(self) -> np.ndarray:
-        """Rows W_k P_k W_kᴴ, flattened, with W_k the gates after gate k.
+        """Rows A_k P_k A_kᴴ, flattened, with A_k = left · (gates after k).
 
         Gate k's angle gradient is Im tr(P_k C_k), where C = sum over rows
-        of psi_out lambda_outᴴ is swept back to gate k as C_k = W_kᴴ C W_k;
-        by the cyclic trace that is Im tr(W_k P_k W_kᴴ C).  Built on the
+        of psi_out lambda_outᴴ is swept back to gate k as C_k = A_kᴴ C A_k;
+        by the cyclic trace that is Im tr(A_k P_k A_kᴴ C).  Built on the
         first pullback and reused by every later one.
         """
         after = np.empty_like(self.gates)
-        w = np.eye(self.gates.shape[1], dtype=np.complex128)
+        w = self.left
         for k in range(len(self.gates) - 1, -1, -1):
             after[k] = w
             w = w @ self.gates[k]
@@ -238,73 +264,31 @@ def _compile(angles: np.ndarray, n_qubits: int) -> tuple:
     """The program at ``angles``: ``None`` per encoding layer, else a block."""
     seg = _segments(n_qubits, angles.shape[0])
     half = 0.5 * angles[seg.index][:, None, None]
-    gates = (np.cos(half) * np.eye(2 ** n_qubits)
-             - 1j * np.sin(half) * seg.paulis)
+    eye = np.eye(2 ** n_qubits)
+    gates = np.cos(half) * eye - 1j * np.sin(half) * seg.paulis
+    w = _frame(n_qubits)
+    w_h, last = np.conj(w.T), len(seg.blocks) - 1
     return tuple(None if span is None else
                  _FusedBlock(gates[span], seg.paulis[span],
-                             (seg.index[0][span], seg.index[1][span]))
-                 for span in seg.blocks)
-
-
-def _half_turns(u_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos(u / 2) as (n_q, 2N) and (-sin, +sin)(u / 2) as (n_q, 2, 1, 2N).
-
-    Each row's value appears twice, once for the real and once for the
-    imaginary part of an amplitude in the float view of the states.
-    """
-    half = np.repeat(0.5 * u_rows.T, 2, axis=1)
-    sin = np.sin(half)
-    return np.cos(half), np.stack([-sin, sin], axis=1)[:, :, None]
-
-
-def _encode(states: np.ndarray, cos: np.ndarray,
-            sin_pm: np.ndarray) -> np.ndarray:
-    """One encoding layer, out of place: R_y(u_j) on qubit j of every row.
-
-    R_y(u) maps each amplitude pair (a0, a1) of its qubit to
-    cos(u/2) (a0, a1) + sin(u/2) (-a1, a0).  It is real, so it acts on the
-    real and imaginary parts alike, and the rows stay the contiguous
-    innermost axis of every update.
-    """
-    parts = states.view(np.float64)
-    width = parts.shape[1]
-    for q in range(len(cos)):
-        v = parts.reshape(2 ** q, 2, -1, width)
-        parts = cos[q] * v + sin_pm[q] * v[:, ::-1]
-    return parts.reshape(len(states), width).view(np.complex128)
-
-
-def _encoding_grad(lam: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Per-row angle gradient of one encoding layer, (N, n_q).
-
-    The layer's gates commute with every generator Y_j in it, so gate j
-    reads Im(lambdaᴴ Y_j psi) at the layer's output state psi and its
-    cotangent lambda: Re(conj(lambda_1) psi_0 - conj(lambda_0) psi_1) over
-    the amplitude pairs that differ in qubit j.
-    """
-    dim, n_rows = psi.shape
-    n_qubits = dim.bit_length() - 1
-    lam_bar = np.conj(lam)
-    out = np.empty((n_rows, n_qubits))
-    for q in range(n_qubits):
-        lv = lam_bar.reshape(2 ** q, 2, -1, n_rows)
-        pv = psi.reshape(2 ** q, 2, -1, n_rows)
-        pairs = lv[:, 1] * pv[:, 0] - lv[:, 0] * pv[:, 1]
-        out[:, q] = pairs.real.sum(axis=(0, 1))
-    return out
+                             (seg.index[0][span], seg.index[1][span]),
+                             w_h if k < last else eye, w)
+                 for k, span in enumerate(seg.blocks))
 
 
 def _run_program(u_rows: np.ndarray, program: tuple,
                  stash: list | None = None) -> np.ndarray:
     """Final amplitude-major states (2**n_q, N) of the rows of ``u_rows``.
 
-    ``stash`` collects every segment's output state.
+    The run starts from Wᴴ|0⟩, the uniform vector, in the encoding
+    eigenbasis, where each encoding layer is ``Φ * states``.  ``stash``
+    collects Φ and then every segment's output state.
     """
-    cos, sin_pm = _half_turns(u_rows)
-    states = _zero_states(u_rows.shape[0], u_rows.shape[1])
+    phases = _phases(u_rows)
+    states = np.full(phases.shape, len(phases) ** -0.5, dtype=np.complex128)
+    if stash is not None:
+        stash.append(phases)
     for fused in program:
-        states = (_encode(states, cos, sin_pm) if fused is None
-                  else fused.unitary @ states)
+        states = phases * states if fused is None else fused.unitary @ states
         if stash is not None:
             stash.append(states)
     return states
@@ -315,46 +299,47 @@ def _expectations(states: np.ndarray, n_qubits: int) -> np.ndarray:
     return (_z_signs(n_qubits) @ (states.real ** 2 + states.imag ** 2)).T
 
 
-def _backward(u_rows: np.ndarray, program: tuple, stash: list,
+def _backward(program: tuple, stash: list,
               g_m: np.ndarray) -> tuple[np.ndarray, list]:
     """Adjoint sweep: cotangent on expectations -> (dU, block cotangents).
 
     The state cotangent lambda = dL/dpsi* starts at the final state and is
     pulled back one segment at a time, to the output of the segment before
     it: through a fused block as lambda <- Uᴴ lambda, through an encoding
-    layer by R_y(-u).  Each encoding layer reads its u-gradient at its own
-    output state ``stash[k]`` and cotangent.  The second value holds the
-    cotangent at every fused block's output (``None`` at encoding layers),
-    from which ``_angle_grads`` reads the angle gradients when they are
-    asked for.
+    layer as lambda <- conj(Φ) * lambda.  There its generators are the
+    diagonals -S[j] / 2, so an encoding layer's u-gradient is
+    S Im(conj(lambda) psi) at its output state psi, summed over layers
+    before the one product with S.  The second value holds the cotangent
+    at every fused block's output (``None`` at encoding layers), from which
+    ``_angle_grads`` reads the angle gradients when they are asked for.
     """
-    cos, sin_pm = _half_turns(u_rows)
-    sin_back = -sin_pm
-    lam = (_z_signs(u_rows.shape[1]).T @ g_m.T) * stash[-1]
-    d_u = np.zeros_like(u_rows)
+    unphase, outs = np.conj(stash[0]), stash[1:]
+    signs = _z_signs(g_m.shape[1])
+    lam = (signs.T @ g_m.T) * outs[-1]
+    reads = np.zeros(unphase.shape)
     lams = [None] * len(program)
     for k in range(len(program) - 1, -1, -1):
         fused = program[k]
         if fused is None:
-            d_u += _encoding_grad(lam, stash[k])
+            reads += (np.conj(lam) * outs[k]).imag
             if k:
-                lam = _encode(lam, cos, sin_back)
+                lam = unphase * lam
         else:
             lams[k] = lam
             if k:
                 lam = np.conj(fused.unitary).T @ lam
-    return d_u, lams
+    return (signs @ reads).T, lams
 
 
 def _angle_grads(angle_shape: tuple, program: tuple, stash: list,
                  lams: list) -> np.ndarray:
     """All angle gradients of the fused blocks, from ``_backward``'s cotangents.
 
-    Each block reads them as Im tr(W_k P_k W_kᴴ C) at its output state
+    Each block reads them as Im tr(A_k P_k A_kᴴ C) at its output state
     psi and cotangent lambda, with C = sum over rows of psi lambdaᴴ.
     """
     d_ang = np.zeros(angle_shape)
-    for fused, psi, lam in zip(program, stash, lams):
+    for fused, psi, lam in zip(program, stash[1:], lams):
         if fused is not None:
             c_t = np.conj(lam) @ psi.T          # transpose of C
             d_ang[fused.index] = (fused.observables @ c_t.reshape(-1)).imag
@@ -374,18 +359,17 @@ def circuit_expectations(u: Tensor, angles: Tensor, n_qubits: int) -> Tensor:
         raise ValueError(f"expected {n_qubits} encoding angles, got {u.cols}")
     if angles.cols != per_rep_param_count(n_qubits):
         raise ValueError("angle row width does not match qubit count")
-    u_rows = u.data
     angle_shape = angles.data.shape
     program = _compile(angles.data, n_qubits)
     stash: list | None = [] if ad._active_tape() is not None else None
-    m = _expectations(_run_program(u_rows, program, stash), n_qubits)
+    m = _expectations(_run_program(u.data, program, stash), n_qubits)
 
     cache: dict = {}
 
     def sweep(g):
         if cache.get("seed") is not g:
             cache["seed"] = g
-            cache["sweep"] = _backward(u_rows, program, stash, g)
+            cache["sweep"] = _backward(program, stash, g)
         return cache["sweep"]
 
     return ad.record_op(
@@ -532,7 +516,7 @@ class ModulePlan:
         seed = np.zeros_like(t)
         for a in range(self.n_qubits):
             seed[:, a] = 1.0
-            jm[:, a] = _backward(t, self.program, stash, seed)[0]
+            jm[:, a] = _backward(self.program, stash, seed)[0]
             seed[:, a] = 0.0
 
         def pullback(g: np.ndarray) -> np.ndarray:

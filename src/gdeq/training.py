@@ -20,9 +20,12 @@ not depend on the worker count or on the caller's BLAS threads;
 ``cross_validate`` and the CLI both drive their runs through it.
 """
 
+import contextlib
+import ctypes
 import math
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import tempfile
@@ -586,60 +589,73 @@ def run_jobs(fn, jobs, workers: int) -> list:
     Returns one ``(True, result)`` or ``(False, error text)`` per job, in
     job order.  Every job runs in a worker, ``workers=1`` included; worker
     i of n = min(workers, len(jobs)) gets ``jobs[i::n]``.  ``fn`` and the
-    jobs are pickled, so ``fn`` must be importable by its module path.  A
-    worker that exits without a result fails each of its jobs.  Every
-    worker is waited for before this returns or raises.
+    jobs are pickled, so ``fn`` must be importable by its module path.
+    Workers write each result to a file as its job ends, so one that dies
+    fails only the jobs it did not finish.  Every worker is waited for
+    before this returns or raises, and dies with this process.
     """
     n = min(max(1, workers), len(jobs))
     src = str(Path(__file__).resolve().parents[1])
     env = dict(os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1"))
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    procs = []
+    procs, outs = [], []
     try:
         for i in range(n):
+            outs.append(tempfile.TemporaryFile())
             with tempfile.TemporaryFile() as payload:
-                pickle.dump((fn, jobs[i::n]), payload)
+                pickle.dump((os.getpid(), fn, jobs[i::n]), payload)
                 payload.seek(0)
                 procs.append(subprocess.Popen(
                     [sys.executable, "-c", _WORKER], stdin=payload,
-                    stdout=subprocess.PIPE, env=env))
+                    stdout=outs[i], env=env))
         results = [None] * len(jobs)
-        for i, proc in enumerate(procs):
-            out, _ = proc.communicate()
-            try:
-                share = pickle.loads(out) if proc.returncode == 0 else None
-            except (EOFError, pickle.UnpicklingError):
-                share = None
-            if share is None:
-                share = [(False, f"worker exited with status "
-                                 f"{proc.returncode} without a result")
-                         ] * len(jobs[i::n])
-            results[i::n] = share
+        for i, (proc, out) in enumerate(zip(procs, outs)):
+            proc.wait()
+            out.seek(0)
+            share, count = [], len(jobs[i::n])
+            with contextlib.suppress(EOFError, pickle.UnpicklingError):
+                while len(share) < count:
+                    share.append(pickle.load(out))
+            lost = (False, f"worker exited with status {proc.returncode} "
+                           "without a result")
+            results[i::n] = share + [lost] * (count - len(share))
         return results
     finally:
         for proc in procs:
             if proc.poll() is None:
                 proc.kill()
             proc.wait()
-            proc.stdout.close()
+        for out in outs:
+            out.close()
 
 
 def serve_jobs() -> None:
-    """Worker side of ``run_jobs``: (fn, jobs) pickled on stdin, one
-    (ok, result or error text) per job pickled on stdout."""
-    fn, jobs = pickle.load(sys.stdin.buffer)
+    """Worker side of ``run_jobs``: (launcher pid, fn, jobs) pickled on
+    stdin, one (ok, result or error text) pickled on stdout per job.
+
+    The kernel kills the worker when its launcher dies (Linux's
+    ``PR_SET_PDEATHSIG``); if that happened before the call, it exits.
+    """
+    launcher, fn, jobs = pickle.load(sys.stdin.buffer)
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is not None:
+        prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+        prctl.restype = ctypes.c_int
+        prctl(1, signal.SIGKILL, 0, 0, 0)   # 1 = PR_SET_PDEATHSIG
+    if os.getppid() != launcher:
+        os._exit(1)
     results = os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)   # stray prints go to stderr, not into the results
-    share = []
-    for job in jobs:
-        try:
-            share.append((True, fn(*job)))
-        except Exception as e:  # noqa: BLE001 - a run must not kill the rest
-            traceback.print_exc()
-            share.append((False, f"{type(e).__name__}: {e}"))
     with results:
-        pickle.dump(share, results)
+        for job in jobs:
+            try:
+                item = (True, fn(*job))
+            except Exception as e:  # noqa: BLE001 - a run must not kill the rest
+                traceback.print_exc()
+                item = (False, f"{type(e).__name__}: {e}")
+            results.write(pickle.dumps(item))
+            results.flush()
 
 
 def _run_metrics(*args) -> RunMetrics:

@@ -209,23 +209,28 @@ def reference_anderson_solve(f, z0: np.ndarray, cfg: SolverConfig) -> SolveRepor
                        z_star=xs[-1].reshape(shape), fallback_steps=fallback)
 
 
-def assert_nothing_left_running() -> None:
-    """No child of this process is alive or unreaped, and no
-    multiprocessing resource tracker was started.
+def process_table() -> list[tuple[int, str, int]]:
+    """(pid, state, parent pid) of every process, from ``/proc/<pid>/stat``.
 
-    Children are found by the parent pid in ``/proc/<pid>/stat``, which
-    also lists zombies and works where ``/proc/self/task/*/children`` is
-    not compiled in.
+    Unlike ``/proc/self/task/*/children``, this also lists zombies and
+    needs no optional kernel feature.
     """
-    me = str(os.getpid())
-    children = []
+    table = []
     for stat in Path("/proc").glob("[0-9]*/stat"):
         try:
             after_name = stat.read_text().rsplit(")", 1)[1].split()
         except OSError:     # exited while listing
             continue
-        if after_name[1] == me:
-            children.append(int(stat.parent.name))
+        table.append((int(stat.parent.name), after_name[0],
+                      int(after_name[1])))
+    return table
+
+
+def assert_nothing_left_running() -> None:
+    """No child of this process is alive or unreaped, and no
+    multiprocessing resource tracker was started."""
+    me = os.getpid()
+    children = [pid for pid, _, parent in process_table() if parent == me]
     assert children == [], f"child processes left: {children}"
     tracker = sys.modules.get("multiprocessing.resource_tracker")
     assert tracker is None or tracker._resource_tracker._pid is None

@@ -1,6 +1,9 @@
+import contextlib
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +15,7 @@ from gdeq.cli import (ExperimentConfig, build_config, config_digest,
                       parse_config, read_kv, write_kv, write_table)
 from gdeq.training import RunMetrics
 
-from helpers import assert_nothing_left_running
+from helpers import assert_nothing_left_running, process_table
 
 
 def run_metrics(pathway="classical", acc=0.8, iters=None, seed=0, fold=0,
@@ -275,6 +278,41 @@ def test_module_entry_point_runs_with_two_workers(mutag_dir, tmp_path):
     for tag in ("1_0", "1_1"):
         assert (tmp_path / "runs" / "MUTAG" / "classical" / tag
                 / "metrics.txt").is_file()
+
+
+def test_workers_die_with_a_terminated_parent(mutag_dir, tmp_path):
+    # SIGTERM skips the parent's cleanup, so only the workers' own tie to
+    # their launcher can stop them
+    env = dict(os.environ, PYTHONPATH=str(Path(gdeq.__file__).parents[1]))
+    parent = subprocess.Popen(
+        [sys.executable, "-m", "gdeq.cli", *DESK, "--pathway", "classical",
+         "--seeds", "3", "--folds", "2", "--epochs", "500", "--workers", "2",
+         "--out", str(tmp_path / "runs")],
+        cwd=mutag_dir.parent, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL)
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and time.monotonic() < deadline:
+            time.sleep(0.1)
+            workers = [pid for pid, _, ppid in process_table()
+                       if ppid == parent.pid]
+        assert len(workers) == 2
+        time.sleep(2)
+        parent.terminate()
+        assert parent.wait(timeout=10) == -signal.SIGTERM
+        time.sleep(2)
+        alive = [pid for pid, state, _ in process_table()
+                 if pid in workers and state != "Z"]
+        assert alive == []
+    finally:
+        for pid in workers:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        if parent.poll() is None:
+            parent.kill()
+        parent.wait()
+    assert not (tmp_path / "runs" / "MUTAG" / "classical" / "3_0").exists()
 
 
 def test_missing_dataset_is_a_config_error(tmp_path):

@@ -116,8 +116,8 @@ def test_angle_init_range():
 
 def test_angle_encode_z_expectation_is_cosine():
     u = np.array([[0.3, -0.7, 0.05]])
-    angles = np.zeros((1, qm.per_rep_param_count(3)))
-    states = qm._run_program(u, qm._compile(angles, 3)[:1])
+    angles = np.zeros((0, qm.per_rep_param_count(3)))   # the encoding alone
+    states = qm._run_program(u, qm._compile(angles, 3))
     assert abs(np.linalg.norm(states) - 1.0) < 1e-12
     assert np.allclose(qm._expectations(states, 3)[0], np.cos(u[0]), atol=1e-12)
 
@@ -139,7 +139,45 @@ def test_amplitudes_match_dense_product(n_q, reps):
                    w_out @ oracle_expectations(want, n_q)) < 1e-12
 
 
-GRID = [(n_q, reps) for n_q in (1, 2, 3, 4) for reps in (1, 2)]
+@pytest.mark.parametrize("n_q", [1, 2, 3, 4])
+def test_encoding_layer_is_a_phase_in_the_frame(n_q):
+    # W diag(Φ) Wᴴ is the dense ⊗_j R_y(u_j)
+    rng = np.random.default_rng(20 + n_q)
+    u = rng.uniform(-np.pi, np.pi, size=n_q)
+    dense = np.ones((1, 1))
+    for j in range(n_q):
+        ry = dense_gate(qm.Gate("ry", (j,), ("enc", j)), u[j])
+        dense = np.kron(dense, ry)
+    w = qm._frame(n_q)
+    phases = qm._phases(u.reshape(1, -1))[:, 0]
+    assert np.max(np.abs(w @ np.diag(phases) @ np.conj(w.T) - dense)) < 1e-14
+
+
+@pytest.mark.parametrize("n_q", [1, 3])
+def test_program_ending_on_an_encoding_layer_matches_dense_product(n_q):
+    # with no repetitions the program is one encoding layer, and the run
+    # must still end in the computational basis
+    rng = np.random.default_rng(30 + n_q)
+    u = rng.uniform(-0.99, 0.99, size=(4, n_q))
+    angles = np.zeros((0, qm.per_rep_param_count(n_q)))
+    program = qm._compile(angles, n_q)
+    assert program[-2] is None
+    states = qm._run_program(u, program)
+    for i in range(len(u)):
+        want = oracle_state(u[i], angles, n_q)
+        assert np.max(np.abs(states[:, i] - want)) < 1e-12
+
+    weight = rng.normal(size=u.shape)
+    tape = ad.Tape()
+    u_t = tape.watch(ad.Tensor(u))
+    with tape:
+        m = qm.circuit_expectations(u_t, ad.Tensor(angles), n_q)
+        loss = sum_all(ad.mul(m, ad.constant(weight)))
+    # <Z_j> = cos(u_j), so dL/du = -weight * sin(u)
+    assert rel_err(tape.backward(loss)[u_t], -weight * np.sin(u)) < 1e-12
+
+
+GRID = [(n_q, reps) for n_q in (1, 2, 3, 4) for reps in (1, 2, 3)]
 
 
 @pytest.mark.parametrize("n_q,reps", GRID)

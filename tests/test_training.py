@@ -584,6 +584,13 @@ def test_worker_that_exits_without_a_result_fails_its_jobs():
     assert_nothing_left_running()
 
 
+def test_a_worker_that_dies_keeps_the_results_it_finished():
+    jobs = [(abs, -1), (os._exit, 3)]
+    assert run_jobs(operator.call, jobs, workers=1) == [
+        (True, 1), (False, "worker exited with status 3 without a result")]
+    assert_nothing_left_running()
+
+
 def test_workers_pin_blas_threads_and_import_this_gdeq(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     monkeypatch.setenv("PYTHONPATH", "elsewhere")
