@@ -2,22 +2,27 @@
 
 The backbone with ||W||_2 <= kappa is a kappa-contraction in Z (tanh is
 1-Lipschitz and the normalized adjacency has unit spectral norm).  The
-quantum readout map is Lipschitz with constant at most
+paper's headline budget for the quantum readout map is
 
     L_q = 2 sqrt(n_q) ||W_out||_2 ||W_in||_2,
 
-which gives per-pathway bounds on the full operator:
+which gives per-pathway budgets on the full operator:
 
     input conditioning   kappa
     state coupling       kappa + alpha * L_q
     output coupling      kappa * (1 + alpha * L_q)
 
-A bound below one certifies existence and uniqueness of the fixed point;
+L_q is a budget, not a proven bound on the module: the circuit re-uploads
+its input 1 + 3 * reps times, and sampled node-level ratios can exceed it
+(3.35 against 2 at n_q = 1, reps = 1).  So only the kappa budgets of the
+classical and input-conditioning pathways are proven.  A proven budget
+below one certifies existence and uniqueness of the fixed point;
 empirical pair ratios can only ever certify the opposite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -38,7 +43,8 @@ def spectral_norm(m: np.ndarray) -> float:
 
 
 def lemma2_bound(module) -> float:
-    """Lipschitz bound 2 sqrt(n_q) sigma(W_out) sigma(W_in) on a module.
+    """Headline Lipschitz budget 2 sqrt(n_q) sigma(W_out) sigma(W_in) of a
+    module; a budget, not a proven bound (see the module docstring).
 
     Uses the effective (normalized) maps when spectral normalization is on.
     """
@@ -102,6 +108,16 @@ def _pairs_per_call(n_rows: int) -> int:
     return max(1, _PROBE_ROWS // (2 * n_rows))
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(v[j])`` for every j, bit for bit.
+
+    A stacked (1, m) @ (m, 1) product runs the same ``ddot`` per row as
+    ``np.linalg.norm``; ``einsum`` sums in another order.
+    """
+    k, m = len(v), math.prod(v.shape[1:])
+    return np.sqrt((v.reshape(k, 1, m) @ v.reshape(k, m, 1)).reshape(k))
+
+
 def empirical_lipschitz(f: Callable[[np.ndarray], np.ndarray],
                         shape: tuple[int, int],
                         rng: np.random.Generator,
@@ -119,34 +135,37 @@ def empirical_lipschitz(f: Callable[[np.ndarray], np.ndarray],
     returns what each block alone would map to, stacked the same way.  The
     probes go to ``f`` in chunks of ``max(1, 512 // (2 * shape[0]))`` pairs,
     stacked as ``[a_1 .. a_k, b_1 .. b_k]``, so one call sees at most
-    512 rows (or one pair, if a pair alone is larger).  They are drawn from
-    ``rng`` pair by pair, in the same order as one pair per call would draw
-    them, and only the current chunk is held.
+    512 rows (or one pair, if a pair alone is larger).  Each chunk is one
+    ``rng.standard_normal((k, 2, *shape))`` draw, scaled per pair: pair i's
+    slots are its ``a`` and its ``b`` (even i) or its tight direction
+    (odd i), the order in which one pair per call would draw them, so the
+    probes and the final ``rng`` state are those of drawing pair by pair.
+    Only the current chunk is held.
     """
     if n_pairs < 1:
         raise ValueError("need at least one pair")
+    shape = tuple(shape)
     per_call = _pairs_per_call(shape[0])
+    scales = np.asarray(scales, dtype=np.float64)
     best = 0.0
     for start in range(0, n_pairs, per_call):
-        k = min(per_call, n_pairs - start)
-        stack = np.empty((2, k) + tuple(shape))
-        denoms = []
-        for j, i in enumerate(range(start, start + k)):
-            scale = scales[i % len(scales)]
-            a = rng.normal(scale=scale, size=shape)
-            if i % 2 == 0:
-                b = rng.normal(scale=scale, size=shape)
-            else:
-                d = rng.normal(size=shape)
-                d *= delta / max(np.linalg.norm(d), 1e-30)
-                b = a + d
-            stack[0, j], stack[1, j] = a, b
-            denoms.append(np.linalg.norm(a - b))
+        index = np.arange(start, min(start + per_call, n_pairs))
+        k, tight = len(index), index % 2 == 1
+        scale = scales[index % len(scales)]
+        # slot 0 is a at the pair's scale; slot 1 is b at that scale, or a
+        # tight pair's direction at unit scale
+        slot_scales = np.stack([scale, np.where(tight, 1.0, scale)])
+        stack = np.empty((2, k) + shape)
+        np.multiply(rng.standard_normal((k, 2) + shape).swapaxes(0, 1),
+                    slot_scales[:, :, None, None], out=stack)
+        d = stack[1, tight]
+        d *= (delta / np.maximum(_row_norms(d), 1e-30))[:, None, None]
+        stack[1, tight] = stack[0, tight] + d
+        denoms = _row_norms(stack[0] - stack[1])
         out = f(stack.reshape(-1, shape[1])).reshape(stack.shape)
-        for diff, denom in zip(out[0] - out[1], denoms):
-            if denom < 1e-15:
-                continue
-            best = max(best, float(np.linalg.norm(diff) / denom))
+        keep = denoms >= 1e-15
+        ratios = _row_norms(out[0] - out[1])[keep] / denoms[keep]
+        best = max([best, *ratios.tolist()])
     return best
 
 
@@ -200,12 +219,13 @@ def analyze_operator(op, ctx, rng: np.random.Generator,
 
     The operator acts row-wise within each graph's block, so the probe
     stacks of :func:`empirical_lipschitz` run as copies of ``ctx`` (see
-    :meth:`GraphContext.repeat`): one application per chunk of at most 512
-    rows, not one per probe.  The copies are built once, for a full chunk;
-    a shorter last chunk uses their head.
+    :meth:`GraphContext.repeat`), built once for a full chunk.  Each chunk
+    is one call of ``op.plan(copies.head(rows)).f``, which equals
+    ``op.apply`` bit for bit; the plan is built once per distinct chunk row
+    count, so at most twice per analysis (full chunks and a shorter last
+    one).  The last chunk is not padded: BLAS output rows can change in
+    their last bits with the row count.
     """
-    from . import autodiff as ad
-
     lq = None
     if op.kind in ("sd", "bd") and op.quantum is not None:
         lq = lemma2_bound(op.quantum)
@@ -213,10 +233,13 @@ def analyze_operator(op, ctx, rng: np.random.Generator,
 
     n = ctx.h.rows
     copies = ctx.repeat(2 * _pairs_per_call(n))
+    plans = {}
 
     def f(zd: np.ndarray) -> np.ndarray:
-        with ad.no_grad():
-            return op.apply(ad.Tensor(zd), copies.head(zd.shape[0])).data
+        rows = zd.shape[0]
+        if rows not in plans:
+            plans[rows] = op.plan(copies.head(rows)).f
+        return plans[rows](zd)
 
     shape = (n, op.backbone.d_hidden)
     emp = empirical_lipschitz(f, shape, rng, n_pairs=n_pairs)

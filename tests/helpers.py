@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 
 from gdeq import autodiff as ad
+from gdeq.contraction import (PathwayAnalysis, _pairs_per_call, lemma2_bound,
+                              pathway_bound)
 from gdeq.solvers import Plan, SolveReport, SolverConfig
 
 # Tolerance of a tape gradient against central differences, relative to
@@ -120,6 +122,69 @@ def reference_empirical_lipschitz(f, shape, rng: np.random.Generator,
         ratio = np.linalg.norm(f(a) - f(b)) / denom
         best = max(best, float(ratio))
     return best
+
+
+def chunked_empirical_lipschitz(f, shape, rng: np.random.Generator,
+                                n_pairs: int = 200,
+                                scales: tuple = (0.1, 1.0, 10.0),
+                                delta: float = 1e-3) -> float:
+    """The same chunks as ``gdeq.contraction.empirical_lipschitz``, drawn
+    pair by pair with ``rng.normal`` and measured with ``np.linalg.norm``:
+    its byte-for-byte oracle, for the float returned and the ``rng`` state
+    left behind.
+    """
+    per_call = _pairs_per_call(shape[0])
+    best = 0.0
+    for start in range(0, n_pairs, per_call):
+        k = min(per_call, n_pairs - start)
+        stack = np.empty((2, k) + tuple(shape))
+        denoms = []
+        for j, i in enumerate(range(start, start + k)):
+            scale = scales[i % len(scales)]
+            a = rng.normal(scale=scale, size=shape)
+            if i % 2 == 0:
+                b = rng.normal(scale=scale, size=shape)
+            else:
+                d = rng.normal(size=shape)
+                d *= delta / max(np.linalg.norm(d), 1e-30)
+                b = a + d
+            stack[0, j], stack[1, j] = a, b
+            denoms.append(np.linalg.norm(a - b))
+        out = f(stack.reshape(-1, shape[1])).reshape(stack.shape)
+        for diff, denom in zip(out[0] - out[1], denoms):
+            if denom < 1e-15:
+                continue
+            best = max(best, float(np.linalg.norm(diff) / denom))
+    return best
+
+
+def apply_on_copies(op, ctx):
+    """``op.apply`` on the copies of ``ctx`` that a probe chunk needs: the
+    map ``gdeq.contraction.analyze_operator`` stands for, on the tape path.
+    """
+    copies = ctx.repeat(2 * _pairs_per_call(ctx.h.rows))
+
+    def f(zd):
+        with ad.no_grad():
+            return op.apply(ad.Tensor(zd), copies.head(zd.shape[0])).data
+
+    return f
+
+
+def reference_analyze_operator(op, ctx, rng: np.random.Generator,
+                               n_pairs: int = 200) -> PathwayAnalysis:
+    """``analyze_operator`` from :func:`apply_on_copies` and
+    :func:`chunked_empirical_lipschitz`: its oracle."""
+    lq = None
+    if op.kind in ("sd", "bd") and op.quantum is not None:
+        lq = lemma2_bound(op.quantum)
+    shape = (ctx.h.rows, op.backbone.d_hidden)
+    return PathwayAnalysis(
+        kind=op.kind,
+        analytic=pathway_bound(op.kind, op.backbone.kappa, op.alpha, lq),
+        empirical=chunked_empirical_lipschitz(apply_on_copies(op, ctx), shape,
+                                              rng, n_pairs=n_pairs),
+        pairs=n_pairs, lq=lq)
 
 
 def reference_attention_readout(z: np.ndarray, ranges, att) -> np.ndarray:

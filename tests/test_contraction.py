@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_empirical_lipschitz
+from helpers import (apply_on_copies, chunked_empirical_lipschitz,
+                     reference_analyze_operator, reference_empirical_lipschitz)
 
 import gdeq.autodiff as ad
 from gdeq.autodiff import Tensor
-from gdeq.contraction import (LipschitzReport, PathwayAnalysis, analyze_operator,
+from gdeq.contraction import (LipschitzReport, PathwayAnalysis,
+                              _pairs_per_call, analyze_operator,
                               empirical_lipschitz, lemma2_bound, pathway_bound,
                               spectral_norm, theorem_bounds)
 from gdeq.graphs import BlockAdjacency, normalize_adjacency
@@ -230,6 +232,79 @@ def test_batched_probes_match_one_pair_per_application(kind, layout):
         assert abs(got.empirical - want) <= 1e-12 * want, (n_pairs, got, want)
         assert (rng_batched.bit_generator.state
                 == rng_oracle.bit_generator.state)
+
+
+def _probe_case(kind, layout, rng):
+    """An operator of pathway ``kind`` on a ``LAYOUTS[layout]`` context."""
+    sizes = LAYOUTS[layout]
+    d_h = 4
+    mats = [_random_normalized_adjacency(rng, n) for n in sizes]
+    n = sum(sizes)
+    a_norm = mats[0] if len(mats) == 1 else BlockAdjacency.stack(mats)
+    ctx = GraphContext(a_norm=a_norm, h=Tensor(rng.normal(size=(n, d_h))))
+    bb = BackboneParams.init(d_h, d_h, 0.8, rng)
+    module = None
+    if kind != "classical":
+        module = make_module(2, d_h, d_h, rng, sn=True)
+    if kind == "id":
+        ctx.q_id = Tensor(rng.normal(size=(n, d_h)))
+    return EquilibriumOperator(kind, bb, module, alpha=0.05), ctx
+
+
+# (n_pairs, keyword arguments): a single pair, one of each kind, several
+# chunks with a shorter last one, the default count; then every tight pair
+# skipped (delta 0) and two scales, which shifts the scale of each pair
+# against its parity.
+PROBE_RUNS = [(1, {}), (2, {}), (60, {}), (200, {}),
+              (60, {"delta": 0.0}), (60, {"scales": (0.5, 3.0)})]
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("kind", ["classical", "id", "sd", "bd"])
+def test_bulk_draws_match_pair_by_pair_draws_byte_for_byte(kind, layout):
+    op, ctx = _probe_case(kind, layout, np.random.default_rng(30))
+    f = apply_on_copies(op, ctx)
+    shape = (ctx.h.rows, op.backbone.d_hidden)
+    for n_pairs, kwargs in PROBE_RUNS:
+        rng_bulk = np.random.default_rng((30, n_pairs))
+        rng_oracle = np.random.default_rng((30, n_pairs))
+        got = empirical_lipschitz(f, shape, rng_bulk, n_pairs=n_pairs,
+                                  **kwargs)
+        want = chunked_empirical_lipschitz(f, shape, rng_oracle,
+                                           n_pairs=n_pairs, **kwargs)
+        assert got == want, (n_pairs, kwargs, got.hex(), want.hex())
+        assert rng_bulk.bit_generator.state == rng_oracle.bit_generator.state
+        if kwargs.get("delta") == 0.0 and n_pairs > 1:
+            assert got > 0.0    # the independent pairs still count
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("kind", ["classical", "id", "sd", "bd"])
+def test_analyze_operator_plans_once_per_chunk_row_count(kind, layout,
+                                                         monkeypatch):
+    op, ctx = _probe_case(kind, layout, np.random.default_rng(31))
+    n_pairs = 200
+    want = reference_analyze_operator(op, ctx, np.random.default_rng(32),
+                                      n_pairs=n_pairs)
+    per_call = _pairs_per_call(ctx.h.rows)
+    chunk_rows = {2 * ctx.h.rows * min(per_call, n_pairs - start)
+                  for start in range(0, n_pairs, per_call)}
+
+    planned = []
+    plan = EquilibriumOperator.plan
+
+    def counting_plan(self, c):
+        planned.append(c.h.rows)
+        return plan(self, c)
+
+    def no_apply(self, z, c):
+        raise AssertionError("analyze_operator ran the tape path")
+
+    monkeypatch.setattr(EquilibriumOperator, "plan", counting_plan)
+    monkeypatch.setattr(EquilibriumOperator, "apply", no_apply)
+    got = analyze_operator(op, ctx, np.random.default_rng(32), n_pairs=n_pairs)
+    assert sorted(planned) == sorted(chunk_rows)
+    assert got == want
 
 
 def test_analyze_operator_certifies_clipped_state_coupling():
