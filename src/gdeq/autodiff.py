@@ -183,6 +183,20 @@ def record_op(out_data, parents: Sequence[tuple[Tensor, Callable]]) -> Tensor:
     return out
 
 
+def shared_pullback(inputs: Sequence[Tensor],
+                    pullback: Callable[[Array], Sequence[Array]]) -> list:
+    """``record_op`` parents for ``inputs`` whose cotangents one call of
+    ``pullback(g)`` returns together, in order; it runs once per ``g``."""
+    cache: dict = {}
+
+    def grads(g):
+        if cache.get("seed") is not g:
+            cache["seed"], cache["grads"] = g, pullback(g)
+        return cache["grads"]
+
+    return [(t, lambda g, i=i: grads(g)[i]) for i, t in enumerate(inputs)]
+
+
 # ---------------------------------------------------------------------------
 # operations
 

@@ -20,7 +20,8 @@ written with 17 significant digits so records re-parse to the exact values
 used in aggregation.  The exit status is nonzero iff any run failed
 (exception, or more than 10% of its forward solves diverged, or more than
 10% of its forward or of its adjoint solves stopped at max_iter) or a trained
-operator's empirical Lipschitz estimate exceeded its analytic bound.
+operator's empirical Lipschitz estimate exceeded its analytic bound.  A
+config or dataset that cannot run exits with 2 before any run starts.
 """
 
 import argparse
@@ -264,6 +265,9 @@ def _run_job(cfg: ExperimentConfig, dataset, seed: int, fold: int) -> tuple:
 
 def run_experiment(cfg: ExperimentConfig) -> int:
     try:
+        if not cfg.seeds:
+            raise ValueError("no seeds given")
+        cfg.model_config(), cfg.train_config()
         dataset = load_tu_dataset(cfg.data_dir, cfg.dataset, l_max=cfg.l_max)
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

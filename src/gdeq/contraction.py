@@ -48,12 +48,9 @@ def lemma2_bound(module) -> float:
 
     Uses the effective (normalized) maps when spectral normalization is on.
     """
-    from . import autodiff as ad
-
-    with ad.no_grad():
-        w_in, w_out = module.effective_maps()
+    (w_in, _), (w_out, _) = module.maps()
     return (2.0 * np.sqrt(module.n_qubits)
-            * spectral_norm(w_out.data) * spectral_norm(w_in.data))
+            * spectral_norm(w_out) * spectral_norm(w_in))
 
 
 class PathwayBounds(NamedTuple):

@@ -13,14 +13,16 @@ state rows.  Quantum signals enter one of three ways:
 With alpha = 0 (or no module) every variant degenerates to the plain
 backbone, bit for bit.
 
-``EquilibriumOperator.apply`` is the map on the tape.  A solve runs on
-``EquilibriumOperator.plan``: the same map in plain NumPy, with every
-per-solve constant read once, and its closed-form adjoint at a state.
+The operator is written once, as ``EquilibriumOperator.plan``: the map in
+plain NumPy with every per-solve constant read once, its closed-form
+adjoint at a state, and the closed-form cotangents of its parameters.
+A solve runs on the plan, and ``EquilibriumOperator.apply`` records one
+application of it on the tape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .contraction import spectral_norm
 from .graphs import BlockAdjacency
-from .quantum import DeepXyzParams, ModulePlan, QuantumModule
+from .quantum import ModulePlan, QuantumModule
 from .solvers import Plan
 
 PATHWAYS = ("classical", "id", "sd", "bd")
@@ -80,20 +82,6 @@ def clip_spectral(w: Tensor, kappa: float) -> float:
     if sigma > kappa * (1.0 + 1e-12):
         w.data *= kappa / sigma
     return sigma
-
-
-def propagate(a_norm: BlockAdjacency, z: Tensor) -> Tensor:
-    """A Z as one recorded op; A is a constant, so only Z gets a cotangent."""
-    return ad.record_op(a_norm.matmul(z.data), [(z, a_norm.rmatmul)])
-
-
-def backbone_apply(bb: BackboneParams, a_norm: BlockAdjacency, h: Tensor,
-                   z: Tensor, extra: Tensor | None = None) -> Tensor:
-    pre = ad.add(ad.matmul(propagate(a_norm, z), ad.transpose(bb.w)),
-                 ad.matmul(h, ad.transpose(bb.omega)))
-    if extra is not None:
-        pre = ad.add(pre, extra)
-    return ad.tanh(ad.add_row(pre, bb.bias))
 
 
 @dataclass
@@ -166,46 +154,51 @@ class EquilibriumOperator:
         return out
 
     def apply(self, z: Tensor, ctx: GraphContext) -> Tensor:
-        if self.kind == "id":
-            if ctx.q_id is None:
-                raise ValueError("input-conditioning pathway needs ctx.q_id")
-            return backbone_apply(self.backbone, ctx.a_norm, ctx.h, z,
-                                  extra=ctx.q_id)
-        base = backbone_apply(self.backbone, ctx.a_norm, ctx.h, z)
-        if self.kind == "classical" or self.alpha == 0.0:
-            return base
-        if self.kind == "sd":
-            return ad.add(base, ad.scale(self.quantum.forward_rows(z), self.alpha))
-        return ad.add(base, ad.scale(self.quantum.forward_rows(base), self.alpha))
+        """The map at ``z`` as one recorded op: ``plan(ctx).f``, with the
+        state's cotangent from ``linearize`` and the others from ``vjp``."""
+        f, linearize, vjp, tensors = self.plan(ctx)
+        zd = z.data
+        return ad.record_op(
+            f(zd), [(z, lambda g: linearize(zd)(g))]
+            + ad.shared_pullback(tensors, lambda g: vjp(zd, g)))
 
     def plan(self, ctx: GraphContext) -> Plan:
         """The operator on ``ctx`` at the live weights, for one solve.
 
         H Omᵀ, W and the circuit's normalized maps and compiled program are
-        read once here, and ``f`` keeps the additions of :meth:`apply` in
-        order, so ``f`` equals ``apply`` bit for bit.  ``linearize(z)``
-        returns u -> J_f(z)ᵀ u in closed form, with y = h(z):
+        read once here.  ``linearize(z)`` returns u -> J_f(z)ᵀ u in closed
+        form, with y = h(z):
 
         * classical, id: Aᵀ((u ⊙ (1 - y²)) W);
         * sd: that plus J_q(z)ᵀ(α u);
         * bd: Aᵀ(((u + J_q(y)ᵀ(α u)) ⊙ (1 - y²)) W);
 
         where J_q is the module's row-wise Jacobian
-        (:meth:`ModulePlan.linearize`).
+        (:meth:`ModulePlan.linearize`).  ``vjp(z, u)`` gives the
+        cotangents of the tracked tensors, ``h`` and (id) ``q_id``: with
+        g = ū ⊙ (1 - y²), ū = u (bd: plus the module's state cotangent),
+        Wᵀ ← gᵀ(A z), Omᵀ ← gᵀ H, b ← Σ_rows g, H ← g Om, Q ← g, and the
+        module's own from :meth:`ModulePlan.vjp` at α u.  Each product is
+        taken as the op-by-op tape formulation takes it, so ``f`` and
+        ``vjp`` equal that formulation bit for bit.
         """
         if self.kind == "id" and ctx.q_id is None:
             raise ValueError("input-conditioning pathway needs ctx.q_id")
         a = ctx.a_norm
-        w_t = self.backbone.w.data.T
-        h_om = ctx.h.data @ self.backbone.omega.data.T
+        w_t, omega = self.backbone.w.data.T, self.backbone.omega.data
+        h = ctx.h.data
+        h_om = h @ omega.T
         q_id = ctx.q_id.data if self.kind == "id" else None
         bias = self.backbone.bias.data
         coupled = self.kind in ("sd", "bd") and self.alpha != 0.0
         q = ModulePlan(self.quantum) if coupled else None
         alpha, state = self.alpha, self.kind == "sd"
+        tensors = [t for _, t in self.tracked_tensors()] + [ctx.h]
+        if q_id is not None:
+            tensors.append(ctx.q_id)
 
-        def backbone(z: np.ndarray) -> np.ndarray:
-            pre = a.matmul(z) @ w_t
+        def backbone(az: np.ndarray) -> np.ndarray:
+            pre = az @ w_t
             pre += h_om
             if q_id is not None:
                 pre += q_id
@@ -213,13 +206,13 @@ class EquilibriumOperator:
             return np.tanh(pre, out=pre)
 
         def f(z: np.ndarray) -> np.ndarray:
-            y = backbone(z)
+            y = backbone(a.matmul(z))
             if q is not None:
                 y += q(z if state else y) * alpha
             return y
 
         def linearize(z: np.ndarray):
-            y = backbone(z)
+            y = backbone(a.matmul(z))
             dy = 1.0 - y * y
             if q is None:
                 return lambda u: a.rmatmul((u * dy) @ w_t.T)
@@ -228,7 +221,20 @@ class EquilibriumOperator:
                 return lambda u: a.rmatmul((u * dy) @ w_t.T) + jq(u * alpha)
             return lambda u: a.rmatmul(((u + jq(u * alpha)) * dy) @ w_t.T)
 
-        return Plan(f, linearize)
+        def vjp(z: np.ndarray, u: np.ndarray) -> list:
+            az = a.matmul(z)
+            y = backbone(az)
+            module = []
+            if q is not None:
+                d_s, *module = q.vjp(z if state else y, u * alpha)
+                if not state:
+                    u = u + d_s
+            g = u * (1.0 - y * y)
+            grads = [(az.T @ g).T, (h.T @ g).T,
+                     g.sum(axis=0, keepdims=True), *module, g @ omega]
+            return grads if q_id is None else grads + [g]
+
+        return Plan(f, linearize, vjp, tuple(tensors))
 
     def compute_id_conditioning(self, h: Tensor, tau: np.ndarray) -> Tensor:
         """Q rows from [encoder output, topology descriptors]; once per solve."""
@@ -236,33 +242,3 @@ class EquilibriumOperator:
             raise ValueError("conditioning is only defined for the id pathway")
         stacked = ad.concat_cols(h, ad.constant(tau))
         return self.quantum.forward_rows(stacked)
-
-    def solve_inputs(self, ctx: GraphContext):
-        """(apply_fn, tensors) pair consumed by the equilibrium solver.
-
-        ``apply_fn(z, tensors)`` evaluates the operator using the given
-        tensor objects in place of the live parameters, so the solver can
-        rebuild the map on clones for its backward sub-tape.
-        """
-        named = list(self.tracked_tensors())
-        named.append(("h", ctx.h))
-        if self.kind == "id":
-            named.append(("q_id", ctx.q_id))
-        names = [n for n, _ in named]
-        tensors = [t for _, t in named]
-
-        def apply_fn(z: Tensor, current: list) -> Tensor:
-            by_name = dict(zip(names, current))
-            bb = BackboneParams(by_name["w"], by_name["omega"], by_name["bias"],
-                                self.backbone.kappa)
-            quantum = self.quantum
-            if quantum is not None and "w_in" in by_name:
-                quantum = QuantumModule(
-                    by_name["w_in"], by_name["w_out"],
-                    DeepXyzParams(by_name["angles"], quantum.n_qubits),
-                    quantum.spectral_normalize)
-            op = EquilibriumOperator(self.kind, bb, quantum, self.alpha)
-            ctx2 = replace(ctx, h=by_name["h"], q_id=by_name.get("q_id"))
-            return op.apply(z, ctx2)
-
-        return apply_fn, tensors

@@ -26,10 +26,10 @@ Under spectral normalization W_in and W_out enter as W / sigma(W), with
 sigma from one exact SVD per map, taken from the live weights: once per
 ``forward_rows`` call, or once per solve in a :class:`ModulePlan`, which
 also compiles the program once and reads the per-row Jacobian of the
-expectations at the solution from n_q adjoint sweeps.  The derivative
-through sigma is part of the recorded op, so the module carries no
-normalization state and a forward pass never changes what the next one
-computes.
+expectations at the solution from n_q adjoint sweeps.  Each map comes with
+its pullback through sigma, which the tape records and the plan calls, so
+the module carries no normalization state and a forward pass never
+changes what the next one computes.
 
 Convention: qubit ``j`` owns bit ``n_q - 1 - j`` of the basis index,
 i.e. qubit 0 is the most significant axis.  All rotation and coupler
@@ -257,7 +257,7 @@ class _FusedBlock:
             after[k] = w
             w = w @ self.gates[k]
         obs = after @ self.paulis @ np.conj(np.swapaxes(after, 1, 2))
-        return obs.reshape(len(obs), -1)
+        return obs.reshape(len(obs), self.left.size)
 
 
 def _compile(angles: np.ndarray, n_qubits: int) -> tuple:
@@ -352,8 +352,8 @@ def circuit_expectations(u: Tensor, angles: Tensor, n_qubits: int) -> Tensor:
     ``u``: (N, n_q) encoding angles; ``angles``: (reps, per-rep count)
     trainable circuit angles.  Output is (N, n_q) in [-1, 1].  The program
     is compiled at the angles' current values on every call, and every
-    pullback of the recorded op reuses that compiled program.  The angle
-    gradients are read only when the angles are on the tape.
+    pullback of the recorded op reuses that compiled program: one adjoint
+    sweep gives both cotangents.
     """
     if u.cols != n_qubits:
         raise ValueError(f"expected {n_qubits} encoding angles, got {u.cols}")
@@ -364,20 +364,11 @@ def circuit_expectations(u: Tensor, angles: Tensor, n_qubits: int) -> Tensor:
     stash: list | None = [] if ad._active_tape() is not None else None
     m = _expectations(_run_program(u.data, program, stash), n_qubits)
 
-    cache: dict = {}
+    def pullback(g):
+        d_u, lams = _backward(program, stash, g)
+        return d_u, _angle_grads(angle_shape, program, stash, lams)
 
-    def sweep(g):
-        if cache.get("seed") is not g:
-            cache["seed"] = g
-            cache["sweep"] = _backward(program, stash, g)
-        return cache["sweep"]
-
-    return ad.record_op(
-        m,
-        [(u, lambda g: sweep(g)[0]),
-         (angles, lambda g: _angle_grads(angle_shape, program, stash,
-                                         sweep(g)[1]))],
-    )
+    return ad.record_op(m, ad.shared_pullback((u, angles), pullback))
 
 
 # ---------------------------------------------------------------------------
@@ -414,22 +405,27 @@ class DeepXyzParams:
         return cls(Tensor(rng.uniform(-scale, scale, size=shape)), n_qubits)
 
 
-def _normalized(w: Tensor) -> Tensor:
-    """W / sigma(W) as one recorded op, sigma the exact top singular value.
+def _unchanged(g: np.ndarray) -> np.ndarray:
+    return g
+
+
+def _normalized(w: np.ndarray) -> tuple:
+    """(W / sigma(W), its pullback), sigma the exact top singular value.
 
     sigma's derivative is u_1 v_1ᵀ, so the pullback of W / sigma is
-    (G - <G, W / sigma> u_1 v_1ᵀ) / sigma.  A zero map is returned as is.
+    G -> (G - <G, W / sigma> u_1 v_1ᵀ) / sigma.  A zero map is returned as
+    is, with the identity pullback.
     """
-    u, s, vt = np.linalg.svd(w.data, full_matrices=False)
+    u, s, vt = np.linalg.svd(w, full_matrices=False)
     sigma = s[0]
     if sigma < NORM_GUARD:
-        return w
-    out = w.data / sigma
+        return w, _unchanged
+    out = w / sigma
 
     def back(g):
         return (g - np.vdot(g, out) * np.outer(u[:, 0], vt[0])) / sigma
 
-    return ad.record_op(out, [(w, back)])
+    return out, back
 
 
 class QuantumModule:
@@ -461,10 +457,11 @@ class QuantumModule:
     def refresh_normalization(self, iters: int = 1) -> None:
         """No-op kept for callers: the normalization has no state to advance."""
 
-    def effective_maps(self) -> tuple[Tensor, Tensor]:
-        if not self.spectral_normalize:
-            return self.w_in, self.w_out
-        return _normalized(self.w_in), _normalized(self.w_out)
+    def maps(self) -> tuple:
+        """((W_in', pullback), (W_out', pullback)): the arrays the circuit
+        sees, each with the pullback of its cotangent onto the weight."""
+        return tuple(_normalized(w.data) if self.spectral_normalize
+                     else (w.data, _unchanged) for w in (self.w_in, self.w_out))
 
     def tensors(self) -> list[tuple[str, Tensor]]:
         return [("w_in", self.w_in), ("w_out", self.w_out),
@@ -474,7 +471,8 @@ class QuantumModule:
         """Apply the module to every row of ``s``; returns (N, d_out)."""
         if s.cols != self.d_in:
             raise ValueError(f"expected {self.d_in} input columns, got {s.cols}")
-        w_in_eff, w_out_eff = self.effective_maps()
+        w_in_eff, w_out_eff = (ad.record_op(m, [(w, back)]) for w, (m, back)
+                               in zip((self.w_in, self.w_out), self.maps()))
         u = ad.tanh(ad.matmul(s, ad.transpose(w_in_eff)))
         m = circuit_expectations(u, self.params.angles, self.n_qubits)
         return ad.matmul(m, ad.transpose(w_out_eff))
@@ -484,15 +482,16 @@ class ModulePlan:
     """The module at its live weights, as plain NumPy maps on row stacks.
 
     Built once per solve: the effective maps (one SVD each under spectral
-    normalization) and the compiled program.  Calling the plan equals
-    ``forward_rows`` bit for bit.
+    normalization) with their pullbacks, and the compiled program.
+    Calling the plan equals ``forward_rows`` bit for bit, and :meth:`vjp`
+    equals the cotangents of ``forward_rows`` on the tape.
     """
 
     def __init__(self, module: QuantumModule):
-        with ad.no_grad():
-            w_in, w_out = module.effective_maps()
-        self.w_in, self.w_out = w_in.data, w_out.data
+        (self.w_in, self._w_in_back), (self.w_out, self._w_out_back) = \
+            module.maps()
         self.n_qubits = module.n_qubits
+        self._angle_shape = module.params.angles.data.shape
         self.program = _compile(module.params.angles.data, self.n_qubits)
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
@@ -525,6 +524,21 @@ class ModulePlan:
 
         return pullback
 
+    def vjp(self, s: np.ndarray, g: np.ndarray) -> tuple:
+        """Cotangents of (s, W_in, W_out, angles) for cotangent rows g on
+        the output at s, taking every product as ``forward_rows`` on the
+        tape does.  One adjoint sweep gives the state and angle cotangents;
+        the map cotangents are pulled back through the normalization.
+        """
+        t = np.tanh(s @ self.w_in.T)
+        stash: list = []
+        m = _expectations(_run_program(t, self.program, stash), self.n_qubits)
+        d_t, lams = _backward(self.program, stash, g @ self.w_out)
+        d_pre = d_t * (1.0 - t * t)
+        return (d_pre @ self.w_in, self._w_in_back((s.T @ d_pre).T),
+                self._w_out_back((m.T @ g).T),
+                _angle_grads(self._angle_shape, self.program, stash, lams))
+
 
 def qmodule_forward(module: QuantumModule, s) -> np.ndarray:
     """Module output for a single input vector, without recording."""
@@ -543,10 +557,8 @@ def parameter_shift_grad(module: QuantumModule, s, index: int) -> np.ndarray:
     if not 0 <= index < total:
         raise IndexError(f"parameter index {index} out of range [0, {total})")
     row = np.asarray(s, dtype=np.float64).reshape(1, -1)
-    with ad.no_grad():
-        w_in_eff, w_out_eff = module.effective_maps()
-        u = np.tanh(row @ w_in_eff.data.T)
-        out_map = w_out_eff.data
+    (w_in, _), (out_map, _) = module.maps()
+    u = np.tanh(row @ w_in.T)
     n_q = module.n_qubits
     r, c = divmod(index, module.params.angles.cols)
 

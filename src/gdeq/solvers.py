@@ -8,9 +8,9 @@ obtained from the adjoint fixed point
     u = g + J_f(z*)^T u,      g = dL/dz*,
 
 solved with the same machinery on the plan's closed-form J_f(z*)^T,
-followed by a single vector-Jacobian product with cotangent u into the
-operator's parameters, on a sub-tape recorded once at z*.  Gradients
-never flow through the forward iterates themselves.
+followed by the plan's closed-form vector-Jacobian product with cotangent
+u into the operator's parameters.  Gradients never flow through the
+forward iterates themselves.
 """
 
 from __future__ import annotations
@@ -61,10 +61,16 @@ class Plan(NamedTuple):
     """A map z <- f(z) at fixed weights, in plain NumPy, for one solve.
 
     ``linearize(z)`` returns the pullback u -> J_f(z)ᵀ u at the state z.
+    ``vjp(z, u)`` returns the cotangents of ``tensors``, the map's inputs
+    other than the state, at z for the output cotangent u.  The functions
+    hold arrays only: a recorded pullback may keep them, but not
+    ``tensors``, whose tape would then sit in a reference cycle.
     """
 
     f: Callable[[Array], Array]
     linearize: Callable[[Array], Callable[[Array], Array]]
+    vjp: Callable[[Array, Array], list]
+    tensors: tuple
 
 
 def _norm(a: Array) -> float:
@@ -165,45 +171,28 @@ def solve_fixed_point(f: Callable[[Array], Array], z0: Array,
     return anderson_solve(f, z0, cfg)
 
 
-def equilibrium_solve(plan: Plan, apply_fn: Callable[[Tensor, list], Tensor],
-                      tensors: list, z0: Array, fwd: SolverConfig,
+def equilibrium_solve(plan: Plan, z0: Array, fwd: SolverConfig,
                       bwd: SolverConfig) -> tuple[Tensor, SolveReport]:
     """Differentiable fixed point of ``z <- plan.f(z)``.
 
-    ``apply_fn(z, tensors)`` is the same map on the tape.  The forward
-    solve runs on ``plan.f`` without recording.  If a tape is active and
-    the solve did not diverge, ``apply_fn`` is recorded once at z* on
-    clones of ``tensors``, and the result is recorded as a single
-    operation whose backward pass solves the adjoint equation on
-    ``plan.linearize(z*)`` once per loss cotangent and routes one
-    vector-Jacobian product into each input tensor.
+    The forward solve runs on ``plan.f`` without recording.  If a tape is
+    active and the solve did not diverge, ``plan.f(z*)`` is recorded as one
+    operation on ``plan.tensors``.  Its backward pass solves the adjoint
+    equation on ``plan.linearize(z*)`` once per loss cotangent and hands
+    the solution u to ``plan.vjp(z*, u)``, which gives every input's
+    cotangent.
     """
     report = solve_fixed_point(plan.f, np.asarray(z0, dtype=np.float64), fwd)
     z_star = report.z_star
     if ad._active_tape() is None or report.diverged:
         return Tensor(z_star), report
+    linearize, vjp = plan.linearize, plan.vjp   # not plan.tensors; see Plan
 
-    # The clones isolate the sub-tape from whatever else the outer tape is
-    # recording; the state is a constant on it, as only the parameter
-    # cotangents are read from it.
-    clones = [Tensor(t.data) for t in tensors]
-    sub = ad.Tape()
-    for c in clones:
-        sub.watch(c)
-    with sub:
-        out = apply_fn(Tensor(z_star), clones)
+    def pullback(g: Array) -> list:
+        jt = linearize(z_star)
+        back = solve_fixed_point(lambda u: g + jt(u), np.zeros_like(g), bwd)
+        report.backward = back
+        return vjp(z_star, back.z_star)
 
-    cache: dict = {}
-
-    def pullback(g: Array) -> ad.Gradients:
-        if cache.get("seed") is not g:
-            jt = plan.linearize(z_star)
-            back = solve_fixed_point(lambda u: g + jt(u), np.zeros_like(g), bwd)
-            report.backward = back
-            cache["seed"] = g
-            cache["grads"] = sub.vjp(out, back.z_star)
-        return cache["grads"]
-
-    parents = [(t, lambda g, c=c: pullback(g)[c])
-               for t, c in zip(tensors, clones)]
-    return ad.record_op(out.data, parents), report
+    return (ad.record_op(plan.f(z_star),
+                         ad.shared_pullback(plan.tensors, pullback)), report)

@@ -362,10 +362,9 @@ class GraphClassifier:
         if cfg.pathway == "id":
             ctx = replace(
                 ctx, q_id=self.operator.compute_id_conditioning(h, batch.tau))
-        apply_fn, tensors = self.operator.solve_inputs(ctx)
         z0 = np.zeros((batch.features.shape[0], cfg.d_hidden))
-        z, report = equilibrium_solve(self.operator.plan(ctx), apply_fn,
-                                      tensors, z0, cfg.fwd, cfg.bwd)
+        z, report = equilibrium_solve(self.operator.plan(ctx), z0, cfg.fwd,
+                                      cfg.bwd)
         if report.diverged:
             return None, None, report
         pooled = attention_readout(z, batch.ranges, self.attention)

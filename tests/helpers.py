@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,8 @@ import numpy as np
 from gdeq import autodiff as ad
 from gdeq.contraction import (PathwayAnalysis, _pairs_per_call, lemma2_bound,
                               pathway_bound)
+from gdeq.operators import BackboneParams, EquilibriumOperator
+from gdeq.quantum import DeepXyzParams, QuantumModule
 from gdeq.solvers import Plan, SolveReport, SolverConfig
 
 # Tolerance of a tape gradient against central differences, relative to
@@ -76,13 +79,75 @@ def check_op(build, *arrays, tol=FD_TOL):
         assert rel_err(got, want) <= tol, f"input {i}: {rel_err(got, want)}"
 
 
+def propagate(a_norm, z: ad.Tensor) -> ad.Tensor:
+    """A Z as one recorded op; A is a constant, so only Z gets a cotangent."""
+    return ad.record_op(a_norm.matmul(z.data), [(z, a_norm.rmatmul)])
+
+
+def backbone_apply(bb, a_norm, h: ad.Tensor, z: ad.Tensor,
+                   extra: ad.Tensor | None = None) -> ad.Tensor:
+    """tanh(A Z Wᵀ + H Omᵀ (+ extra) + 1 bᵀ) written as tape ops."""
+    pre = ad.add(ad.matmul(propagate(a_norm, z), ad.transpose(bb.w)),
+                 ad.matmul(h, ad.transpose(bb.omega)))
+    if extra is not None:
+        pre = ad.add(pre, extra)
+    return ad.tanh(ad.add_row(pre, bb.bias))
+
+
+def tape_apply(op, z: ad.Tensor, ctx) -> ad.Tensor:
+    """The operator ``op`` at ``z`` written op by op on the tape: the
+    oracle for ``EquilibriumOperator.plan``."""
+    if op.kind == "id":
+        if ctx.q_id is None:
+            raise ValueError("input-conditioning pathway needs ctx.q_id")
+        return backbone_apply(op.backbone, ctx.a_norm, ctx.h, z,
+                              extra=ctx.q_id)
+    base = backbone_apply(op.backbone, ctx.a_norm, ctx.h, z)
+    if op.kind == "classical" or op.alpha == 0.0:
+        return base
+    s = z if op.kind == "sd" else base
+    return ad.add(base, ad.scale(op.quantum.forward_rows(s), op.alpha))
+
+
+def solve_inputs(op, ctx):
+    """(apply_fn, tensors): ``apply_fn(z, tensors)`` is :func:`tape_apply`
+    with the given tensor objects in place of the operator's inputs, so the
+    map can be rebuilt on clones, in the order of ``op.plan(ctx).tensors``.
+    """
+    named = list(op.tracked_tensors())
+    named.append(("h", ctx.h))
+    if op.kind == "id":
+        named.append(("q_id", ctx.q_id))
+    names = [n for n, _ in named]
+    tensors = [t for _, t in named]
+
+    def apply_fn(z, current):
+        by_name = dict(zip(names, current))
+        bb = BackboneParams(by_name["w"], by_name["omega"], by_name["bias"],
+                            op.backbone.kappa)
+        quantum = op.quantum
+        if quantum is not None and "w_in" in by_name:
+            quantum = QuantumModule(
+                by_name["w_in"], by_name["w_out"],
+                DeepXyzParams(by_name["angles"], quantum.n_qubits),
+                quantum.spectral_normalize)
+        rebuilt = EquilibriumOperator(op.kind, bb, quantum, op.alpha)
+        return tape_apply(rebuilt, z,
+                          replace(ctx, h=by_name["h"],
+                                  q_id=by_name.get("q_id")))
+
+    return apply_fn, tensors
+
+
 def replay_plan(apply_fn, tensors) -> Plan:
-    """The plan of ``z <- apply_fn(z, tensors)`` read off the tape: the
-    oracle for ``EquilibriumOperator.plan``.
+    """The plan of ``z <- apply_fn(z, tensors)`` read off the tape.
 
     ``f`` runs ``apply_fn`` without recording.  ``linearize(z)`` records it
     once at z on a sub-tape that watches the state alone, and each
-    pullback replays that sub-tape.
+    pullback replays that sub-tape.  ``vjp(z, u)`` records it at z on
+    clones of ``tensors`` on a sub-tape of its own, with the state a
+    constant, and reads their cotangents off it.  With
+    :func:`solve_inputs` this is the oracle for ``EquilibriumOperator.plan``.
     """
     def f(z):
         with ad.no_grad():
@@ -95,7 +160,17 @@ def replay_plan(apply_fn, tensors) -> Plan:
             out = apply_fn(leaf, tensors)
         return lambda u: sub.vjp(out, u)[leaf]
 
-    return Plan(f, linearize)
+    def vjp(z, u):
+        clones = [ad.Tensor(t.data) for t in tensors]
+        sub = ad.Tape()
+        for c in clones:
+            sub.watch(c)
+        with sub:
+            out = apply_fn(ad.Tensor(z), clones)
+        grads = sub.vjp(out, u)
+        return [grads[c] for c in clones]
+
+    return Plan(f, linearize, vjp, tuple(tensors))
 
 
 def reference_empirical_lipschitz(f, shape, rng: np.random.Generator,
@@ -159,14 +234,14 @@ def chunked_empirical_lipschitz(f, shape, rng: np.random.Generator,
 
 
 def apply_on_copies(op, ctx):
-    """``op.apply`` on the copies of ``ctx`` that a probe chunk needs: the
-    map ``gdeq.contraction.analyze_operator`` stands for, on the tape path.
+    """:func:`tape_apply` on the copies of ``ctx`` that a probe chunk needs:
+    the map ``gdeq.contraction.analyze_operator`` stands for, on the tape.
     """
     copies = ctx.repeat(2 * _pairs_per_call(ctx.h.rows))
 
     def f(zd):
         with ad.no_grad():
-            return op.apply(ad.Tensor(zd), copies.head(zd.shape[0])).data
+            return tape_apply(op, ad.Tensor(zd), copies.head(zd.shape[0])).data
 
     return f
 

@@ -321,6 +321,19 @@ def test_missing_dataset_is_a_config_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags", [["--seeds", ","], ["--epochs", "0"],
+                                   ["--hidden-dim", "6"]])
+def test_a_bad_config_fails_before_any_run_starts(mutag_dir, tmp_path,
+                                                   capsys, flags):
+    out = tmp_path / "runs"
+    code = main(DESK + ["--pathway", "classical", "--seeds", "1", "--folds",
+                        "2", "--epochs", "1", "--out", str(out), *flags])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+    assert_nothing_left_running()
+
+
 def test_solves_stopped_at_max_iter_are_written_and_fail_the_run(
         mutag_dir, tmp_path, capsys):
     out = tmp_path / "runs"

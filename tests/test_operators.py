@@ -6,12 +6,13 @@ from gdeq.autodiff import Tensor
 from gdeq.graphs import (BlockAdjacency, normalize_adjacency,
                          topology_descriptors)
 from gdeq.operators import (BackboneParams, EquilibriumOperator, GraphContext,
-                            backbone_apply, clip_spectral, propagate)
+                            clip_spectral)
 from gdeq.quantum import DeepXyzParams, QuantumModule
 
 from gdeq.solvers import SolverConfig, solve_fixed_point
 
-from helpers import numeric_grad, rel_err, replay_plan, sum_all
+from helpers import (backbone_apply, numeric_grad, propagate, rel_err,
+                     replay_plan, solve_inputs, sum_all, tape_apply)
 
 
 def make_backbone(d_h, d_in, rng, kappa=0.8):
@@ -210,36 +211,6 @@ def test_tracked_tensors_by_pathway():
     assert len(id_op.tracked_tensors()) == 3
 
 
-@pytest.mark.parametrize("kind", ["classical", "sd", "bd"])
-def test_solve_inputs_rebuild_matches_apply(kind):
-    rng = np.random.default_rng(8)
-    n, d_h = 5, 4
-    bb = make_backbone(d_h, d_h, rng)
-    module = None if kind == "classical" else make_module(2, d_h, d_h, rng)
-    op = EquilibriumOperator(kind, bb, module, alpha=0.3)
-    _, ctx, _ = make_context(n, d_h, rng)
-    z = Tensor(rng.normal(size=(n, d_h)))
-
-    apply_fn, tensors = op.solve_inputs(ctx)
-    direct = op.apply(z, ctx).data
-    assert np.array_equal(apply_fn(z, tensors).data, direct)
-    clones = [Tensor(t.data.copy()) for t in tensors]
-    assert np.array_equal(apply_fn(z, clones).data, direct)
-
-
-def test_solve_inputs_id_includes_conditioning():
-    rng = np.random.default_rng(9)
-    n, d_h = 4, 3
-    bb = make_backbone(d_h, d_h, rng)
-    op = EquilibriumOperator("id", bb, make_module(2, d_h + 7, d_h, rng), alpha=0.1)
-    a, ctx, _ = make_context(n, d_h, rng)
-    ctx.q_id = op.compute_id_conditioning(ctx.h, topology_descriptors(a))
-    apply_fn, tensors = op.solve_inputs(ctx)
-    assert tensors[-1] is ctx.q_id
-    z = Tensor(rng.normal(size=(n, d_h)))
-    assert np.array_equal(apply_fn(z, tensors).data, op.apply(z, ctx).data)
-
-
 def plan_case(kind, sizes, alpha, seed=20):
     """(operator, context) on the blocks of ``sizes``, circuit maps
     spectrally normalized as in training."""
@@ -273,7 +244,9 @@ def test_plan_map_equals_apply_bitwise(kind, sizes, alpha):
     rng = np.random.default_rng(21)
     for _ in range(3):
         z = rng.normal(size=(sum(sizes), 5))
-        assert np.array_equal(plan.f(z), op.apply(Tensor(z), ctx).data)
+        want = tape_apply(op, Tensor(z), ctx).data
+        assert np.array_equal(plan.f(z), want)
+        assert np.array_equal(op.apply(Tensor(z), ctx).data, want)
 
 
 @pytest.mark.parametrize("kind,sizes,alpha", PLAN_CASES)
@@ -284,7 +257,7 @@ def test_plan_linearization_matches_the_tape_replay(kind, sizes, alpha):
                             SolverConfig(tol=1e-10))
     assert rep.converged
     got = plan.linearize(rep.z_star)
-    want = replay_plan(*op.solve_inputs(ctx)).linearize(rep.z_star)
+    want = replay_plan(*solve_inputs(op, ctx)).linearize(rep.z_star)
     rng = np.random.default_rng(22)
     for _ in range(3):
         u = rng.normal(size=rep.z_star.shape)
@@ -295,26 +268,47 @@ def test_plan_linearization_matches_the_tape_replay(kind, sizes, alpha):
             assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
 
 
+@pytest.mark.parametrize("kind,sizes,alpha", PLAN_CASES)
+def test_plan_parameter_cotangents_match_the_sub_tape(kind, sizes, alpha):
+    op, ctx = plan_case(kind, sizes, alpha)
+    plan = op.plan(ctx)
+    oracle = replay_plan(*solve_inputs(op, ctx))
+    assert plan.tensors == oracle.tensors
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        z = rng.normal(size=(sum(sizes), 5))
+        u = rng.normal(size=z.shape)
+        got, want = plan.vjp(z, u), oracle.vjp(z, u)
+        assert len(got) == len(want) == len(plan.tensors)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert np.array_equal(g, w), i
+
+
 def test_plan_needs_conditioning_on_the_id_pathway():
     op, ctx = plan_case("id", (4,), 0.1)
     with pytest.raises(ValueError):
         op.plan(GraphContext(a_norm=ctx.a_norm, h=ctx.h))
 
 
-@pytest.mark.parametrize("kind", ["classical", "sd", "bd"])
+@pytest.mark.parametrize("kind", ["classical", "id", "sd", "bd"])
 def test_single_application_gradients_match_fd(kind):
     rng = np.random.default_rng(10)
     n, d_h = 4, 3
     bb = make_backbone(d_h, d_h, rng)
-    module = None if kind == "classical" else make_module(2, d_h, d_h, rng)
+    d_in = d_h + 7 if kind == "id" else d_h
+    module = None if kind == "classical" else make_module(2, d_in, d_h, rng)
     op = EquilibriumOperator(kind, bb, module, alpha=0.25)
-    _, ctx, _ = make_context(n, d_h, rng)
+    _, ctx, tau = make_context(n, d_h, rng)
+    if kind == "id":
+        ctx.q_id = op.compute_id_conditioning(ctx.h, tau)
     z = Tensor(rng.normal(size=(n, d_h)))
+    inputs = op.tracked_tensors() + [("h", ctx.h), ("z", z)]
+    if kind == "id":
+        inputs.append(("q_id", ctx.q_id))
 
     tape = ad.Tape()
-    for _, t in op.tracked_tensors():
+    for _, t in inputs:
         tape.watch(t)
-    tape.watch(ctx.h)
     with tape:
         loss = sum_all(ad.tanh(op.apply(z, ctx)))
     grads = tape.backward(loss)
@@ -329,6 +323,6 @@ def test_single_application_gradients_match_fd(kind):
             return val
         return f
 
-    for name, t in op.tracked_tensors() + [("h", ctx.h)]:
+    for name, t in inputs:
         fd = numeric_grad(loss_for(t), t.data.copy())
         assert rel_err(grads[t], fd) <= 1e-7, name

@@ -170,11 +170,14 @@ def test_program_ending_on_an_encoding_layer_matches_dense_product(n_q):
     weight = rng.normal(size=u.shape)
     tape = ad.Tape()
     u_t = tape.watch(ad.Tensor(u))
+    angles_t = tape.watch(ad.Tensor(angles))
     with tape:
-        m = qm.circuit_expectations(u_t, ad.Tensor(angles), n_q)
+        m = qm.circuit_expectations(u_t, angles_t, n_q)
         loss = sum_all(ad.mul(m, ad.constant(weight)))
+    grads = tape.backward(loss)
     # <Z_j> = cos(u_j), so dL/du = -weight * sin(u)
-    assert rel_err(tape.backward(loss)[u_t], -weight * np.sin(u)) < 1e-12
+    assert rel_err(grads[u_t], -weight * np.sin(u)) < 1e-12
+    assert grads[angles_t].shape == angles.shape
 
 
 GRID = [(n_q, reps) for n_q in (1, 2, 3, 4) for reps in (1, 2, 3)]
@@ -338,8 +341,7 @@ def test_output_bounded_by_w_out_row_l1():
 # --- spectral normalization -----------------------------------------------------
 
 def effective_arrays(module):
-    with ad.no_grad():
-        return [w.data for w in module.effective_maps()]
+    return [w for w, _ in module.maps()]
 
 
 def test_normalization_converges_to_unit_norm():

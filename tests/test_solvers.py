@@ -186,8 +186,8 @@ def adjoint(jac, g, cfg):
     tape = ad.Tape()
     tape.watch(bias)
     with tape:
-        z, rep = equilibrium_solve(replay_plan(apply_fn, [bias]), apply_fn,
-                                   [bias], np.zeros_like(g), cfg, cfg)
+        z, rep = equilibrium_solve(replay_plan(apply_fn, [bias]),
+                                   np.zeros_like(g), cfg, cfg)
         loss = sum_all(ad.mul(z, ad.constant(g)))
     return tape.backward(loss)[bias], rep.backward
 
@@ -245,8 +245,8 @@ def test_equilibrium_solve_without_tape_is_plain():
     b = Tensor(rng.normal(size=(1, 4)))
     apply_fn, tensors = tanh_affine(w, b)
     cfg = SolverConfig(tol=1e-12)
-    z, rep = equilibrium_solve(replay_plan(apply_fn, tensors), apply_fn,
-                               tensors, np.zeros((3, 4)), cfg, cfg)
+    z, rep = equilibrium_solve(replay_plan(apply_fn, tensors),
+                               np.zeros((3, 4)), cfg, cfg)
     assert rep.converged
     assert z.tape is None
     # fixed-point property
@@ -265,8 +265,8 @@ def test_equilibrium_gradients_match_finite_differences():
     weight = np.asarray(rng.normal(size=(3, 4)))
 
     def run():
-        z, rep = equilibrium_solve(replay_plan(apply_fn, tensors), apply_fn,
-                                   tensors, np.zeros((3, 4)), fwd, bwd)
+        z, rep = equilibrium_solve(replay_plan(apply_fn, tensors),
+                                   np.zeros((3, 4)), fwd, bwd)
         assert rep.converged
         return z, rep
 
@@ -301,24 +301,29 @@ def test_equilibrium_adjoint_runs_once_per_cotangent():
     b = Tensor(rng.normal(size=(1, 3)))
     apply_fn, tensors = tanh_affine(w, b)
     cfg = SolverConfig(tol=1e-11)
-    calls = {"n": 0}
+    plan = replay_plan(apply_fn, tensors)
+    calls = {"linearize": 0, "vjp": 0}
 
-    def counting(z, ts):
-        calls["n"] += 1
-        return apply_fn(z, ts)
+    def counted(name):
+        fn = getattr(plan, name)
 
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    plan = plan._replace(linearize=counted("linearize"), vjp=counted("vjp"))
     tape = ad.Tape()
     tape.watch(w)
     tape.watch(b)
     with tape:
-        z, rep = equilibrium_solve(replay_plan(apply_fn, tensors), counting,
-                                   tensors, np.zeros((2, 3)), cfg, cfg)
+        z, rep = equilibrium_solve(plan, np.zeros((2, 3)), cfg, cfg)
         loss = sum_all(z)
-    # the forward solve runs on the plan; the tape records the map once, at z*
-    assert calls["n"] == 1
+    # the forward solve runs on plan.f alone
+    assert calls == {"linearize": 0, "vjp": 0}
     tape.backward(loss)
-    # the adjoint runs on the plan's linearization; the sub-tape is reused
-    assert calls["n"] == 1
+    # one adjoint solve, then one parameter VJP shared by both tensors
+    assert calls == {"linearize": 1, "vjp": 1}
     assert rep.backward is not None and rep.backward.converged
 
 
@@ -332,7 +337,7 @@ def test_equilibrium_divergence_skips_recording():
     tape.watch(w)
     cfg = SolverConfig(tol=1e-8, max_iter=50)
     with tape, np.errstate(over="ignore"):
-        z, rep = equilibrium_solve(replay_plan(apply_fn, [w]), apply_fn, [w],
+        z, rep = equilibrium_solve(replay_plan(apply_fn, [w]),
                                    np.full((1, 2), 1e200), cfg, cfg)
     assert rep.diverged
     assert z.tape is None

@@ -1,6 +1,8 @@
+import gc
 import math
 import operator
 import os
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -390,6 +392,71 @@ def test_batched_logits_match_each_graph_solved_alone(pathway):
             _, alone, report = model.forward_batch(collate([g]))
             assert report.converged
             assert np.max(np.abs(batched.data[i] - alone.data[0])) <= 1e-10
+
+
+@pytest.mark.parametrize("pathway", ["classical", "sd", "bd"])
+def test_a_training_step_builds_the_operator_once(pathway, monkeypatch):
+    # the parameter cotangents come from the solve's plan in closed form,
+    # not from the operator rebuilt and recorded on a sub-tape at z*
+    from gdeq import operators, quantum
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("the operator was rebuilt on the tape")
+
+    monkeypatch.setattr(operators.EquilibriumOperator, "apply", rebuilt)
+    monkeypatch.setattr(quantum, "circuit_expectations", rebuilt)
+    swept, entered = [], []
+    vjp, enter = ad.Tape.vjp, ad.Tape.__enter__
+
+    def counting_vjp(self, *args):
+        swept.append(self)
+        return vjp(self, *args)
+
+    def counting_enter(self):
+        entered.append(self)
+        return enter(self)
+
+    monkeypatch.setattr(ad.Tape, "vjp", counting_vjp)
+    monkeypatch.setattr(ad.Tape, "__enter__", counting_enter)
+
+    ds = toy_dataset()
+    model = GraphClassifier(small_config(pathway), ds.feature_dim, 2, seed=1)
+    tape = ad.Tape()
+    for _, t in model.parameters():
+        tape.watch(t)
+    with tape:
+        loss, _, report = model.forward_batch(collate(ds.graphs[:4]))
+    grads = tape.backward(loss)
+    assert swept == [tape] and entered == [tape]
+    assert report.backward is not None and report.backward.converged
+    for name, t in model.parameters():
+        assert np.any(grads[t] != 0.0), name
+
+
+@pytest.mark.parametrize("pathway", ["classical", "id", "sd", "bd"])
+def test_a_finished_step_frees_its_tape_without_the_cycle_collector(pathway):
+    # a recorded pullback that held a tracked tensor would tie the tape into
+    # a reference cycle, and every step's tape would wait for gc
+    ds = toy_dataset()
+    model = GraphClassifier(small_config(pathway), ds.feature_dim, 2, seed=1)
+    batch = collate(ds.graphs[:4])
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        tape = ad.Tape()
+        for _, t in model.parameters():
+            tape.watch(t)
+        with tape:
+            loss, logits, _ = model.forward_batch(batch)
+        tape.backward(loss)
+        freed = weakref.ref(tape)
+        for _, t in model.parameters():
+            ad.Tape().watch(t)
+        del tape, loss, logits
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
