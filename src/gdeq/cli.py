@@ -106,21 +106,13 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
 
-_INT_FIELDS = {"folds", "epochs", "batch_size", "hidden_dim", "n_qubits",
-               "reps", "heads", "mlp_hidden", "l_max", "fwd_max_iter",
-               "bwd_max_iter", "workers"}
-_FLOAT_FIELDS = {"lr", "lr_min", "weight_decay", "grad_clip", "alpha",
-                 "kappa", "dropout", "fwd_tol", "bwd_tol"}
+def _seeds(raw: str) -> tuple:
+    return tuple(int(s) for s in raw.split(",") if s.strip())
 
 
-def _coerce(name: str, raw: str):
-    if name == "seeds":
-        return tuple(int(s) for s in raw.split(",") if s.strip())
-    if name in _INT_FIELDS:
-        return int(raw)
-    if name in _FLOAT_FIELDS:
-        return float(raw)
-    return raw
+# each key's parser is its field's type; seeds are a comma-separated list
+_PARSERS = {f.name: f.type for f in fields(ExperimentConfig)}
+_PARSERS["seeds"] = _seeds
 
 
 def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
@@ -138,7 +130,7 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
         key = key.strip()
         if key not in known:
             raise ValueError(f"line {ln}: unknown config key {key!r}")
-        updates[key] = _coerce(key, raw.strip())
+        updates[key] = _PARSERS[key](raw.strip())
     return replace(cfg, **updates)
 
 
@@ -265,8 +257,8 @@ def _run_job(cfg: ExperimentConfig, dataset, seed: int, fold: int) -> tuple:
 
 def run_experiment(cfg: ExperimentConfig) -> int:
     try:
-        if not cfg.seeds:
-            raise ValueError("no seeds given")
+        if not cfg.seeds or min(cfg.seeds) < 0:
+            raise ValueError(f"need nonnegative seeds, got {cfg.seeds}")
         cfg.model_config(), cfg.train_config()
         dataset = load_tu_dataset(cfg.data_dir, cfg.dataset, l_max=cfg.l_max)
     except (OSError, ValueError) as e:
@@ -322,16 +314,9 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
-_FLAGS = [
-    ("--dataset", "dataset", str), ("--data-dir", "data_dir", str),
-    ("--seeds", "seeds", str), ("--folds", "folds", int),
-    ("--epochs", "epochs", int), ("--batch-size", "batch_size", int),
-    ("--hidden-dim", "hidden_dim", int), ("--n-qubits", "n_qubits", int),
-    ("--alpha", "alpha", float), ("--kappa", "kappa", float),
-    ("--fwd-max-iter", "fwd_max_iter", int), ("--fwd-tol", "fwd_tol", float),
-    ("--bwd-max-iter", "bwd_max_iter", int), ("--bwd-tol", "bwd_tol", float),
-    ("--out", "out", str), ("--workers", "workers", int),
-]
+_FLAGS = ("dataset", "data_dir", "seeds", "folds", "epochs", "batch_size",
+          "hidden_dim", "n_qubits", "alpha", "kappa", "fwd_max_iter",
+          "fwd_tol", "bwd_max_iter", "bwd_tol", "out", "workers")
 
 
 def build_config(argv) -> tuple:
@@ -341,8 +326,8 @@ def build_config(argv) -> tuple:
     p.add_argument("--config", help="key=value config file; flags override it")
     p.add_argument("--pathway", choices=PATHWAYS)
     p.add_argument("--solver", choices=("picard", "anderson"))
-    for flag, dest, typ in _FLAGS:
-        p.add_argument(flag, dest=dest, type=typ)
+    for dest in _FLAGS:
+        p.add_argument("--" + dest.replace("_", "-"), type=_PARSERS[dest])
     p.add_argument("--print-config", action="store_true",
                    help="dump the effective config and exit")
     args = p.parse_args(argv)
@@ -350,11 +335,9 @@ def build_config(argv) -> tuple:
     cfg = ExperimentConfig()
     if args.config:
         cfg = parse_config(Path(args.config).read_text(), cfg)
-    overrides = {}
-    for name in [d for _, d, _ in _FLAGS] + ["pathway", "solver"]:
-        v = getattr(args, name)
-        if v is not None:
-            overrides[name] = _coerce(name, str(v))
+    names = (*_FLAGS, "pathway", "solver")
+    overrides = {n: getattr(args, n) for n in names
+                 if getattr(args, n) is not None}
     return replace(cfg, **overrides), args.print_config
 
 

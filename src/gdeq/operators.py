@@ -14,10 +14,11 @@ With alpha = 0 (or no module) every variant degenerates to the plain
 backbone, bit for bit.
 
 The operator is written once, as ``EquilibriumOperator.plan``: the map in
-plain NumPy with every per-solve constant read once, its closed-form
-adjoint at a state, and the closed-form cotangents of its parameters.
+plain NumPy with every per-solve constant read once, and its linearization
+at a state, which evaluates the map there once and returns the value with
+its closed-form adjoint and the closed-form cotangents of its parameters.
 A solve runs on the plan, and ``EquilibriumOperator.apply`` records one
-application of it on the tape.
+linearization of it on the tape.
 """
 
 from __future__ import annotations
@@ -154,33 +155,33 @@ class EquilibriumOperator:
         return out
 
     def apply(self, z: Tensor, ctx: GraphContext) -> Tensor:
-        """The map at ``z`` as one recorded op: ``plan(ctx).f``, with the
-        state's cotangent from ``linearize`` and the others from ``vjp``."""
-        f, linearize, vjp, tensors = self.plan(ctx)
-        zd = z.data
-        return ad.record_op(
-            f(zd), [(z, lambda g: linearize(zd)(g))]
-            + ad.shared_pullback(tensors, lambda g: vjp(zd, g)))
+        """The map at ``z`` as one recorded op: the value and both
+        pullbacks of ``plan(ctx).linearize(z)``."""
+        plan = self.plan(ctx)
+        value, jt, vjp = plan.linearize(z.data)
+        return ad.record_op(value,
+                            [(z, jt)] + ad.shared_pullback(plan.tensors, vjp))
 
     def plan(self, ctx: GraphContext) -> Plan:
         """The operator on ``ctx`` at the live weights, for one solve.
 
         H Omᵀ, W and the circuit's normalized maps and compiled program are
-        read once here.  ``linearize(z)`` returns u -> J_f(z)ᵀ u in closed
-        form, with y = h(z):
+        read once here.  ``linearize(z)`` evaluates the map once at z, with
+        y = h(z) and one circuit run at the module's rows, and returns the
+        value with two pullbacks.  ``jt(u)`` is J_f(z)ᵀ u in closed form:
 
         * classical, id: Aᵀ((u ⊙ (1 - y²)) W);
         * sd: that plus J_q(z)ᵀ(α u);
         * bd: Aᵀ(((u + J_q(y)ᵀ(α u)) ⊙ (1 - y²)) W);
 
         where J_q is the module's row-wise Jacobian
-        (:meth:`ModulePlan.linearize`).  ``vjp(z, u)`` gives the
-        cotangents of the tracked tensors, ``h`` and (id) ``q_id``: with
+        (:meth:`ModulePlan.linearize`).  ``vjp(u)`` gives the cotangents of
+        the tracked tensors, ``h`` and (id) ``q_id``: with
         g = ū ⊙ (1 - y²), ū = u (bd: plus the module's state cotangent),
         Wᵀ ← gᵀ(A z), Omᵀ ← gᵀ H, b ← Σ_rows g, H ← g Om, Q ← g, and the
-        module's own from :meth:`ModulePlan.vjp` at α u.  Each product is
-        taken as the op-by-op tape formulation takes it, so ``f`` and
-        ``vjp`` equal that formulation bit for bit.
+        module's own from its ``vjp`` at α u.  Each product is taken as the
+        op-by-op tape formulation takes it, so ``f``, the value and ``vjp``
+        equal that formulation bit for bit.
         """
         if self.kind == "id" and ctx.q_id is None:
             raise ValueError("input-conditioning pathway needs ctx.q_id")
@@ -211,30 +212,36 @@ class EquilibriumOperator:
                 y += q(z if state else y) * alpha
             return y
 
-        def linearize(z: np.ndarray):
-            y = backbone(a.matmul(z))
-            dy = 1.0 - y * y
-            if q is None:
-                return lambda u: a.rmatmul((u * dy) @ w_t.T)
-            jq = q.linearize(z if state else y)
-            if state:
-                return lambda u: a.rmatmul((u * dy) @ w_t.T) + jq(u * alpha)
-            return lambda u: a.rmatmul(((u + jq(u * alpha)) * dy) @ w_t.T)
-
-        def vjp(z: np.ndarray, u: np.ndarray) -> list:
+        def linearize(z: np.ndarray) -> tuple:
             az = a.matmul(z)
             y = backbone(az)
-            module = []
+            dy = 1.0 - y * y
+            value, jq, q_vjp = y, None, None
             if q is not None:
-                d_s, *module = q.vjp(z if state else y, u * alpha)
-                if not state:
-                    u = u + d_s
-            g = u * (1.0 - y * y)
-            grads = [(az.T @ g).T, (h.T @ g).T,
-                     g.sum(axis=0, keepdims=True), *module, g @ omega]
-            return grads if q_id is None else grads + [g]
+                q_out, jq, q_vjp = q.linearize(z if state else y)
+                value = y + q_out * alpha
 
-        return Plan(f, linearize, vjp, tuple(tensors))
+            def jt(u: np.ndarray) -> np.ndarray:
+                if jq is None:
+                    return a.rmatmul((u * dy) @ w_t.T)
+                if state:
+                    return a.rmatmul((u * dy) @ w_t.T) + jq(u * alpha)
+                return a.rmatmul(((u + jq(u * alpha)) * dy) @ w_t.T)
+
+            def vjp(u: np.ndarray) -> list:
+                module = []
+                if q_vjp is not None:
+                    d_s, *module = q_vjp(u * alpha)
+                    if not state:
+                        u = u + d_s
+                g = u * dy
+                grads = [(az.T @ g).T, (h.T @ g).T,
+                         g.sum(axis=0, keepdims=True), *module, g @ omega]
+                return grads if q_id is None else grads + [g]
+
+            return value, jt, vjp
+
+        return Plan(f, linearize, tuple(tensors))
 
     def compute_id_conditioning(self, h: Tensor, tau: np.ndarray) -> Tensor:
         """Q rows from [encoder output, topology descriptors]; once per solve."""

@@ -25,8 +25,10 @@ as an independent route to the same angle gradients.
 Under spectral normalization W_in and W_out enter as W / sigma(W), with
 sigma from one exact SVD per map, taken from the live weights: once per
 ``forward_rows`` call, or once per solve in a :class:`ModulePlan`, which
-also compiles the program once and reads the per-row Jacobian of the
-expectations at the solution from n_q adjoint sweeps.  Each map comes with
+also compiles the program once.  Its linearization at the solution runs
+the circuit once with a stash, and from that one run gives the value, the
+per-row Jacobian of the expectations (n_q adjoint sweeps, on first use)
+and the parameter cotangents (one sweep).  Each map comes with
 its pullback through sigma, which the tape records and the plan calls, so
 the module carries no normalization state and a forward pass never
 changes what the next one computes.
@@ -483,8 +485,9 @@ class ModulePlan:
 
     Built once per solve: the effective maps (one SVD each under spectral
     normalization) with their pullbacks, and the compiled program.
-    Calling the plan equals ``forward_rows`` bit for bit, and :meth:`vjp`
-    equals the cotangents of ``forward_rows`` on the tape.
+    Calling the plan equals ``forward_rows`` bit for bit, and so does the
+    value :meth:`linearize` returns, whose ``vjp`` equals the cotangents of
+    ``forward_rows`` on the tape.
     """
 
     def __init__(self, module: QuantumModule):
@@ -499,45 +502,45 @@ class ModulePlan:
         m = _expectations(_run_program(u, self.program), self.n_qubits)
         return m @ self.w_out.T
 
-    def linearize(self, s: np.ndarray):
-        """g -> J(s)ᵀ g for cotangent rows g, J the row-wise Jacobian at s.
+    def linearize(self, s: np.ndarray) -> tuple:
+        """(q(s), jt, vjp) from one stashed run at the rows s.
 
-        The per-row Jacobian of the expectations in the encoding angles,
-        (N, n_q, n_q), is read once here, one adjoint sweep per output
-        qubit; each pullback is then
-        ((g W_out) · Jm ⊙ (1 - t²)) W_in, t = tanh(s W_inᵀ).
+        ``jt(g)`` is J(s)ᵀ g for cotangent rows g, J the row-wise Jacobian:
+        ((g W_out) · Jm ⊙ (1 - t²)) W_in, t = tanh(s W_inᵀ), with the
+        per-row Jacobian Jm of the expectations in the encoding angles,
+        (N, n_q, n_q), read on the first call from one adjoint sweep per
+        output qubit.  ``vjp(g)`` gives the cotangents of
+        (s, W_in, W_out, angles), each product taken as ``forward_rows``
+        on the tape takes it: one adjoint sweep gives the state and angle
+        cotangents, and the map cotangents are pulled back through the
+        normalization.
         """
         t = np.tanh(s @ self.w_in.T)
         dt = 1.0 - t * t
         stash: list = []
-        _run_program(t, self.program, stash)
-        jm = np.empty((len(t), self.n_qubits, self.n_qubits))
-        seed = np.zeros_like(t)
-        for a in range(self.n_qubits):
-            seed[:, a] = 1.0
-            jm[:, a] = _backward(self.program, stash, seed)[0]
-            seed[:, a] = 0.0
+        m = _expectations(_run_program(t, self.program, stash), self.n_qubits)
+        jm = None
 
-        def pullback(g: np.ndarray) -> np.ndarray:
+        def jt(g: np.ndarray) -> np.ndarray:
+            nonlocal jm
+            if jm is None:
+                jm = np.empty((len(t), self.n_qubits, self.n_qubits))
+                seed = np.zeros_like(t)
+                for a in range(self.n_qubits):
+                    seed[:, a] = 1.0
+                    jm[:, a] = _backward(self.program, stash, seed)[0]
+                    seed[:, a] = 0.0
             d_u = np.einsum("ia,iab->ib", g @ self.w_out, jm)
             return (d_u * dt) @ self.w_in
 
-        return pullback
+        def vjp(g: np.ndarray) -> tuple:
+            d_t, lams = _backward(self.program, stash, g @ self.w_out)
+            d_pre = d_t * dt
+            return (d_pre @ self.w_in, self._w_in_back((s.T @ d_pre).T),
+                    self._w_out_back((m.T @ g).T),
+                    _angle_grads(self._angle_shape, self.program, stash, lams))
 
-    def vjp(self, s: np.ndarray, g: np.ndarray) -> tuple:
-        """Cotangents of (s, W_in, W_out, angles) for cotangent rows g on
-        the output at s, taking every product as ``forward_rows`` on the
-        tape does.  One adjoint sweep gives the state and angle cotangents;
-        the map cotangents are pulled back through the normalization.
-        """
-        t = np.tanh(s @ self.w_in.T)
-        stash: list = []
-        m = _expectations(_run_program(t, self.program, stash), self.n_qubits)
-        d_t, lams = _backward(self.program, stash, g @ self.w_out)
-        d_pre = d_t * (1.0 - t * t)
-        return (d_pre @ self.w_in, self._w_in_back((s.T @ d_pre).T),
-                self._w_out_back((m.T @ g).T),
-                _angle_grads(self._angle_shape, self.program, stash, lams))
+        return m @ self.w_out.T, jt, vjp
 
 
 def qmodule_forward(module: QuantumModule, s) -> np.ndarray:

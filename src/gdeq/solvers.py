@@ -9,8 +9,9 @@ obtained from the adjoint fixed point
 
 solved with the same machinery on the plan's closed-form J_f(z*)^T,
 followed by the plan's closed-form vector-Jacobian product with cotangent
-u into the operator's parameters.  Gradients never flow through the
-forward iterates themselves.
+u into the operator's parameters.  Both pullbacks and the recorded value
+come from one linearization of the plan at z*.  Gradients never flow
+through the forward iterates themselves.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ class SolverConfig:
             raise ValueError("tol must be positive")
         if self.history < 1:
             raise ValueError("history must be positive")
+        if self.beta <= 0.0:
+            raise ValueError("beta must be positive")
 
 
 @dataclass
@@ -60,16 +63,16 @@ class SolveReport:
 class Plan(NamedTuple):
     """A map z <- f(z) at fixed weights, in plain NumPy, for one solve.
 
-    ``linearize(z)`` returns the pullback u -> J_f(z)ᵀ u at the state z.
-    ``vjp(z, u)`` returns the cotangents of ``tensors``, the map's inputs
-    other than the state, at z for the output cotangent u.  The functions
-    hold arrays only: a recorded pullback may keep them, but not
-    ``tensors``, whose tape would then sit in a reference cycle.
+    ``linearize(z)`` evaluates the map once at the state z and returns
+    ``(f(z), jt, vjp)``: ``jt(u)`` is J_f(z)ᵀ u, and ``vjp(u)`` gives the
+    cotangents of ``tensors``, the map's inputs other than the state, for
+    the output cotangent u.  The functions hold arrays only: a recorded
+    pullback may keep them, but not ``tensors``, whose tape would then sit
+    in a reference cycle.
     """
 
     f: Callable[[Array], Array]
-    linearize: Callable[[Array], Callable[[Array], Array]]
-    vjp: Callable[[Array, Array], list]
+    linearize: Callable[[Array], tuple]
     tensors: tuple
 
 
@@ -176,23 +179,21 @@ def equilibrium_solve(plan: Plan, z0: Array, fwd: SolverConfig,
     """Differentiable fixed point of ``z <- plan.f(z)``.
 
     The forward solve runs on ``plan.f`` without recording.  If a tape is
-    active and the solve did not diverge, ``plan.f(z*)`` is recorded as one
-    operation on ``plan.tensors``.  Its backward pass solves the adjoint
-    equation on ``plan.linearize(z*)`` once per loss cotangent and hands
-    the solution u to ``plan.vjp(z*, u)``, which gives every input's
-    cotangent.
+    active and the solve did not diverge, ``plan.linearize(z*)`` is taken
+    once and its value is recorded as one operation on ``plan.tensors``.
+    Its backward pass solves the adjoint equation on ``jt`` once per loss
+    cotangent and hands the solution u to ``vjp(u)``, which gives every
+    input's cotangent.
     """
     report = solve_fixed_point(plan.f, np.asarray(z0, dtype=np.float64), fwd)
-    z_star = report.z_star
     if ad._active_tape() is None or report.diverged:
-        return Tensor(z_star), report
-    linearize, vjp = plan.linearize, plan.vjp   # not plan.tensors; see Plan
+        return Tensor(report.z_star), report
+    value, jt, vjp = plan.linearize(report.z_star)
 
     def pullback(g: Array) -> list:
-        jt = linearize(z_star)
         back = solve_fixed_point(lambda u: g + jt(u), np.zeros_like(g), bwd)
         report.backward = back
-        return vjp(z_star, back.z_star)
+        return vjp(back.z_star)
 
-    return (ad.record_op(plan.f(z_star),
-                         ad.shared_pullback(plan.tensors, pullback)), report)
+    return (ad.record_op(value, ad.shared_pullback(plan.tensors, pullback)),
+            report)

@@ -80,6 +80,9 @@ class ModelConfig:
             raise ValueError("head count must divide the hidden dimension")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout rate must lie in [0, 1)")
+        if self.alpha < 0.0 or not 0.0 < self.kappa <= 1.0:
+            raise ValueError("alpha must be nonnegative and kappa lie in "
+                             f"(0, 1], got {self.alpha} and {self.kappa}")
 
 
 @dataclass

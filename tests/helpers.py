@@ -143,34 +143,32 @@ def replay_plan(apply_fn, tensors) -> Plan:
     """The plan of ``z <- apply_fn(z, tensors)`` read off the tape.
 
     ``f`` runs ``apply_fn`` without recording.  ``linearize(z)`` records it
-    once at z on a sub-tape that watches the state alone, and each
-    pullback replays that sub-tape.  ``vjp(z, u)`` records it at z on
-    clones of ``tensors`` on a sub-tape of its own, with the state a
-    constant, and reads their cotangents off it.  With
-    :func:`solve_inputs` this is the oracle for ``EquilibriumOperator.plan``.
+    once at z on a sub-tape that watches the state and clones of
+    ``tensors``, and returns the recorded value with two pullbacks that
+    replay that sub-tape: ``jt`` reads the state's cotangent off it and
+    ``vjp`` the clones'.  With :func:`solve_inputs` this is the oracle for
+    ``EquilibriumOperator.plan``.
     """
     def f(z):
         with ad.no_grad():
             return apply_fn(ad.Tensor(z), tensors).data
 
     def linearize(z):
-        sub = ad.Tape()
-        leaf = sub.watch(ad.Tensor(z))
-        with sub:
-            out = apply_fn(leaf, tensors)
-        return lambda u: sub.vjp(out, u)[leaf]
-
-    def vjp(z, u):
         clones = [ad.Tensor(t.data) for t in tensors]
         sub = ad.Tape()
+        leaf = sub.watch(ad.Tensor(z))
         for c in clones:
             sub.watch(c)
         with sub:
-            out = apply_fn(ad.Tensor(z), clones)
-        grads = sub.vjp(out, u)
-        return [grads[c] for c in clones]
+            out = apply_fn(leaf, clones)
 
-    return Plan(f, linearize, vjp, tuple(tensors))
+        def vjp(u):
+            grads = sub.vjp(out, u)
+            return [grads[c] for c in clones]
+
+        return out.data, lambda u: sub.vjp(out, u)[leaf], vjp
+
+    return Plan(f, linearize, tuple(tensors))
 
 
 def reference_empirical_lipschitz(f, shape, rng: np.random.Generator,

@@ -246,6 +246,7 @@ def test_plan_map_equals_apply_bitwise(kind, sizes, alpha):
         z = rng.normal(size=(sum(sizes), 5))
         want = tape_apply(op, Tensor(z), ctx).data
         assert np.array_equal(plan.f(z), want)
+        assert np.array_equal(plan.linearize(z)[0], want)
         assert np.array_equal(op.apply(Tensor(z), ctx).data, want)
 
 
@@ -256,8 +257,9 @@ def test_plan_linearization_matches_the_tape_replay(kind, sizes, alpha):
     rep = solve_fixed_point(plan.f, np.zeros((sum(sizes), 5)),
                             SolverConfig(tol=1e-10))
     assert rep.converged
-    got = plan.linearize(rep.z_star)
-    want = replay_plan(*solve_inputs(op, ctx)).linearize(rep.z_star)
+    value, got, _ = plan.linearize(rep.z_star)
+    assert np.array_equal(value, plan.f(rep.z_star))
+    _, want, _ = replay_plan(*solve_inputs(op, ctx)).linearize(rep.z_star)
     rng = np.random.default_rng(22)
     for _ in range(3):
         u = rng.normal(size=rep.z_star.shape)
@@ -278,10 +280,32 @@ def test_plan_parameter_cotangents_match_the_sub_tape(kind, sizes, alpha):
     for _ in range(3):
         z = rng.normal(size=(sum(sizes), 5))
         u = rng.normal(size=z.shape)
-        got, want = plan.vjp(z, u), oracle.vjp(z, u)
+        value, _, vjp = plan.linearize(z)
+        assert np.array_equal(value, plan.f(z))
+        got, want = vjp(u), oracle.linearize(z)[2](u)
         assert len(got) == len(want) == len(plan.tensors)
         for i, (g, w) in enumerate(zip(got, want)):
             assert np.array_equal(g, w), i
+
+
+@pytest.mark.parametrize("kind", ["sd", "bd"])
+def test_unrecorded_apply_reads_no_circuit_jacobian(kind, monkeypatch):
+    # the module's Jacobian is read on the first pullback, which an
+    # unrecorded application never runs
+    from gdeq import quantum
+
+    def sweep(*args):
+        raise AssertionError("adjoint sweep in an unrecorded apply")
+
+    op, ctx = plan_case(kind, (3, 6, 2, 5), 0.3)
+    z = np.random.default_rng(24).normal(size=(16, 5))
+    want = op.plan(ctx).f(z)
+    monkeypatch.setattr(quantum, "_backward", sweep)
+    tape = ad.Tape()
+    with tape, ad.no_grad():
+        got = op.apply(tape.watch(Tensor(z)), ctx)
+    assert got.tape is None
+    assert np.array_equal(got.data, want)
 
 
 def test_plan_needs_conditioning_on_the_id_pathway():

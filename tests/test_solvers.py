@@ -173,6 +173,9 @@ def test_config_validation():
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
+    for beta in (0.0, -0.5):
+        with pytest.raises(ValueError):
+            SolverConfig(beta=beta)
 
 
 def adjoint(jac, g, cfg):
@@ -302,29 +305,40 @@ def test_equilibrium_adjoint_runs_once_per_cotangent():
     apply_fn, tensors = tanh_affine(w, b)
     cfg = SolverConfig(tol=1e-11)
     plan = replay_plan(apply_fn, tensors)
-    calls = {"linearize": 0, "vjp": 0}
+    calls = {"f": 0, "linearize": [], "vjp": 0}
 
-    def counted(name):
-        fn = getattr(plan, name)
+    def f(z):
+        calls["f"] += 1
+        return plan.f(z)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
+    def linearize(z):
+        calls["linearize"].append(z)
+        value, jt, vjp = plan.linearize(z)
 
-    plan = plan._replace(linearize=counted("linearize"), vjp=counted("vjp"))
+        def counted_vjp(u):
+            calls["vjp"] += 1
+            return vjp(u)
+        return value, jt, counted_vjp
+
     tape = ad.Tape()
     tape.watch(w)
     tape.watch(b)
     with tape:
-        z, rep = equilibrium_solve(plan, np.zeros((2, 3)), cfg, cfg)
+        z, rep = equilibrium_solve(plan._replace(f=f, linearize=linearize),
+                                   np.zeros((2, 3)), cfg, cfg)
         loss = sum_all(z)
-    # the forward solve runs on plan.f alone
-    assert calls == {"linearize": 0, "vjp": 0}
+    # the forward solve runs on plan.f alone; the recorded value comes
+    # from one linearization at the solution
+    assert calls["f"] == rep.iterations and calls["vjp"] == 0
+    assert len(calls["linearize"]) == 1
+    assert calls["linearize"][0] is rep.z_star
     tape.backward(loss)
     # one adjoint solve, then one parameter VJP shared by both tensors
-    assert calls == {"linearize": 1, "vjp": 1}
+    assert calls["vjp"] == 1
     assert rep.backward is not None and rep.backward.converged
+    tape.vjp(z, rng.normal(size=z.data.shape))
+    assert calls["f"] == rep.iterations
+    assert len(calls["linearize"]) == 1 and calls["vjp"] == 2
 
 
 def test_equilibrium_divergence_skips_recording():

@@ -433,6 +433,33 @@ def test_a_training_step_builds_the_operator_once(pathway, monkeypatch):
         assert np.any(grads[t] != 0.0), name
 
 
+@pytest.mark.parametrize("pathway", ["sd", "bd"])
+def test_a_training_step_runs_the_circuit_with_a_stash_once(pathway,
+                                                            monkeypatch):
+    # the recorded value, the adjoint's circuit Jacobian and the parameter
+    # cotangents all come from one linearization at z*
+    from gdeq import quantum
+
+    run, runs = quantum._run_program, []
+
+    def counting_run(u_rows, program, stash=None):
+        runs.append(stash is not None)
+        return run(u_rows, program, stash)
+
+    monkeypatch.setattr(quantum, "_run_program", counting_run)
+    ds = toy_dataset()
+    model = GraphClassifier(small_config(pathway), ds.feature_dim, 2, seed=1)
+    tape = ad.Tape()
+    for _, t in model.parameters():
+        tape.watch(t)
+    with tape:
+        loss, _, report = model.forward_batch(collate(ds.graphs[:4]))
+    assert runs.count(True) == 1 and len(runs) == report.iterations + 1
+    tape.backward(loss)
+    assert runs.count(True) == 1 and len(runs) == report.iterations + 1
+    assert report.backward is not None and report.backward.converged
+
+
 @pytest.mark.parametrize("pathway", ["classical", "id", "sd", "bd"])
 def test_a_finished_step_frees_its_tape_without_the_cycle_collector(pathway):
     # a recorded pullback that held a tracked tensor would tie the tape into
