@@ -153,9 +153,9 @@ def _check_adjacency(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("adjacency must be square")
-    if not np.array_equal(a, a.T):
+    if not (a == a.T).all():
         raise ValueError("adjacency must be symmetric (undirected graph)")
-    if np.any(np.diag(a) != 0):
+    if a.diagonal().any():
         raise ValueError("self-loops are not allowed")
     return a
 
@@ -168,52 +168,96 @@ def normalize_adjacency(a) -> np.ndarray:
     return dinv[:, None] * ah * dinv[None, :]
 
 
+def _neighbour_table(src: np.ndarray, dst: np.ndarray,
+                     n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(table, degrees) of the n-node graph with directed edges ``src ->
+    dst``, both directions listed and sorted by ``src``: row v of the
+    (n, max degree) table holds v's neighbours, padded with -1."""
+    deg = np.bincount(src, minlength=n)
+    table = np.full((n, deg.max(initial=0)), -1, dtype=np.intp)
+    table[src, np.arange(src.size) - (np.cumsum(deg) - deg)[src]] = dst
+    return table, deg
+
+
+# Lines parsed, or start vertices grown, per array pass: bounds a pass's
+# transient memory on large datasets.
+_PASS_ROWS = 1024
+
+
+def _cycle_counts(table: np.ndarray, l_max: int) -> np.ndarray:
+    """Per-node counts of simple cycles of each length 3..l_max in the graph
+    with neighbour table ``table`` (see :func:`_neighbour_table`).
+
+    Exact canonical enumeration: a cycle is found once, as the path that
+    starts at its smallest vertex, grows only through larger unvisited
+    vertices, and closes back to the start when its second vertex is
+    smaller than its last.  All such paths of one length form a frontier
+    array, grown a level at a time for every start vertex at once.
+    """
+    if l_max < 3:
+        raise ValueError("l_max must be at least 3")
+    n = table.shape[0]
+    counts = np.zeros((n, l_max - 2))
+    for lo in range(0, n, _PASS_ROWS):
+        paths = np.arange(lo, min(lo + _PASS_ROWS, n))[:, None]
+        for length in range(1, l_max + 1):
+            if not paths.size:
+                break
+            nxt = table[paths[:, -1]]
+            start = paths[:, :1]
+            if length >= 3:
+                closes = (nxt == start).any(axis=1) & (paths[:, 1] < paths[:, -1])
+                counts[:, length - 3] += np.bincount(paths[closes].ravel(),
+                                                     minlength=n)
+            if length == l_max:
+                break
+            # the padding is below every start; no row lists its own vertex
+            grow = nxt > start
+            for col in paths.T[1:-1]:
+                grow &= nxt != col[:, None]
+            paths = np.concatenate((paths[grow.nonzero()[0]], nxt[grow][:, None]),
+                                   axis=1)
+    return counts
+
+
+def _descriptors(table: np.ndarray, deg: np.ndarray, sizes,
+                 l_max: int) -> np.ndarray:
+    """:func:`topology_descriptors` of graphs stored as consecutive node
+    ranges of ``sizes`` rows in one neighbour table, with degrees ``deg``."""
+    k = l_max - 2
+    out = np.zeros((table.shape[0], k + 3))
+    cycles = out[:, :k]
+    cycles[:] = _cycle_counts(table, l_max)
+    if not deg.size:
+        return out
+    deg = deg.astype(np.float64)
+    max_deg = np.repeat(np.maximum.reduceat(deg, np.cumsum(sizes) - sizes), sizes)
+    np.divide(deg, max_deg, out=out[:, k], where=max_deg > 0)
+    tri = cycles[:, 0]      # triangles through each node
+    denom = deg * (deg - 1.0)
+    np.divide(2.0 * tri, denom, out=out[:, k + 1], where=denom > 0)
+    out[:, k + 2] = tri > 0
+    return out
+
+
 def simple_cycle_counts(a, l_max: int = DEFAULT_L_MAX) -> np.ndarray:
     """Per-node counts of simple cycles of each length 3..l_max.
 
-    Canonical DFS enumeration: a cycle is discovered exactly once, from
-    its smallest vertex, walking toward its smaller second vertex.  The
-    result is a function of the adjacency alone, so node relabeling
-    permutes rows and nothing else.
+    Each cycle is counted once (see :func:`_cycle_counts`).  The result is
+    a function of the adjacency alone, so node relabeling permutes rows and
+    nothing else.
     """
     a = _check_adjacency(a)
-    n = a.shape[0]
-    if l_max < 3:
-        raise ValueError("l_max must be at least 3")
-    counts = np.zeros((n, l_max - 2))
-    neigh = [np.flatnonzero(a[i]).tolist() for i in range(n)]
-
-    def dfs(start: int, path: list, on_path: set):
-        v = path[-1]
-        for w in neigh[v]:
-            if w == start and len(path) >= 3 and path[1] < path[-1]:
-                for u in path:
-                    counts[u, len(path) - 3] += 1.0
-            elif w > start and w not in on_path and len(path) < l_max:
-                path.append(w)
-                on_path.add(w)
-                dfs(start, path, on_path)
-                path.pop()
-                on_path.remove(w)
-
-    for s in range(n):
-        dfs(s, [s], {s})
-    return counts
+    return _cycle_counts(_neighbour_table(*np.nonzero(a), a.shape[0])[0], l_max)
 
 
 def topology_descriptors(a, l_max: int = DEFAULT_L_MAX) -> np.ndarray:
     """Per-node [cycle counts 3..l_max, degree / max degree,
-    clustering coefficient, triangle-membership flag]."""
+    clustering coefficient, triangle-membership flag] of the graph whose
+    edges are the nonzero entries of ``a``."""
     a = _check_adjacency(a)
-    cycles = simple_cycle_counts(a, l_max)
-    deg = a.sum(axis=1)
-    max_deg = deg.max() if deg.size else 0.0
-    deg_norm = deg / max_deg if max_deg > 0 else np.zeros_like(deg)
-    tri = np.diag(np.linalg.matrix_power(a, 3)) / 2.0
-    denom = deg * (deg - 1.0)
-    cc = np.divide(2.0 * tri, denom, out=np.zeros_like(denom), where=denom > 0)
-    flag = (tri > 0).astype(np.float64)
-    return np.column_stack([cycles, deg_norm, cc, flag])
+    n = a.shape[0]
+    return _descriptors(*_neighbour_table(*np.nonzero(a), n), [n], l_max)
 
 
 def descriptor_dim(l_max: int = DEFAULT_L_MAX) -> int:
@@ -227,11 +271,72 @@ def descriptor_dim(l_max: int = DEFAULT_L_MAX) -> int:
 def _read_lines(path: Path) -> list:
     if not path.is_file():
         raise FileNotFoundError(f"missing dataset file: {path}")
-    return [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
+    return list(filter(None, map(str.strip, path.read_text().splitlines())))
+
+
+def _edge_lines(path: Path) -> tuple[np.ndarray, Exception | None]:
+    """The "i, j" lines of ``path`` as an (m, 2) int array, up to the first
+    line that is not two integers; with that line's error, else ``None``.
+
+    Values outside [0, 2**62] are clipped into it, which keeps them out of
+    range of any node id.
+    """
+    lines = _read_lines(path)
+    blocks = [np.empty((0, 2), dtype=np.int64)]
+    for lo in range(0, len(lines), _PASS_ROWS):
+        part = lines[lo:lo + _PASS_ROWS]
+        # one split of the whole block; the NUL marker between lines must
+        # land on every third field, or some line is not two fields
+        fields = " \0 ".join(part).replace(",", " ").split()
+        if not (len(fields) == 3 * len(part) - 1 and
+                fields.count("\0") == fields[2::3].count("\0") == len(part) - 1):
+            break
+        try:
+            blocks.append(np.array([list(map(int, fields[0::3])),
+                                    list(map(int, fields[1::3]))], dtype=np.int64).T)
+        except (ValueError, OverflowError):
+            break
+    else:
+        return np.concatenate(blocks), None
+    # this block holds a bad line or a huge id: parse it line by line
+    pairs, error = [], None
+    for lineno, line in enumerate(lines[lo:], start=lo + 1):
+        parts = line.replace(",", " ").split()
+        if len(parts) != 2:
+            error = ValueError(f"{path}:{lineno}: expected 'i, j', got {line!r}")
+            break
+        try:
+            pairs.append([min(max(int(p), 0), 2**62) for p in parts])
+        except ValueError as err:
+            error = err
+            break
+    blocks.append(np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    return np.concatenate(blocks), error
+
+
+def _check_edges(path: Path, pairs: np.ndarray, graph: np.ndarray) -> None:
+    """Raise a ValueError naming the first line of ``pairs`` (1-indexed
+    node ids) with an id out of range, an edge across graphs or a
+    self-loop; ``graph`` is each node's graph."""
+    i, j = pairs[:, 0] - 1, pairs[:, 1] - 1
+    n = graph.shape[0]
+    in_range = (0 <= i) & (i < n) & (0 <= j) & (j < n)
+    crosses = in_range & (graph[np.where(in_range, i, 0)]
+                          != graph[np.where(in_range, j, 0)])
+    bad = ~in_range | crosses | (i == j)
+    if bad.any():
+        k = int(np.argmax(bad))
+        reason = ("node id out of range" if not in_range[k]
+                  else "edge crosses graphs" if crosses[k] else "self-loop")
+        raise ValueError(f"{path}:{k + 1}: {reason}")
 
 
 def load_tu_dataset(data_dir, name: str, l_max: int = DEFAULT_L_MAX) -> GraphDataset:
-    """Parse a TU-format directory into a :class:`GraphDataset`."""
+    """Parse a TU-format directory into a :class:`GraphDataset`.
+
+    Nodes keep their file order within each graph.  All graphs are parsed,
+    built and described in whole-array passes over the dataset.
+    """
     root = Path(data_dir) / name
     if not root.is_dir():
         root = Path(data_dir)
@@ -239,8 +344,8 @@ def load_tu_dataset(data_dir, name: str, l_max: int = DEFAULT_L_MAX) -> GraphDat
     def fpath(suffix: str) -> Path:
         return root / f"{name}_{suffix}.txt"
 
-    indicator = np.array([int(x) for x in _read_lines(fpath("graph_indicator"))])
-    graph_labels_raw = [int(x) for x in _read_lines(fpath("graph_labels"))]
+    indicator = np.array(list(map(int, _read_lines(fpath("graph_indicator")))))
+    graph_labels_raw = list(map(int, _read_lines(fpath("graph_labels"))))
     n_nodes_total = indicator.shape[0]
     n_graphs = len(graph_labels_raw)
 
@@ -249,36 +354,36 @@ def load_tu_dataset(data_dir, name: str, l_max: int = DEFAULT_L_MAX) -> GraphDat
         raise ValueError(
             f"{fpath('graph_indicator')}: graph ids must be 1..{n_graphs} contiguous")
 
-    # map global node id (1-indexed by line order) -> (graph, local index)
-    local_index = np.zeros(n_nodes_total, dtype=np.int64)
-    sizes = np.zeros(n_graphs, dtype=np.int64)
-    for node, gid in enumerate(indicator):
-        local_index[node] = sizes[gid - 1]
-        sizes[gid - 1] += 1
-    if np.any(sizes == 0):
-        raise ValueError(f"{fpath('graph_indicator')}: empty graph present")
+    # node (0-indexed file line) -> its row in the graph-major layout, in
+    # which graph g holds rows starts[g]:starts[g] + sizes[g] in file order
+    graph = indicator.astype(np.intp) - 1
+    sizes = np.bincount(graph, minlength=n_graphs)
+    starts = np.cumsum(sizes) - sizes
+    order = np.argsort(graph, kind="stable")
+    row = np.empty(n_nodes_total, dtype=np.intp)
+    row[order] = np.arange(n_nodes_total)
 
-    adjacency = [np.zeros((s, s)) for s in sizes]
-    for lineno, line in enumerate(_read_lines(fpath("A")), start=1):
-        parts = line.replace(",", " ").split()
-        if len(parts) != 2:
-            raise ValueError(f"{fpath('A')}:{lineno}: expected 'i, j', got {line!r}")
-        i, j = int(parts[0]) - 1, int(parts[1]) - 1
-        if not (0 <= i < n_nodes_total and 0 <= j < n_nodes_total):
-            raise ValueError(f"{fpath('A')}:{lineno}: node id out of range")
-        if indicator[i] != indicator[j]:
-            raise ValueError(f"{fpath('A')}:{lineno}: edge crosses graphs")
-        if i == j:
-            raise ValueError(f"{fpath('A')}:{lineno}: self-loop")
-        g = indicator[i] - 1
-        adjacency[g][local_index[i], local_index[j]] = 1.0
-        adjacency[g][local_index[j], local_index[i]] = 1.0
+    pairs, error = _edge_lines(fpath("A"))
+    _check_edges(fpath("A"), pairs, graph)
+    if error is not None:
+        raise error
+    src, dst = row[pairs[:, 0] - 1], row[pairs[:, 1] - 1]
+    edges = np.unique(np.concatenate([src * n_nodes_total + dst,
+                                      dst * n_nodes_total + src]))
+    src, dst = np.divmod(edges, n_nodes_total)
+
+    # every graph's adjacency is a view of one buffer of its blocks
+    areas = sizes * sizes
+    block_at = np.cumsum(areas) - areas
+    g = np.repeat(np.arange(n_graphs), sizes)[src]
+    flat = np.zeros(areas.sum())
+    flat[block_at[g] + (src - starts[g]) * sizes[g] + dst - starts[g]] = 1.0
 
     # node features: one-hot labels, then numeric attributes, else constant 1
     blocks = []
     label_path = fpath("node_labels")
     if label_path.is_file():
-        raw = np.array([int(x) for x in _read_lines(label_path)])
+        raw = np.array(list(map(int, _read_lines(label_path))))
         if raw.shape[0] != n_nodes_total:
             raise ValueError(f"{label_path}: expected {n_nodes_total} lines")
         vocab = np.unique(raw)
@@ -296,21 +401,21 @@ def load_tu_dataset(data_dir, name: str, l_max: int = DEFAULT_L_MAX) -> GraphDat
     if not blocks:
         blocks.append(np.ones((n_nodes_total, 1)))
     features_all = np.concatenate(blocks, axis=1)
+    features = features_all[order]
+    tau = _descriptors(*_neighbour_table(src, dst, n_nodes_total), sizes, l_max)
 
     classes = sorted(set(graph_labels_raw))
     class_index = {c: i for i, c in enumerate(classes)}
 
     graphs = []
-    for g in range(n_graphs):
-        node_mask = indicator == g + 1
-        feats = features_all[node_mask]
-        a = adjacency[g]
+    for k, (st, n) in enumerate(zip(starts.tolist(), sizes.tolist())):
+        a = flat[block_at[k]:block_at[k] + n * n].reshape(n, n)
         graphs.append(GraphInstance(
             adjacency=a,
-            features=feats,
-            label=class_index[graph_labels_raw[g]],
-            a_norm=normalize_adjacency(a),
-            tau=topology_descriptors(a, l_max),
+            features=features[st:st + n],
+            label=class_index[graph_labels_raw[k]],
+            a_norm=normalize_adjacency(a),   # validates a, once
+            tau=tau[st:st + n],
         ))
     return GraphDataset(name=name, graphs=graphs, n_classes=len(classes),
                         feature_dim=features_all.shape[1], l_max=l_max)

@@ -16,6 +16,7 @@ through the forward iterates themselves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -112,7 +113,10 @@ def anderson_solve(f: Callable[[Array], Array], z0: Array,
     so one weighted sum over it gives the mixed iterate, and the fallback
     is the newest slot.
     The residual Gram matrix is kept across iterations, and each new
-    residual refreshes one row and one column of it.
+    residual refreshes one row and one column of it.  A non-finite f(x_j)
+    or mixed iterate shows in its squared norm (the new Gram diagonal, or
+    the step norm), so a vector is scanned for non-finite entries only when
+    that norm is not finite: an overflowing norm alone is not divergence.
     """
     z0 = np.asarray(z0, dtype=np.float64)
     shape = z0.shape
@@ -120,6 +124,11 @@ def anderson_solve(f: Callable[[Array], Array], z0: Array,
     steps = np.empty((m, z0.size))
     rs = np.empty_like(steps)
     gram = np.empty((m, m))
+    eye = np.eye(m)
+    bordered = np.ones((m + 1, m + 1))
+    bordered[0, 0] = 0.0
+    rhs = np.zeros(m + 1)
+    rhs[0] = 1.0
     diff = np.empty(z0.size)
     x = z0.ravel().copy()
     fallback = 0
@@ -127,26 +136,24 @@ def anderson_solve(f: Callable[[Array], Array], z0: Array,
 
     for it in range(1, cfg.max_iter + 1):
         fk = f(x.reshape(shape)).ravel()
-        if not np.isfinite(fk).all():
-            return SolveReport(False, it, np.inf, z_star=x.reshape(shape),
-                               diverged=True, fallback_steps=fallback)
         slot, k = (it - 1) % m, min(it, m)
         np.subtract(fk, x, out=rs[slot])
+        gram[slot, :k] = gram[:k, slot] = rs[:k] @ rs[slot]
+        # a non-finite f(x) shows in its squared residual; so may overflow
+        if not math.isfinite(gram[slot, slot]) and not np.isfinite(fk).all():
+            return SolveReport(False, it, np.inf, z_star=x.reshape(shape),
+                               diverged=True, fallback_steps=fallback)
         picard = np.multiply(fk, beta, out=steps[slot])
         if beta != 1.0:
             picard += (1.0 - beta) * x
-        gram[slot, :k] = gram[:k, slot] = rs[:k] @ rs[slot]
         x_next = None
         if k > 1:
             scale = np.trace(gram[:k, :k]) / k
-            h = np.zeros((k + 1, k + 1))
-            h[0, 1:] = 1.0
-            h[1:, 0] = 1.0
-            h[1:, 1:] = gram[:k, :k] + cfg.lam * scale * np.eye(k)
-            rhs = np.zeros(k + 1)
-            rhs[0] = 1.0
+            h = bordered[:k + 1, :k + 1]
+            np.multiply(eye[:k, :k], cfg.lam * scale, out=h[1:, 1:])
+            h[1:, 1:] += gram[:k, :k]
             try:
-                alpha = np.linalg.solve(h, rhs)[1:]
+                alpha = np.linalg.solve(h, rhs[:k + 1])[1:]
             except np.linalg.LinAlgError:
                 alpha = None
             if alpha is not None and np.isfinite(alpha).all():
@@ -155,10 +162,11 @@ def anderson_solve(f: Callable[[Array], Array], z0: Array,
                 fallback += 1
         if x_next is None:
             x_next = picard.copy()
-        if not np.isfinite(x_next).all():
+        np.subtract(x_next, x, out=diff)
+        residual = math.sqrt(diff @ diff)
+        if not math.isfinite(residual) and not np.isfinite(x_next).all():
             return SolveReport(False, it, np.inf, z_star=x.reshape(shape),
                                diverged=True, fallback_steps=fallback)
-        residual = _norm(np.subtract(x_next, x, out=diff))
         x = x_next
         if residual <= cfg.tol:
             return SolveReport(True, it, residual, z_star=x.reshape(shape),

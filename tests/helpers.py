@@ -13,6 +13,7 @@ import numpy as np
 from gdeq import autodiff as ad
 from gdeq.contraction import (PathwayAnalysis, _pairs_per_call, lemma2_bound,
                               pathway_bound)
+from gdeq.graphs import GraphDataset, GraphInstance, normalize_adjacency
 from gdeq.operators import BackboneParams, EquilibriumOperator
 from gdeq.quantum import DeepXyzParams, QuantumModule
 from gdeq.solvers import Plan, SolveReport, SolverConfig
@@ -345,6 +346,136 @@ def reference_anderson_solve(f, z0: np.ndarray, cfg: SolverConfig) -> SolveRepor
                                fallback_steps=fallback)
     return SolveReport(False, cfg.max_iter, residual,
                        z_star=xs[-1].reshape(shape), fallback_steps=fallback)
+
+
+def reference_simple_cycle_counts(a: np.ndarray, l_max: int) -> np.ndarray:
+    """Per-node simple-cycle counts by a recursive canonical DFS, one graph
+    at a time: the oracle for ``gdeq.graphs.simple_cycle_counts``.
+
+    A cycle is discovered exactly once, from its smallest vertex, walking
+    toward its smaller second vertex.
+    """
+    n = a.shape[0]
+    counts = np.zeros((n, l_max - 2))
+    neigh = [np.flatnonzero(a[i]).tolist() for i in range(n)]
+
+    def dfs(start: int, path: list, on_path: set):
+        v = path[-1]
+        for w in neigh[v]:
+            if w == start and len(path) >= 3 and path[1] < path[-1]:
+                for u in path:
+                    counts[u, len(path) - 3] += 1.0
+            elif w > start and w not in on_path and len(path) < l_max:
+                path.append(w)
+                on_path.add(w)
+                dfs(start, path, on_path)
+                path.pop()
+                on_path.remove(w)
+
+    for s in range(n):
+        dfs(s, [s], {s})
+    return counts
+
+
+def reference_topology_descriptors(a: np.ndarray, l_max: int) -> np.ndarray:
+    """Descriptors with triangles read from diag(A^3): the oracle for
+    ``gdeq.graphs.topology_descriptors``."""
+    cycles = reference_simple_cycle_counts(a, l_max)
+    deg = a.sum(axis=1)
+    max_deg = deg.max() if deg.size else 0.0
+    deg_norm = deg / max_deg if max_deg > 0 else np.zeros_like(deg)
+    tri = np.diag(np.linalg.matrix_power(a, 3)) / 2.0
+    denom = deg * (deg - 1.0)
+    cc = np.divide(2.0 * tri, denom, out=np.zeros_like(denom), where=denom > 0)
+    flag = (tri > 0).astype(np.float64)
+    return np.column_stack([cycles, deg_norm, cc, flag])
+
+
+def _reference_lines(path: Path) -> list:
+    if not path.is_file():
+        raise FileNotFoundError(f"missing dataset file: {path}")
+    return [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
+
+
+def reference_load_tu_dataset(data_dir, name: str, l_max: int = 6) -> GraphDataset:
+    """A TU directory parsed line by line and edge by edge, one graph at a
+    time: the oracle for ``gdeq.graphs.load_tu_dataset``, its values and
+    its errors."""
+    root = Path(data_dir) / name
+    if not root.is_dir():
+        root = Path(data_dir)
+
+    def fpath(suffix: str) -> Path:
+        return root / f"{name}_{suffix}.txt"
+
+    indicator = np.array([int(x) for x in _reference_lines(fpath("graph_indicator"))])
+    graph_labels_raw = [int(x) for x in _reference_lines(fpath("graph_labels"))]
+    n_nodes_total = indicator.shape[0]
+    n_graphs = len(graph_labels_raw)
+
+    ids = np.unique(indicator)
+    if not np.array_equal(ids, np.arange(1, n_graphs + 1)):
+        raise ValueError(
+            f"{fpath('graph_indicator')}: graph ids must be 1..{n_graphs} contiguous")
+
+    local_index = np.zeros(n_nodes_total, dtype=np.int64)
+    sizes = np.zeros(n_graphs, dtype=np.int64)
+    for node, gid in enumerate(indicator):
+        local_index[node] = sizes[gid - 1]
+        sizes[gid - 1] += 1
+
+    adjacency = [np.zeros((s, s)) for s in sizes]
+    for lineno, line in enumerate(_reference_lines(fpath("A")), start=1):
+        parts = line.replace(",", " ").split()
+        if len(parts) != 2:
+            raise ValueError(f"{fpath('A')}:{lineno}: expected 'i, j', got {line!r}")
+        i, j = int(parts[0]) - 1, int(parts[1]) - 1
+        if not (0 <= i < n_nodes_total and 0 <= j < n_nodes_total):
+            raise ValueError(f"{fpath('A')}:{lineno}: node id out of range")
+        if indicator[i] != indicator[j]:
+            raise ValueError(f"{fpath('A')}:{lineno}: edge crosses graphs")
+        if i == j:
+            raise ValueError(f"{fpath('A')}:{lineno}: self-loop")
+        g = indicator[i] - 1
+        adjacency[g][local_index[i], local_index[j]] = 1.0
+        adjacency[g][local_index[j], local_index[i]] = 1.0
+
+    blocks = []
+    label_path = fpath("node_labels")
+    if label_path.is_file():
+        raw = np.array([int(x) for x in _reference_lines(label_path)])
+        if raw.shape[0] != n_nodes_total:
+            raise ValueError(f"{label_path}: expected {n_nodes_total} lines")
+        vocab = np.unique(raw)
+        onehot = np.zeros((n_nodes_total, vocab.shape[0]))
+        onehot[np.arange(n_nodes_total), np.searchsorted(vocab, raw)] = 1.0
+        blocks.append(onehot)
+    attr_path = fpath("node_attributes")
+    if attr_path.is_file():
+        rows = [[float(x) for x in ln.replace(",", " ").split()]
+                for ln in _reference_lines(attr_path)]
+        widths = {len(r) for r in rows}
+        if len(rows) != n_nodes_total or len(widths) != 1:
+            raise ValueError(f"{attr_path}: ragged or wrong-length attribute rows")
+        blocks.append(np.array(rows))
+    if not blocks:
+        blocks.append(np.ones((n_nodes_total, 1)))
+    features_all = np.concatenate(blocks, axis=1)
+
+    classes = sorted(set(graph_labels_raw))
+    class_index = {c: i for i, c in enumerate(classes)}
+    graphs = []
+    for g in range(n_graphs):
+        a = adjacency[g]
+        graphs.append(GraphInstance(
+            adjacency=a,
+            features=features_all[indicator == g + 1],
+            label=class_index[graph_labels_raw[g]],
+            a_norm=normalize_adjacency(a),
+            tau=reference_topology_descriptors(a, l_max),
+        ))
+    return GraphDataset(name=name, graphs=graphs, n_classes=len(classes),
+                        feature_dim=features_all.shape[1], l_max=l_max)
 
 
 def process_table() -> list[tuple[int, str, int]]:

@@ -6,6 +6,9 @@ import pytest
 
 from gdeq import graphs as gr
 
+from helpers import (reference_load_tu_dataset, reference_simple_cycle_counts,
+                     reference_topology_descriptors)
+
 
 def nx_cycle_counts(a: np.ndarray, l_max: int) -> np.ndarray:
     """Independent per-node simple-cycle counts via networkx enumeration."""
@@ -95,6 +98,68 @@ def test_cycle_counts_complete_four():
     assert np.array_equal(got[:, 1], np.full(4, 3.0))
 
 
+def named_graphs():
+    """A single node, an edgeless graph, K4-K7 and C3-C8."""
+    yield "single", np.zeros((1, 1))
+    yield "edgeless", np.zeros((5, 5))
+    for n in range(4, 8):
+        yield f"K{n}", np.ones((n, n)) - np.eye(n)
+    for n in range(3, 9):
+        yield f"C{n}", np.array(nx.to_numpy_array(nx.cycle_graph(n)))
+
+
+@pytest.mark.parametrize("l_max", range(3, 9))
+def test_cycle_kernel_matches_the_dfs_on_named_graphs(l_max):
+    for name, a in named_graphs():
+        got = gr.simple_cycle_counts(a, l_max)
+        assert np.array_equal(got, reference_simple_cycle_counts(a, l_max)), name
+        assert np.array_equal(gr.topology_descriptors(a, l_max),
+                              reference_topology_descriptors(a, l_max)), name
+
+
+def test_cycle_kernel_matches_the_dfs_on_random_graphs():
+    # l_max 7 and 8 stay at n <= 9, where the DFS oracle is still quick
+    rng = np.random.default_rng(17)
+    for i in range(360):
+        l_max = 3 + i % 6
+        n = int(rng.integers(1, 13 if l_max <= 6 else 10))
+        a = random_adjacency(rng, n, p=float(rng.uniform(0.1, 0.9)))
+        assert np.array_equal(gr.simple_cycle_counts(a, l_max),
+                              reference_simple_cycle_counts(a, l_max)), (i, n)
+        if i % 6 == 3:
+            assert np.array_equal(gr.topology_descriptors(a, l_max),
+                                  reference_topology_descriptors(a, l_max))
+
+
+def test_one_cycle_kernel_serves_graphs_and_datasets(monkeypatch, tiny_tu):
+    calls = []
+    kernel = gr._cycle_counts
+
+    def counted(table, l_max):
+        calls.append(table.shape[0])
+        return kernel(table, l_max)
+
+    monkeypatch.setattr(gr, "_cycle_counts", counted)
+    a = np.ones((3, 3)) - np.eye(3)
+    gr.simple_cycle_counts(a)
+    gr.topology_descriptors(a)
+    gr.load_tu_dataset(tiny_tu, "TINY")
+    assert calls == [3, 3, 5]   # the loader describes all 5 nodes at once
+
+
+def test_load_is_independent_of_the_pass_size(monkeypatch, mutag_dir):
+    whole = gr.load_tu_dataset(mutag_dir, "MUTAG")
+    monkeypatch.setattr(gr, "_PASS_ROWS", 97)
+    assert_same_dataset(gr.load_tu_dataset(mutag_dir, "MUTAG"), whole)
+
+
+def test_cycle_kernel_rejects_short_l_max():
+    with pytest.raises(ValueError, match="l_max"):
+        gr.simple_cycle_counts(np.zeros((2, 2)), l_max=2)
+    with pytest.raises(ValueError, match="l_max"):
+        gr.topology_descriptors(np.zeros((2, 2)), l_max=2)
+
+
 def test_descriptors_permutation_equivariant():
     rng = np.random.default_rng(2)
     for _ in range(10):
@@ -161,6 +226,90 @@ def test_parse_errors(tiny_tu):
     (root / "TINY_A.txt").write_text("1, 2\n2, 1\n")
     (root / "TINY_graph_indicator.txt").write_text("1\n1\n1\n3\n3\n")
     with pytest.raises(ValueError, match="contiguous"):
+        gr.load_tu_dataset(tiny_tu, "TINY")
+
+
+def assert_same_dataset(got, want):
+    assert (got.name, got.n_classes, got.feature_dim, got.l_max, len(got)) == \
+        (want.name, want.n_classes, want.feature_dim, want.l_max, len(want))
+    for k, (g, w) in enumerate(zip(got.graphs, want.graphs)):
+        for field in ("adjacency", "features", "a_norm", "tau"):
+            a, b = getattr(g, field), getattr(w, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (k, field)
+        assert g.label == w.label, k
+
+
+@pytest.mark.parametrize("l_max", [3, 6, 8])
+def test_mutag_matches_the_oracle_loader(mutag_dir, l_max):
+    assert_same_dataset(gr.load_tu_dataset(mutag_dir, "MUTAG", l_max),
+                        reference_load_tu_dataset(mutag_dir, "MUTAG", l_max))
+
+
+def test_tiny_matches_the_oracle_loader(tiny_tu):
+    assert_same_dataset(gr.load_tu_dataset(tiny_tu, "TINY"),
+                        reference_load_tu_dataset(tiny_tu, "TINY"))
+
+
+def test_unsorted_indicator_keeps_file_order(tmp_path):
+    # graph 1 holds nodes 1, 3, 5 and graph 2 nodes 2, 4, in that order;
+    # edges listed once, one of them twice, with blank lines and spacing
+    root = tmp_path / "MIX"
+    root.mkdir()
+    (root / "MIX_A.txt").write_text("1, 3\n\n  5,1 \n3 5\n2, 4\n1, 3\n")
+    (root / "MIX_graph_indicator.txt").write_text("1\n2\n1\n2\n1\n")
+    (root / "MIX_graph_labels.txt").write_text("0\n1\n")
+    (root / "MIX_node_labels.txt").write_text("4\n5\n6\n4\n5\n")
+    ds = gr.load_tu_dataset(tmp_path, "MIX")
+    assert_same_dataset(ds, reference_load_tu_dataset(tmp_path, "MIX"))
+    tri, edge = ds.graphs
+    assert np.array_equal(tri.adjacency, np.ones((3, 3)) - np.eye(3))
+    assert np.array_equal(tri.features.argmax(axis=1), [0, 2, 1])
+    assert np.array_equal(edge.features.argmax(axis=1), [1, 0])
+
+
+A_ERRORS = [
+    ("1, 2\n2, 1\n1 2 3\n", r":3: expected 'i, j', got '1 2 3'"),
+    ("1, 2\n\n  2\n", r":2: expected 'i, j', got '2'"),
+    ("1, 2\n2, x\n", r"invalid literal for int\(\) with base 10: 'x'"),
+    ("1, 2\n2, 1\n1, 6\n", r":3: node id out of range"),
+    ("1, 2\n0, 1\n", r":2: node id out of range"),
+    ("1, 2\n\n\n3, 4\n", r":2: edge crosses graphs"),
+    ("1, 2\n5, 5\n", r":2: self-loop"),
+    # two errors: the earlier line wins, whatever its kind
+    ("1, 2\n2, 2\n1, 2, 3\n", r":2: self-loop"),
+    ("1, 2\n1 2 3\n2, 2\n", r":2: expected 'i, j', got '1 2 3'"),
+    ("1, 9\n2, y\n", r":1: node id out of range"),
+    ("3, 4\n1, 9\n", r":1: edge crosses graphs"),
+]
+
+
+@pytest.mark.parametrize("pass_rows", [1, 2, 1024])
+@pytest.mark.parametrize("text,message", A_ERRORS)
+def test_edge_file_errors_name_the_first_bad_line(monkeypatch, tiny_tu, text,
+                                                  message, pass_rows):
+    monkeypatch.setattr(gr, "_PASS_ROWS", pass_rows)
+    (tiny_tu / "TINY" / "TINY_A.txt").write_text(text)
+    with pytest.raises(ValueError, match=message) as got:
+        gr.load_tu_dataset(tiny_tu, "TINY")
+    with pytest.raises(ValueError) as want:
+        reference_load_tu_dataset(tiny_tu, "TINY")
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("fname", ["TINY_graph_indicator.txt",
+                                   "TINY_graph_labels.txt"])
+def test_two_integer_line_in_a_per_line_file_is_rejected(tiny_tu, fname):
+    path = tiny_tu / "TINY" / fname
+    path.write_text(path.read_text().replace("1\n", "1 1\n", 1))
+    with pytest.raises(ValueError):
+        gr.load_tu_dataset(tiny_tu, "TINY")
+
+
+@pytest.mark.parametrize("fname", ["TINY_A.txt", "TINY_graph_indicator.txt",
+                                   "TINY_graph_labels.txt"])
+def test_missing_required_file_is_reported(tiny_tu, fname):
+    (tiny_tu / "TINY" / fname).unlink()
+    with pytest.raises(FileNotFoundError, match=fname):
         gr.load_tu_dataset(tiny_tu, "TINY")
 
 

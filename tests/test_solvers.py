@@ -150,6 +150,49 @@ def test_anderson_matches_oracle_on_a_nonfinite_map():
     assert rep.diverged and rep.iterations > 3
 
 
+def fails_at_call(bad_call, value):
+    """``contraction_map()`` whose ``bad_call``-th and later outputs hold
+    one ``value`` entry."""
+    f, calls = contraction_map(), [0]
+
+    def g(z):
+        calls[0] += 1
+        out = f(z)
+        if calls[0] >= bad_call:
+            out[5, 1] = value
+        return out
+
+    return g
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad_call", [1, 2, 8])
+@pytest.mark.parametrize("history", [1, 5])
+def test_anderson_reports_a_nonfinite_map_like_the_oracle(value, bad_call,
+                                                          history):
+    # call 1 has no window yet, call 2 has a two-slot one, and call 8 is
+    # past a full ring of five
+    cfg = SolverConfig(history=history, tol=1e-14)
+    z0 = np.zeros((12, 3))
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = anderson_solve(fails_at_call(bad_call, value), z0, cfg)
+        want = reference_anderson_solve(fails_at_call(bad_call, value), z0, cfg)
+    assert got.diverged and got.residual == np.inf
+    assert got.iterations == bad_call
+    assert rel_err(got.z_star, want.z_star) <= 1e-12
+    for name in ("iterations", "fallback_steps", "converged", "diverged"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+def test_anderson_reports_an_overflowing_step_like_the_oracle():
+    # f(x) is finite, but the step 2 f(x) - x overflows
+    cfg = SolverConfig(beta=2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = assert_matches_reference(lambda z: np.full_like(z, 1e308),
+                                       np.zeros((4, 2)), cfg)
+    assert rep.diverged and rep.iterations == 1 and rep.residual == np.inf
+
+
 def test_anderson_matches_oracle_through_fallback():
     # a translation keeps every residual equal, so without damping the
     # bordered system is singular and each mixing step falls back
