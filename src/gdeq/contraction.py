@@ -18,6 +18,11 @@ its input 1 + 3 * reps times, and sampled node-level ratios can exceed it
 classical and input-conditioning pathways are proven.  A proven budget
 below one certifies existence and uniqueness of the fixed point;
 empirical pair ratios can only ever certify the opposite.
+
+``analyze_operator`` sets the two side by side for one operator on one
+graph.  It reads the circuit once per analysis: one module plan gives
+both L_q (``headline_budget`` of its normalized maps) and the batched
+probe applications.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ def spectral_norm(m: np.ndarray) -> float:
     """Largest singular value, exact to round-off (LAPACK SVD).
 
     Power iteration only approaches it from below, and this value feeds
-    upper bounds (``lemma2_bound``, the spectral clip).
+    upper bounds (``headline_budget``, the spectral clip).
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -42,21 +47,43 @@ def spectral_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def lemma2_bound(module) -> float:
-    """Headline Lipschitz budget 2 sqrt(n_q) sigma(W_out) sigma(W_in) of a
-    module; a budget, not a proven bound (see the module docstring).
+def headline_budget(n_qubits: int, w_in: np.ndarray,
+                    w_out: np.ndarray) -> float:
+    """2 sqrt(n_q) sigma(W_out) sigma(W_in) of the maps the circuit sees;
+    a budget, not a proven bound (see the module docstring)."""
+    return 2.0 * np.sqrt(n_qubits) * spectral_norm(w_out) * spectral_norm(w_in)
 
-    Uses the effective (normalized) maps when spectral normalization is on.
-    """
+
+def lemma2_bound(module) -> float:
+    """:func:`headline_budget` of a module's effective maps (normalized when
+    spectral normalization is on)."""
     (w_in, _), (w_out, _) = module.maps()
-    return (2.0 * np.sqrt(module.n_qubits)
-            * spectral_norm(w_out) * spectral_norm(w_in))
+    return headline_budget(module.n_qubits, w_in, w_out)
 
 
 class PathwayBounds(NamedTuple):
     id: float
     bd: float
     sd: float
+
+
+def _exact_inputs(kappa: float, alpha: float, *lqs: float) -> list:
+    """kappa, alpha and module bounds, validated, as exact rationals of
+    their decimal values."""
+    kappa, alpha = float(kappa), float(alpha)
+    lqs = [float(lq) for lq in lqs]
+    if not 0.0 <= kappa <= 1.0:
+        raise ValueError("kappa must lie in [0, 1]")
+    if alpha < 0.0:
+        raise ValueError("alpha must be nonnegative")
+    if any(lq < 0.0 for lq in lqs):
+        raise ValueError("module bounds must be nonnegative")
+    return [Fraction(str(x)) for x in (kappa, alpha, *lqs)]
+
+
+def _coupled(kind: str, k: Fraction, a: Fraction, lq: Fraction) -> float:
+    """State coupling k + a lq, or output coupling k (1 + a lq)."""
+    return float(k + a * lq) if kind == "sd" else float(k * (1 + a * lq))
 
 
 def theorem_bounds(kappa: float, alpha: float, lq_sd: float,
@@ -70,29 +97,22 @@ def theorem_bounds(kappa: float, alpha: float, lq_sd: float,
     """
     if lq_bd is None:
         lq_bd = lq_sd
-    kappa, alpha = float(kappa), float(alpha)
-    lq_sd, lq_bd = float(lq_sd), float(lq_bd)
-    if not 0.0 <= kappa <= 1.0:
-        raise ValueError("kappa must lie in [0, 1]")
-    if alpha < 0.0:
-        raise ValueError("alpha must be nonnegative")
-    if lq_sd < 0.0 or lq_bd < 0.0:
-        raise ValueError("module bounds must be nonnegative")
-    k, a = Fraction(str(kappa)), Fraction(str(alpha))
-    lsd, lbd = Fraction(str(lq_sd)), Fraction(str(lq_bd))
-    return PathwayBounds(id=float(k),
-                         bd=float(k * (1 + a * lbd)),
-                         sd=float(k + a * lsd))
+    k, a, lsd, lbd = _exact_inputs(kappa, alpha, lq_sd, lq_bd)
+    return PathwayBounds(id=float(k), bd=_coupled("bd", k, a, lbd),
+                         sd=_coupled("sd", k, a, lsd))
 
 
 def pathway_bound(kind: str, kappa: float, alpha: float,
                   lq: float | None) -> float:
+    """``getattr(theorem_bounds(kappa, alpha, lq), kind)``, computing only
+    that bound; kappa itself for the classical and id pathways."""
     if kind in ("classical", "id"):
         return kappa
+    if kind not in ("sd", "bd"):
+        raise ValueError(f"unknown pathway {kind!r}")
     if lq is None:
         raise ValueError(f"pathway {kind!r} needs a module bound")
-    bounds = theorem_bounds(kappa, alpha, lq)
-    return getattr(bounds, kind)
+    return _coupled(kind, *_exact_inputs(kappa, alpha, lq))
 
 
 # Most rows one operator application takes when probing a certificate.
@@ -214,18 +234,23 @@ def analyze_operator(op, ctx, rng: np.random.Generator,
                      n_pairs: int = 200) -> PathwayAnalysis:
     """Empirical-vs-analytic check of one operator on a fixed graph context.
 
-    The operator acts row-wise within each graph's block, so the probe
-    stacks of :func:`empirical_lipschitz` run as copies of ``ctx`` (see
+    The weights are read once per analysis: on sd and bd, one
+    :meth:`~gdeq.operators.EquilibriumOperator.module_plan` holds the
+    circuit's normalized maps and compiled program, and both the module
+    budget ``lq`` and every chunk's plan use it.  The operator acts
+    row-wise within each graph's block, so the probe stacks of
+    :func:`empirical_lipschitz` run as copies of ``ctx`` (see
     :meth:`GraphContext.repeat`), built once for a full chunk.  Each chunk
-    is one call of ``op.plan(copies.head(rows)).f``, which equals
-    ``op.apply`` bit for bit; the plan is built once per distinct chunk row
-    count, so at most twice per analysis (full chunks and a shorter last
-    one).  The last chunk is not padded: BLAS output rows can change in
-    their last bits with the row count.
+    is one call of ``op.plan(copies.head(rows), module).f``, which equals
+    ``op.apply`` bit for bit; the plan is built once per distinct chunk
+    row count (full chunks and a shorter last one).  The last chunk is not
+    padded: BLAS output rows can change in their last bits with the row
+    count.
     """
+    module = op.module_plan()
     lq = None
-    if op.kind in ("sd", "bd") and op.quantum is not None:
-        lq = lemma2_bound(op.quantum)
+    if module is not None:
+        lq = headline_budget(module.n_qubits, module.w_in, module.w_out)
     analytic = pathway_bound(op.kind, op.backbone.kappa, op.alpha, lq)
 
     n = ctx.h.rows
@@ -235,7 +260,7 @@ def analyze_operator(op, ctx, rng: np.random.Generator,
     def f(zd: np.ndarray) -> np.ndarray:
         rows = zd.shape[0]
         if rows not in plans:
-            plans[rows] = op.plan(copies.head(rows)).f
+            plans[rows] = op.plan(copies.head(rows), module).f
         return plans[rows](zd)
 
     shape = (n, op.backbone.d_hidden)

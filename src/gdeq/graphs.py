@@ -335,7 +335,7 @@ def load_tu_dataset(data_dir, name: str, l_max: int = DEFAULT_L_MAX) -> GraphDat
     """Parse a TU-format directory into a :class:`GraphDataset`.
 
     Nodes keep their file order within each graph.  All graphs are parsed,
-    built and described in whole-array passes over the dataset.
+    built, normalized and described in whole-array passes over the dataset.
     """
     root = Path(data_dir) / name
     if not root.is_dir():
@@ -372,12 +372,27 @@ def load_tu_dataset(data_dir, name: str, l_max: int = DEFAULT_L_MAX) -> GraphDat
                                       dst * n_nodes_total + src]))
     src, dst = np.divmod(edges, n_nodes_total)
 
-    # every graph's adjacency is a view of one buffer of its blocks
+    # every graph's adjacency, and its normalization, is a view of one
+    # buffer of its blocks; entry (i, j) of i's graph sits at offset(i, j)
     areas = sizes * sizes
     block_at = np.cumsum(areas) - areas
-    g = np.repeat(np.arange(n_graphs), sizes)[src]
+    node_graph = np.repeat(np.arange(n_graphs), sizes)
+
+    def offset(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        g = node_graph[i]
+        return block_at[g] + (i - starts[g]) * sizes[g] + j - starts[g]
+
+    edge_at = offset(src, dst)
     flat = np.zeros(areas.sum())
-    flat[block_at[g] + (src - starts[g]) * sizes[g] + dst - starts[g]] = 1.0
+    flat[edge_at] = 1.0
+    table, deg = _neighbour_table(src, dst, n_nodes_total)
+    # normalize_adjacency entrywise: A + I holds 0s and 1s and its row sums
+    # deg + 1 are exact, so dinv_i (A + I)_ij dinv_j is dinv_i dinv_j or 0
+    dinv = 1.0 / np.sqrt(deg + 1.0)
+    norm = np.zeros(areas.sum())
+    norm[edge_at] = dinv[src] * dinv[dst]
+    nodes = np.arange(n_nodes_total)
+    norm[offset(nodes, nodes)] = dinv * dinv
 
     # node features: one-hot labels, then numeric attributes, else constant 1
     blocks = []
@@ -402,19 +417,19 @@ def load_tu_dataset(data_dir, name: str, l_max: int = DEFAULT_L_MAX) -> GraphDat
         blocks.append(np.ones((n_nodes_total, 1)))
     features_all = np.concatenate(blocks, axis=1)
     features = features_all[order]
-    tau = _descriptors(*_neighbour_table(src, dst, n_nodes_total), sizes, l_max)
+    tau = _descriptors(table, deg, sizes, l_max)
 
     classes = sorted(set(graph_labels_raw))
     class_index = {c: i for i, c in enumerate(classes)}
 
     graphs = []
-    for k, (st, n) in enumerate(zip(starts.tolist(), sizes.tolist())):
-        a = flat[block_at[k]:block_at[k] + n * n].reshape(n, n)
+    for k, (st, n, at) in enumerate(zip(starts.tolist(), sizes.tolist(),
+                                        block_at.tolist())):
         graphs.append(GraphInstance(
-            adjacency=a,
+            adjacency=flat[at:at + n * n].reshape(n, n),
             features=features[st:st + n],
             label=class_index[graph_labels_raw[k]],
-            a_norm=normalize_adjacency(a),   # validates a, once
+            a_norm=norm[at:at + n * n].reshape(n, n),
             tau=tau[st:st + n],
         ))
     return GraphDataset(name=name, graphs=graphs, n_classes=len(classes),

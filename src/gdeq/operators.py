@@ -162,11 +162,21 @@ class EquilibriumOperator:
         return ad.record_op(value,
                             [(z, jt)] + ad.shared_pullback(plan.tensors, vjp))
 
-    def plan(self, ctx: GraphContext) -> Plan:
+    def module_plan(self) -> ModulePlan | None:
+        """The sd/bd module at its live weights (its normalized maps and
+        compiled program), else ``None``."""
+        if self.kind in ("sd", "bd") and self.quantum is not None:
+            return ModulePlan(self.quantum)
+        return None
+
+    def plan(self, ctx: GraphContext,
+             module: ModulePlan | None = None) -> Plan:
         """The operator on ``ctx`` at the live weights, for one solve.
 
-        H Omᵀ, W and the circuit's normalized maps and compiled program are
-        read once here.  ``linearize(z)`` evaluates the map once at z, with
+        H Omᵀ and W are read once here, and so is the circuit through
+        ``module``, this operator's :meth:`module_plan`, built here unless
+        a caller that plans several contexts at the same weights passes
+        one.  ``linearize(z)`` evaluates the map once at z, with
         y = h(z) and one circuit run at the module's rows, and returns the
         value with two pullbacks.  ``jt(u)`` is J_f(z)ᵀ u in closed form:
 
@@ -191,8 +201,9 @@ class EquilibriumOperator:
         h_om = h @ omega.T
         q_id = ctx.q_id.data if self.kind == "id" else None
         bias = self.backbone.bias.data
-        coupled = self.kind in ("sd", "bd") and self.alpha != 0.0
-        q = ModulePlan(self.quantum) if coupled else None
+        q = None
+        if self.kind in ("sd", "bd") and self.alpha != 0.0:
+            q = self.module_plan() if module is None else module
         alpha, state = self.alpha, self.kind == "sd"
         tensors = [t for _, t in self.tracked_tensors()] + [ctx.h]
         if q_id is not None:

@@ -24,9 +24,10 @@ as an independent route to the same angle gradients.
 
 Under spectral normalization W_in and W_out enter as W / sigma(W), with
 sigma from one exact SVD per map, taken from the live weights: once per
-``forward_rows`` call, or once per solve in a :class:`ModulePlan`, which
-also compiles the program once.  Its linearization at the solution runs
-the circuit once with a stash, and from that one run gives the value, the
+``forward_rows`` call, or once per solve or certificate analysis in a
+:class:`ModulePlan`, which also compiles the program once.  Its
+linearization at the solution runs the circuit once with a stash, and
+from that one run gives the value, the
 per-row Jacobian of the expectations (n_q adjoint sweeps, on first use)
 and the parameter cotangents (one sweep).  Each map comes with
 its pullback through sigma, which the tape records and the plan calls, so
@@ -483,8 +484,10 @@ class QuantumModule:
 class ModulePlan:
     """The module at its live weights, as plain NumPy maps on row stacks.
 
-    Built once per solve: the effective maps (one SVD each under spectral
-    normalization) with their pullbacks, and the compiled program.
+    Built once per solve, or once per certificate analysis and shared by
+    its chunk plans and module budget: the effective maps (one SVD each
+    under spectral normalization) with their pullbacks, and the compiled
+    program.
     Calling the plan equals ``forward_rows`` bit for bit, and so does the
     value :meth:`linearize` returns, whose ``vjp`` equals the cotangents of
     ``forward_rows`` on the tape.

@@ -85,15 +85,16 @@ def picard_solve(f: Callable[[Array], Array], z0: Array,
                  cfg: SolverConfig) -> SolveReport:
     z = np.asarray(z0, dtype=np.float64)
     residual = np.inf
-    for it in range(1, cfg.max_iter + 1):
-        z_new = f(z)
-        if not np.all(np.isfinite(z_new)):
-            return SolveReport(False, it, np.inf, z_star=z, diverged=True)
-        residual = _norm(z_new - z)
-        z = z_new
-        if residual <= cfg.tol:
-            return SolveReport(True, it, residual, z_star=z)
-    return SolveReport(False, cfg.max_iter, residual, z_star=z)
+    with np.errstate(all="ignore"):
+        for it in range(1, cfg.max_iter + 1):
+            z_new = f(z)
+            if not np.all(np.isfinite(z_new)):
+                return SolveReport(False, it, np.inf, z_star=z, diverged=True)
+            residual = _norm(z_new - z)
+            z = z_new
+            if residual <= cfg.tol:
+                return SolveReport(True, it, residual, z_star=z)
+        return SolveReport(False, cfg.max_iter, residual, z_star=z)
 
 
 def anderson_solve(f: Callable[[Array], Array], z0: Array,
@@ -117,6 +118,9 @@ def anderson_solve(f: Callable[[Array], Array], z0: Array,
     or mixed iterate shows in its squared norm (the new Gram diagonal, or
     the step norm), so a vector is scanned for non-finite entries only when
     that norm is not finite: an overflowing norm alone is not divergence.
+    Floating-point warnings are off for the whole solve, as in
+    :func:`picard_solve`: the report is the only signal of a map that
+    overflows or goes non-finite.
     """
     z0 = np.asarray(z0, dtype=np.float64)
     shape = z0.shape
@@ -134,45 +138,46 @@ def anderson_solve(f: Callable[[Array], Array], z0: Array,
     fallback = 0
     residual = np.inf
 
-    for it in range(1, cfg.max_iter + 1):
-        fk = f(x.reshape(shape)).ravel()
-        slot, k = (it - 1) % m, min(it, m)
-        np.subtract(fk, x, out=rs[slot])
-        gram[slot, :k] = gram[:k, slot] = rs[:k] @ rs[slot]
-        # a non-finite f(x) shows in its squared residual; so may overflow
-        if not math.isfinite(gram[slot, slot]) and not np.isfinite(fk).all():
-            return SolveReport(False, it, np.inf, z_star=x.reshape(shape),
-                               diverged=True, fallback_steps=fallback)
-        picard = np.multiply(fk, beta, out=steps[slot])
-        if beta != 1.0:
-            picard += (1.0 - beta) * x
-        x_next = None
-        if k > 1:
-            scale = np.trace(gram[:k, :k]) / k
-            h = bordered[:k + 1, :k + 1]
-            np.multiply(eye[:k, :k], cfg.lam * scale, out=h[1:, 1:])
-            h[1:, 1:] += gram[:k, :k]
-            try:
-                alpha = np.linalg.solve(h, rhs[:k + 1])[1:]
-            except np.linalg.LinAlgError:
-                alpha = None
-            if alpha is not None and np.isfinite(alpha).all():
-                x_next = alpha @ steps[:k]
-            else:
-                fallback += 1
-        if x_next is None:
-            x_next = picard.copy()
-        np.subtract(x_next, x, out=diff)
-        residual = math.sqrt(diff @ diff)
-        if not math.isfinite(residual) and not np.isfinite(x_next).all():
-            return SolveReport(False, it, np.inf, z_star=x.reshape(shape),
-                               diverged=True, fallback_steps=fallback)
-        x = x_next
-        if residual <= cfg.tol:
-            return SolveReport(True, it, residual, z_star=x.reshape(shape),
-                               fallback_steps=fallback)
-    return SolveReport(False, cfg.max_iter, residual,
-                       z_star=x.reshape(shape), fallback_steps=fallback)
+    with np.errstate(all="ignore"):
+        for it in range(1, cfg.max_iter + 1):
+            fk = f(x.reshape(shape)).ravel()
+            slot, k = (it - 1) % m, min(it, m)
+            np.subtract(fk, x, out=rs[slot])
+            gram[slot, :k] = gram[:k, slot] = rs[:k] @ rs[slot]
+            # a non-finite f(x) shows in its squared residual; so may overflow
+            if not math.isfinite(gram[slot, slot]) and not np.isfinite(fk).all():
+                return SolveReport(False, it, np.inf, z_star=x.reshape(shape),
+                                   diverged=True, fallback_steps=fallback)
+            picard = np.multiply(fk, beta, out=steps[slot])
+            if beta != 1.0:
+                picard += (1.0 - beta) * x
+            x_next = None
+            if k > 1:
+                scale = np.trace(gram[:k, :k]) / k
+                h = bordered[:k + 1, :k + 1]
+                np.multiply(eye[:k, :k], cfg.lam * scale, out=h[1:, 1:])
+                h[1:, 1:] += gram[:k, :k]
+                try:
+                    alpha = np.linalg.solve(h, rhs[:k + 1])[1:]
+                except np.linalg.LinAlgError:
+                    alpha = None
+                if alpha is not None and np.isfinite(alpha).all():
+                    x_next = alpha @ steps[:k]
+                else:
+                    fallback += 1
+            if x_next is None:
+                x_next = picard.copy()
+            np.subtract(x_next, x, out=diff)
+            residual = math.sqrt(diff @ diff)
+            if not math.isfinite(residual) and not np.isfinite(x_next).all():
+                return SolveReport(False, it, np.inf, z_star=x.reshape(shape),
+                                   diverged=True, fallback_steps=fallback)
+            x = x_next
+            if residual <= cfg.tol:
+                return SolveReport(True, it, residual, z_star=x.reshape(shape),
+                                   fallback_steps=fallback)
+        return SolveReport(False, cfg.max_iter, residual,
+                           z_star=x.reshape(shape), fallback_steps=fallback)
 
 
 def solve_fixed_point(f: Callable[[Array], Array], z0: Array,

@@ -7,6 +7,7 @@ from helpers import (apply_on_copies, chunked_empirical_lipschitz,
                      reference_analyze_operator, reference_empirical_lipschitz)
 
 import gdeq.autodiff as ad
+from gdeq import contraction, quantum
 from gdeq.autodiff import Tensor
 from gdeq.contraction import (LipschitzReport, PathwayAnalysis,
                               _pairs_per_call, analyze_operator,
@@ -161,6 +162,30 @@ def test_pathway_bound_dispatch():
         pathway_bound("sd", 0.8, 0.1, None)
 
 
+def test_pathway_bound_is_its_theorem_bound_bit_for_bit():
+    # criterion 4's grid, its worked example, then random draws over the
+    # ranges the certificate sweeps see and beyond
+    rng = np.random.default_rng(38)
+    cases = [(kappa, 1.0, lq) for kappa in (0.0, 0.25, 0.5, 0.8, 1.0)
+             for lq in (0.0, 0.1, 1.0, 10.0)]
+    cases.append((0.8, 0.1, 1.0))
+    cases += [(rng.uniform(0.0, 1.0), 10.0 ** rng.uniform(-4.0, 1.0),
+               rng.uniform(0.0, 10.0)) for _ in range(500)]
+    for kappa, alpha, lq in cases:
+        bounds = theorem_bounds(kappa, alpha, lq)
+        for kind in ("id", "sd", "bd"):
+            got = pathway_bound(kind, kappa, alpha, lq)
+            assert got.hex() == getattr(bounds, kind).hex(), (kind, kappa,
+                                                               alpha, lq)
+    for bad in ((1.5, 0.1, 1.0), (-0.1, 0.1, 1.0), (0.5, -1.0, 1.0),
+                (0.5, 0.1, -1.0)):
+        for kind in ("sd", "bd"):
+            with pytest.raises(ValueError):
+                pathway_bound(kind, *bad)
+    with pytest.raises(ValueError):
+        pathway_bound("xd", 0.8, 0.1, 1.0)
+
+
 def test_empirical_identity_and_halving():
     rng = np.random.default_rng(26)
     assert empirical_lipschitz(lambda z: z, (3, 4), rng, n_pairs=50) == 1.0
@@ -291,9 +316,9 @@ def test_analyze_operator_plans_once_per_chunk_row_count(kind, layout,
     planned = []
     plan = EquilibriumOperator.plan
 
-    def counting_plan(self, c):
+    def counting_plan(self, c, *module):
         planned.append(c.h.rows)
-        return plan(self, c)
+        return plan(self, c, *module)
 
     def no_apply(self, z, c):
         raise AssertionError("analyze_operator ran the tape path")
@@ -303,6 +328,59 @@ def test_analyze_operator_plans_once_per_chunk_row_count(kind, layout,
     got = analyze_operator(op, ctx, np.random.default_rng(32), n_pairs=n_pairs)
     assert sorted(planned) == sorted(chunk_rows)
     assert got == want
+
+
+@pytest.mark.parametrize("kind", ["sd", "bd"])
+def test_analyze_operator_reads_the_circuit_once(kind, monkeypatch):
+    # 200 pairs on 16 rows: full chunks and a shorter last one, so two
+    # chunk plans share the one module plan
+    op, ctx = _probe_case(kind, "padded", np.random.default_rng(33))
+    want = reference_analyze_operator(op, ctx, np.random.default_rng(34))
+    compiled, svd_inputs, norms = [], [], []
+    compile_, svd, norm = quantum._compile, np.linalg.svd, contraction.spectral_norm
+
+    def counting_compile(*args):
+        compiled.append(args)
+        return compile_(*args)
+
+    def counting_svd(a, *args, **kwargs):
+        svd_inputs.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    def counting_norm(m):
+        norms.append(m)
+        return norm(m)
+
+    monkeypatch.setattr(quantum, "_compile", counting_compile)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(contraction, "spectral_norm", counting_norm)
+    got = analyze_operator(op, ctx, np.random.default_rng(34))
+    assert got == want
+    assert len(compiled) == 1
+    # one SVD per map for its normalization, and one spectral norm per
+    # normalized map for the budget
+    maps = (op.quantum.w_in.data, op.quantum.w_out.data)
+    assert len(svd_inputs) == 2
+    assert all(np.array_equal(a, w) for a, w in zip(svd_inputs, maps))
+    assert len(norms) == 2
+
+
+@pytest.mark.parametrize("kind", ["sd", "bd"])
+def test_analyze_operator_reads_weights_mutated_in_place(kind):
+    op, ctx = _probe_case(kind, "padded", np.random.default_rng(35))
+    before = analyze_operator(op, ctx, np.random.default_rng(36))
+    rng = np.random.default_rng(37)
+    module = op.quantum
+    module.w_in.data += rng.normal(scale=0.5, size=module.w_in.data.shape)
+    module.params.angles.data += rng.normal(size=module.params.angles.data.shape)
+    got = analyze_operator(op, ctx, np.random.default_rng(36))
+    fresh = EquilibriumOperator(kind, op.backbone, QuantumModule(
+        Tensor(module.w_in.data.copy()), Tensor(module.w_out.data.copy()),
+        DeepXyzParams(Tensor(module.params.angles.data.copy()), module.n_qubits),
+        spectral_normalize=module.spectral_normalize), alpha=op.alpha)
+    want = analyze_operator(fresh, ctx, np.random.default_rng(36))
+    assert got == want
+    assert got.lq != before.lq and got.empirical != before.empirical
 
 
 def test_analyze_operator_certifies_clipped_state_coupling():

@@ -267,6 +267,33 @@ def test_unsorted_indicator_keeps_file_order(tmp_path):
     assert np.array_equal(edge.features.argmax(axis=1), [1, 0])
 
 
+def test_loader_normalizes_in_one_pass_like_normalize_adjacency(
+        monkeypatch, mutag_dir, tiny_tu, tmp_path):
+    # graph 2 holds an isolated node and graph 3 is a single node, so some
+    # rows of A + I hold only the diagonal
+    root = tmp_path / "ISO"
+    root.mkdir()
+    (root / "ISO_A.txt").write_text("1, 2\n2, 1\n4, 5\n")
+    (root / "ISO_graph_indicator.txt").write_text("1\n1\n2\n2\n2\n3\n")
+    (root / "ISO_graph_labels.txt").write_text("0\n1\n0\n")
+    normalize = gr.normalize_adjacency
+    loaded = []
+    for data_dir, name in ((mutag_dir, "MUTAG"), (tiny_tu, "TINY"),
+                           (tmp_path, "ISO")):
+        monkeypatch.setattr(gr, "normalize_adjacency", None)
+        loaded.append(gr.load_tu_dataset(data_dir, name))
+        monkeypatch.setattr(gr, "normalize_adjacency", normalize)
+        assert_same_dataset(loaded[-1], reference_load_tu_dataset(data_dir, name))
+    for ds in loaded:
+        for g in ds.graphs:
+            want = normalize(g.adjacency)
+            assert g.a_norm.tobytes() == want.tobytes()
+            assert g.a_norm.shape == want.shape
+    iso = loaded[-1].graphs
+    assert np.allclose(iso[1].a_norm, [[1, 0, 0], [0, .5, .5], [0, .5, .5]])
+    assert np.array_equal(iso[2].a_norm, [[1.0]])
+
+
 A_ERRORS = [
     ("1, 2\n2, 1\n1 2 3\n", r":3: expected 'i, j', got '1 2 3'"),
     ("1, 2\n\n  2\n", r":2: expected 'i, j', got '2'"),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -138,14 +140,19 @@ def test_anderson_matches_oracle_at_max_iter():
     assert rep.iterations == 7 and not rep.converged and not rep.diverged
 
 
-def test_anderson_matches_oracle_on_a_nonfinite_map():
+def fails_near_the_solution():
+    """``contraction_map()``, but all inf once a step is below 1e-4."""
     f = contraction_map()
 
-    def fails_near_the_solution(z):
+    def g(z):
         out = f(z)
         return out if np.linalg.norm(out - z) > 1e-4 else np.full_like(out, np.inf)
 
-    rep = assert_matches_reference(fails_near_the_solution, np.zeros((12, 3)),
+    return g
+
+
+def test_anderson_matches_oracle_on_a_nonfinite_map():
+    rep = assert_matches_reference(fails_near_the_solution(), np.zeros((12, 3)),
                                    SolverConfig())
     assert rep.diverged and rep.iterations > 3
 
@@ -207,6 +214,33 @@ def test_anderson_matches_oracle_through_fallback():
         rep = assert_matches_reference(lambda z: 0.5 * z + 1e160,
                                        np.zeros((4, 2)), cfg)
     assert rep.fallback_steps == 25
+
+
+# (map factory, z0, config): the non-finite and overflow cases above
+WARNING_CASES = [
+    (lambda: lambda z: np.full_like(z, 1e308), (4, 2), SolverConfig(beta=2.0)),
+    (lambda: lambda z: 0.5 * z + 1e160, (4, 2), SolverConfig(max_iter=30)),
+    (fails_near_the_solution, (12, 3), SolverConfig()),
+] + [(lambda bad_call=bad_call, value=value: fails_at_call(bad_call, value),
+      (12, 3), SolverConfig(history=history, tol=1e-14))
+     for value in (np.nan, np.inf, -np.inf) for bad_call in (1, 2, 8)
+     for history in (1, 5)]
+
+
+@pytest.mark.parametrize("case", range(len(WARNING_CASES)))
+def test_anderson_is_silent_on_nonfinite_and_overflowing_maps(case):
+    # with every warning an error, the report is the solve's only signal
+    make_map, shape, cfg = WARNING_CASES[case]
+    z0 = np.zeros(shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = anderson_solve(make_map(), z0, cfg)
+    with np.errstate(all="ignore"):
+        want = reference_anderson_solve(make_map(), z0, cfg)
+    assert rel_err(got.z_star, want.z_star) <= 1e-12
+    for name in ("iterations", "fallback_steps", "converged", "diverged"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.diverged == (got.residual == np.inf)
 
 
 def test_config_validation():
