@@ -10,9 +10,11 @@ aggregates:
     <out>/<dataset>/<pathway>/                 summary.{txt,csv},
                                                iteration_curves.csv, config.txt
 
-Each run trains in a worker process (``--workers`` of them, 1 by default)
-with BLAS pinned to one thread, and writes its own directory there; the
-parent gates, prints and aggregates the returned metrics.  Everything
+Each run trains in a worker process forked from this one (``--workers`` of
+them, 1 by default) with numpy's OpenBLAS pinned to one thread, and writes
+its own directory there; the parent gates, prints and aggregates the
+returned metrics.  This needs POSIX ``fork`` and a numpy whose bundled
+OpenBLAS can be pinned; elsewhere every run fails naming why.  Everything
 except the timing values and the checkpoint archive's internal zip
 timestamps is byte-deterministic in (config, seeds), whatever the worker
 count or the caller's BLAS threads; numbers are
@@ -350,8 +352,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    # The imported module's main, so that jobs pickle as gdeq.cli._run_job,
-    # which a worker can import, and not as __main__._run_job.
-    from gdeq import cli
-
-    sys.exit(cli.main())
+    sys.exit(main())

@@ -15,9 +15,10 @@ valid throughout optimisation.
 Forward solves that diverge skip their batch (with a warning) rather than
 stepping on garbage gradients.  One run is single-threaded and fully
 deterministic in (seed, fold, config).  ``run_jobs`` runs a list of runs
-in worker processes with BLAS pinned to one thread, so their results do
-not depend on the worker count or on the caller's BLAS threads;
-``cross_validate`` and the CLI both drive their runs through it.
+in worker processes forked from the caller (POSIX ``fork``), with numpy's
+OpenBLAS pinned to one thread, so their results do not depend on the
+worker count or on the caller's BLAS threads; ``cross_validate`` and the
+CLI both drive their runs through it.
 """
 
 import contextlib
@@ -26,16 +27,15 @@ import math
 import os
 import pickle
 import signal
-import subprocess
 import sys
 import tempfile
 import time
 import traceback
 import warnings
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -579,89 +579,103 @@ def aggregate_runs(runs) -> dict:
     }
 
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                    "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
-                    "VECLIB_MAXIMUM_THREADS")
-_WORKER = "from gdeq.training import serve_jobs; serve_jobs()"
-
-
 def run_jobs(fn, jobs, workers: int) -> list:
-    """``fn(*job)`` for every job, in worker processes.
+    """``fn(*job)`` for every job, in worker processes forked from this one.
 
     Returns one ``(True, result)`` or ``(False, error text)`` per job, in
     job order.  Every job runs in a worker, ``workers=1`` included; worker
-    i of n = min(workers, len(jobs)) gets ``jobs[i::n]``.  ``fn`` and the
-    jobs are pickled, so ``fn`` must be importable by its module path.
+    i of n = min(workers, len(jobs)) gets ``jobs[i::n]``.  Workers inherit
+    ``fn`` and the jobs; only results are pickled.  A worker pins numpy's
+    OpenBLAS to one thread before each job, or fails the job naming why.
     Workers write each result to a file as its job ends, so one that dies
-    fails only the jobs it did not finish.  Every worker is waited for
+    fails only the jobs it did not finish; a worker leaves through
+    ``os._exit``, never into the caller.  Every worker is waited for
     before this returns or raises, and dies with this process.
     """
     n = min(max(1, workers), len(jobs))
-    src = str(Path(__file__).resolve().parents[1])
-    env = dict(os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1"))
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    procs, outs = [], []
+    launcher, pids, outs = os.getpid(), [], []
     try:
         for i in range(n):
             outs.append(tempfile.TemporaryFile())
-            with tempfile.TemporaryFile() as payload:
-                pickle.dump((os.getpid(), fn, jobs[i::n]), payload)
-                payload.seek(0)
-                procs.append(subprocess.Popen(
-                    [sys.executable, "-c", _WORKER], stdin=payload,
-                    stdout=outs[i], env=env))
+            _flush_stdio()
+            pid = os.fork()
+            if pid == 0:
+                os._exit(_serve(launcher, fn, jobs[i::n], outs[i]))
+            pids.append(pid)
         results = [None] * len(jobs)
-        for i, (proc, out) in enumerate(zip(procs, outs)):
-            proc.wait()
+        for i, out in enumerate(outs):
+            status = os.waitstatus_to_exitcode(os.waitpid(pids[i], 0)[1])
+            pids[i] = None
             out.seek(0)
             share, count = [], len(jobs[i::n])
             with contextlib.suppress(EOFError, pickle.UnpicklingError):
                 while len(share) < count:
                     share.append(pickle.load(out))
-            lost = (False, f"worker exited with status {proc.returncode} "
+            lost = (False, f"worker exited with status {status} "
                            "without a result")
             results[i::n] = share + [lost] * (count - len(share))
         return results
     finally:
-        for proc in procs:
-            if proc.poll() is None:
-                proc.kill()
-            proc.wait()
+        if os.getpid() != launcher:   # a worker unwinding: never return
+            os._exit(1)
+        for pid in pids:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
         for out in outs:
             out.close()
 
 
-def serve_jobs() -> None:
-    """Worker side of ``run_jobs``: (launcher pid, fn, jobs) pickled on
-    stdin, one (ok, result or error text) pickled on stdout per job.
-
+def _serve(launcher: int, fn, jobs, out) -> int:
+    """Worker side of ``run_jobs``: one pickled (ok, result or error text)
+    on ``out`` per job; returns the exit status, a ``SystemExit``'s code.
     The kernel kills the worker when its launcher dies (Linux's
-    ``PR_SET_PDEATHSIG``); if that happened before the call, it exits.
-    """
-    launcher, fn, jobs = pickle.load(sys.stdin.buffer)
-    prctl = getattr(ctypes.CDLL(None), "prctl", None)
-    if prctl is not None:
-        prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
-        prctl.restype = ctypes.c_int
-        prctl(1, signal.SIGKILL, 0, 0, 0)   # 1 = PR_SET_PDEATHSIG
-    if os.getppid() != launcher:
-        os._exit(1)
-    results = os.fdopen(os.dup(1), "wb")
-    os.dup2(2, 1)   # stray prints go to stderr, not into the results
-    with results:
+    ``PR_SET_PDEATHSIG``); if that happened before the call, it exits."""
+    try:
+        prctl = getattr(ctypes.CDLL(None), "prctl", None)
+        if prctl is not None:
+            prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+            prctl.restype = ctypes.c_int
+            prctl(1, signal.SIGKILL, 0, 0, 0)   # 1 = PR_SET_PDEATHSIG
+        if os.getppid() != launcher:
+            return 1
         for job in jobs:
             try:
-                item = (True, fn(*job))
+                _pin_blas()
+                item = pickle.dumps((True, fn(*job)))
             except Exception as e:  # noqa: BLE001 - a run must not kill the rest
-                traceback.print_exc()
-                item = (False, f"{type(e).__name__}: {e}")
-            results.write(pickle.dumps(item))
-            results.flush()
+                traceback.print_exc(file=sys.__stderr__)
+                item = pickle.dumps((False, f"{type(e).__name__}: {e}"))
+            out.write(item)
+            out.flush()
+        return 0
+    except SystemExit as e:
+        return e.code if isinstance(e.code, int) else int(e.code is not None)
+    finally:
+        _flush_stdio()
 
 
-def _run_metrics(*args) -> RunMetrics:
-    return run_training(*args)[0]
+def _pin_blas() -> None:
+    """Set numpy's loaded OpenBLAS to one thread and check that it holds."""
+    blas = ctypes.CDLL(_umath_linalg.__file__)   # OpenBLAS is a dependency
+    for prefix in ("scipy_openblas", "openblas"):   # numpy >= 2, numpy 1.x
+        if hasattr(blas, prefix + "_set_num_threads64_"):
+            setter = getattr(blas, prefix + "_set_num_threads64_")
+            getter = getattr(blas, prefix + "_get_num_threads64_")
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            setter(1)
+            if getter() == 1:
+                return
+            raise RuntimeError("numpy's OpenBLAS did not keep one thread")
+    raise RuntimeError("numpy's BLAS exports no OpenBLAS set_num_threads "
+                       "symbol, so workers cannot pin it to one thread")
+
+
+def _flush_stdio() -> None:
+    for stream in (sys.stdout, sys.stderr, sys.__stdout__, sys.__stderr__):
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            stream.flush()
 
 
 def cross_validate(dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
@@ -676,7 +690,8 @@ def cross_validate(dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
     jobs = [(dataset, model_cfg, train_cfg, seed, fold)
             for seed in seeds for fold in range(folds)]
     runs = []
-    for job, (ok, value) in zip(jobs, run_jobs(_run_metrics, jobs, workers)):
+    results = run_jobs(lambda *job: run_training(*job)[0], jobs, workers)
+    for job, (ok, value) in zip(jobs, results):
         if not ok:
             raise RuntimeError(f"run {job[3]}_{job[4]} failed: {value}")
         runs.append(value)

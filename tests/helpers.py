@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
 import os
 import sys
@@ -9,6 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from gdeq import autodiff as ad
 from gdeq.contraction import (PathwayAnalysis, _pairs_per_call, lemma2_bound,
@@ -503,3 +506,30 @@ def assert_nothing_left_running() -> None:
     assert children == [], f"child processes left: {children}"
     tracker = sys.modules.get("multiprocessing.resource_tracker")
     assert tracker is None or tracker._resource_tracker._pid is None
+
+
+def blas_bits() -> str:
+    """``v @ v`` over a fixed 256 000-element vector, as a float hex.
+
+    OpenBLAS splits a dot product this long across its threads, so the
+    last bits tell one thread (``...cfbcp+17``) from two (``...cfbep+17``).
+    """
+    v = np.random.default_rng(2).standard_normal(256_000)
+    return float(v @ v).hex()
+
+
+@contextlib.contextmanager
+def blas_threads(n: int):
+    """Run numpy's OpenBLAS on ``n`` threads inside the block."""
+    blas = ctypes.CDLL(_umath_linalg.__file__)
+    for prefix in ("scipy_openblas", "openblas"):
+        if hasattr(blas, prefix + "_set_num_threads64_"):
+            break
+    else:
+        raise RuntimeError("numpy's BLAS is not a pinnable OpenBLAS")
+    before = getattr(blas, prefix + "_get_num_threads64_")()
+    getattr(blas, prefix + "_set_num_threads64_")(n)
+    try:
+        yield
+    finally:
+        getattr(blas, prefix + "_set_num_threads64_")(before)

@@ -15,7 +15,8 @@ from gdeq.cli import (ExperimentConfig, build_config, config_digest,
                       parse_config, read_kv, write_kv, write_table)
 from gdeq.training import RunMetrics
 
-from helpers import assert_nothing_left_running, process_table
+from helpers import (assert_nothing_left_running, blas_threads,
+                     process_table)
 
 
 def run_metrics(pathway="classical", acc=0.8, iters=None, seed=0, fold=0,
@@ -222,20 +223,17 @@ def test_rerun_is_byte_identical_except_timing(mutag_dir, tmp_path):
 
 
 def test_artifact_bytes_do_not_depend_on_workers_or_parent_blas_threads(
-        mutag_dir, tmp_path, monkeypatch):
+        mutag_dir, tmp_path):
     # At the default width these runs' bytes move with the BLAS thread
     # count (1 against 2) unless the workers pin it.
     args = ["--data-dir", "data", "--dataset", "MUTAG", "--pathway",
             "classical", "--seeds", "2", "--folds", "3", "--epochs", "2"]
     outs = []
-    for workers, blas in ((1, "1"), (2, None), (3, "2")):
-        if blas:
-            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
-        else:
-            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    for workers, blas in ((1, 2), (2, 1), (3, 2)):
         outs.append(tmp_path / f"workers{workers}")
-        assert main(args + ["--workers", str(workers),
-                            "--out", str(outs[-1])]) == 0
+        with blas_threads(blas):
+            assert main(args + ["--workers", str(workers),
+                                "--out", str(outs[-1])]) == 0
         assert_nothing_left_running()
     for tag in ("2_0", "2_1", "2_2"):
         for name in ("metrics.txt", "curves.csv", "lipschitz.txt"):

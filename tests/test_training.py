@@ -2,9 +2,13 @@ import gc
 import math
 import operator
 import os
+import pickle
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +19,8 @@ from gdeq.autodiff import Tensor
 from gdeq.graphs import (GraphDataset, GraphInstance, collate,
                          normalize_adjacency, topology_descriptors)
 from gdeq.solvers import SolverConfig
-from gdeq.training import (BLAS_THREAD_VARS, AdamW, AttentionParams,
+from gdeq import training
+from gdeq.training import (AdamW, AttentionParams,
                            ClassifierParams, GraphClassifier, ModelConfig,
                            RunMetrics, TrainConfig, aggregate_runs,
                            attention_readout, classify, clip_gradients,
@@ -24,8 +29,9 @@ from gdeq.training import (BLAS_THREAD_VARS, AdamW, AttentionParams,
                            run_jobs, run_training, save_checkpoint,
                            train_epoch)
 
-from helpers import (assert_nothing_left_running, check_op, numeric_grad,
-                     reference_attention_readout, rel_err, sum_all)
+from helpers import (assert_nothing_left_running, blas_bits, blas_threads,
+                     check_op, numeric_grad, reference_attention_readout,
+                     rel_err, sum_all)
 
 
 def random_graph(rng, n, label):
@@ -685,14 +691,89 @@ def test_a_worker_that_dies_keeps_the_results_it_finished():
     assert_nothing_left_running()
 
 
-def test_workers_pin_blas_threads_and_import_this_gdeq(monkeypatch):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    monkeypatch.setenv("PYTHONPATH", "elsewhere")
-    got = run_jobs(os.getenv, [(v,) for v in BLAS_THREAD_VARS]
-                   + [("PYTHONPATH",)], workers=1)
-    assert got[:-1] == [(True, "1")] * len(BLAS_THREAD_VARS)
-    src = str(Path(gdeq.__file__).resolve().parents[1])
-    assert got[-1] == (True, os.pathsep.join([src, "elsewhere"]))
+def blas_bits_and_gdeq():
+    return blas_bits(), gdeq.__file__
+
+
+def test_workers_compute_on_one_blas_thread_with_this_gdeq():
+    # The bits are the guarantee: a worker's dot product is the one of a
+    # fresh interpreter told to run OpenBLAS on one thread, and differs
+    # from its caller's on two.
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(tests.parent / "src"),
+                                           str(tests)]))
+    reference = subprocess.run(
+        [sys.executable, "-c", "import helpers; print(helpers.blas_bits())"],
+        env=env, capture_output=True, text=True, check=True,
+        timeout=60).stdout.strip()
+    with blas_threads(2):
+        parent = blas_bits()
+        got = run_jobs(blas_bits_and_gdeq, [()] * 3, workers=2)
+    assert parent != reference
+    this_gdeq = str(tests.parent / "src" / "gdeq" / "__init__.py")
+    assert got == [(True, (reference, this_gdeq))] * 3
+    assert_nothing_left_running()
+
+
+def test_without_a_pinnable_blas_every_job_fails_naming_it(monkeypatch):
+    # the program's own symbols hold no OpenBLAS thread setter
+    monkeypatch.setattr(training, "_umath_linalg",
+                        SimpleNamespace(__file__=None))
+    assert run_jobs(abs, [(-1,), (-2,), (-3,)], workers=2) == [
+        (False, "RuntimeError: numpy's BLAS exports no OpenBLAS "
+                "set_num_threads symbol, so workers cannot pin it to one "
+                "thread")] * 3
+    assert_nothing_left_running()
+
+
+def test_workers_run_a_closure_that_cannot_be_pickled():
+    offset = 10.0
+
+    def shifted(x):
+        return x + offset
+
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        pickle.dumps(shifted)
+    assert run_jobs(shifted, [(1.0,), (2.0,), (3.0,)], workers=2) == [
+        (True, 11.0), (True, 12.0), (True, 13.0)]
+    assert_nothing_left_running()
+
+
+def interrupt():
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("leave, status", [((sys.exit, 4), 4),
+                                           ((interrupt,), 1)])
+def test_a_job_that_leaves_its_worker_fails_and_the_caller_carries_on(
+        leave, status):
+    # worker 0 gets jobs 0 and 2 and leaves in job 0; worker 1 is unaffected
+    me = os.getpid()
+    lost = (False, f"worker exited with status {status} without a result")
+    jobs = [leave, (abs, -1), (abs, -2)]
+    assert run_jobs(operator.call, jobs, workers=2) == [lost, (True, 1), lost]
+    assert os.getpid() == me
+    assert_nothing_left_running()
+
+
+def test_a_job_that_prints_keeps_its_result_and_its_output():
+    # On a pipe stdout is block-buffered: the caller's pending text must
+    # reach it once, and the worker's print must not be lost at its exit.
+    code = """if True:
+        import operator, os
+        from gdeq.training import run_jobs
+        print("caller", end=" ")
+        jobs = [(print, "noise"), (os.write, 1, b"raw noise\\n"), (abs, -3)]
+        print(run_jobs(operator.call, jobs, workers=1))
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(gdeq.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("caller raw noise\nnoise\n"
+                           "[(True, None), (True, 10), (True, 3)]\n")
     assert_nothing_left_running()
 
 
