@@ -213,11 +213,6 @@ def transpose(a: Tensor) -> Tensor:
     return record_op(a.data.T, [(a, lambda g: g.T)])
 
 
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-    return record_op(y, [(a, lambda g: g * (1.0 - y * y))])
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0.0
     return record_op(a.data * mask, [(a, lambda g: g * mask)])
@@ -234,11 +229,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"mul shape mismatch {a.data.shape} vs {b.data.shape}")
     ad, bd = a.data, b.data
     return record_op(ad * bd, [(a, lambda g: g * bd), (b, lambda g: g * ad)])
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return record_op(a.data * c, [(a, lambda g: g * c)])
 
 
 def add_row(a: Tensor, row: Tensor) -> Tensor:

@@ -259,8 +259,11 @@ def _run_job(cfg: ExperimentConfig, dataset, seed: int, fold: int) -> tuple:
 
 def run_experiment(cfg: ExperimentConfig) -> int:
     try:
-        if not cfg.seeds or min(cfg.seeds) < 0:
-            raise ValueError(f"need nonnegative seeds, got {cfg.seeds}")
+        seeds = cfg.seeds
+        if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
+            raise ValueError(f"need distinct nonnegative seeds, got {seeds}")
+        if cfg.workers < 1:
+            raise ValueError(f"need at least 1 worker, got {cfg.workers}")
         cfg.model_config(), cfg.train_config()
         dataset = load_tu_dataset(cfg.data_dir, cfg.dataset, l_max=cfg.l_max)
     except (OSError, ValueError) as e:

@@ -274,6 +274,13 @@ def _read_lines(path: Path) -> list:
     return list(filter(None, map(str.strip, path.read_text().splitlines())))
 
 
+def _file_line(path: Path, k: int) -> int:
+    """Line number of the k-th nonblank line of ``path``, both from 1;
+    only error messages read it, as ``_read_lines`` drops blank lines."""
+    lines = path.read_text().splitlines()
+    return [n for n, ln in enumerate(lines, 1) if ln.strip()][k - 1]
+
+
 def _edge_lines(path: Path) -> tuple[np.ndarray, Exception | None]:
     """The "i, j" lines of ``path`` as an (m, 2) int array, up to the first
     line that is not two integers; with that line's error, else ``None``.
@@ -300,15 +307,14 @@ def _edge_lines(path: Path) -> tuple[np.ndarray, Exception | None]:
         return np.concatenate(blocks), None
     # this block holds a bad line or a huge id: parse it line by line
     pairs, error = [], None
-    for lineno, line in enumerate(lines[lo:], start=lo + 1):
+    for k, line in enumerate(lines[lo:], start=lo + 1):
         parts = line.replace(",", " ").split()
-        if len(parts) != 2:
-            error = ValueError(f"{path}:{lineno}: expected 'i, j', got {line!r}")
-            break
         try:
+            if len(parts) != 2:
+                raise ValueError(f"expected 'i, j', got {line!r}")
             pairs.append([min(max(int(p), 0), 2**62) for p in parts])
         except ValueError as err:
-            error = err
+            error = ValueError(f"{path}:{_file_line(path, k)}: {err}")
             break
     blocks.append(np.array(pairs, dtype=np.int64).reshape(-1, 2))
     return np.concatenate(blocks), error
@@ -328,7 +334,7 @@ def _check_edges(path: Path, pairs: np.ndarray, graph: np.ndarray) -> None:
         k = int(np.argmax(bad))
         reason = ("node id out of range" if not in_range[k]
                   else "edge crosses graphs" if crosses[k] else "self-loop")
-        raise ValueError(f"{path}:{k + 1}: {reason}")
+        raise ValueError(f"{path}:{_file_line(path, k + 1)}: {reason}")
 
 
 def load_tu_dataset(data_dir, name: str, l_max: int = DEFAULT_L_MAX) -> GraphDataset:

@@ -10,9 +10,9 @@ per-qubit Pauli-Z expectations are read out and mixed by W_out.
 Simulation is vectorized across rows and runs in the encoding's
 eigenbasis: an encoding layer is W diag(Φ(u)) Wᴴ, W = V^{⊗n_q} with V the
 eigenvectors of Y (Schuld, Sweke & Meyer, PRA 103, 032430, 2021).
-``circuit_expectations`` compiles the program at the current angles into
-segments: each run of consecutive parameter gates becomes one fused
-2**n_q x 2**n_q unitary, with W and Wᴴ folded in where it meets an
+The program is compiled at the current angles into segments: each run
+of consecutive parameter gates becomes one fused 2**n_q x 2**n_q
+unitary, with W and Wᴴ folded in where it meets an
 encoding layer, applied to all rows as one complex matmul; each encoding
 layer is one elementwise product with the per-row phases Φ.  States are
 amplitude-major, (2**n_q, N).  Gradients are exact
@@ -22,17 +22,16 @@ and each fused block yields all of its angle gradients from one
 2**n_q x 2**n_q matrix.  The parameter-shift rule is provided separately
 as an independent route to the same angle gradients.
 
-Under spectral normalization W_in and W_out enter as W / sigma(W), with
-sigma from one exact SVD per map, taken from the live weights: once per
-``forward_rows`` call, or once per solve or certificate analysis in a
-:class:`ModulePlan`, which also compiles the program once.  Its
-linearization at the solution runs the circuit once with a stash, and
-from that one run gives the value, the
-per-row Jacobian of the expectations (n_q adjoint sweeps, on first use)
-and the parameter cotangents (one sweep).  Each map comes with
-its pullback through sigma, which the tape records and the plan calls, so
-the module carries no normalization state and a forward pass never
-changes what the next one computes.
+The module is written once, as :class:`ModulePlan`: the live weights,
+read once per ``forward_rows`` call, solve or certificate analysis (under
+spectral normalization W_in and W_out enter as W / sigma(W), sigma from
+one exact SVD per map), and the program compiled once.  So the module
+carries no normalization state.  The plan's linearization at some rows
+runs the circuit once with a stash, and from that one run gives the
+value, the per-row Jacobian of the expectations (n_q adjoint sweeps, on
+first use) and the parameter cotangents (one sweep); ``forward_rows``
+records it as one op.  No module path records ``circuit_expectations``,
+the circuit alone as a tape op: tests build the plan's oracle from it.
 
 Convention: qubit ``j`` owns bit ``n_q - 1 - j`` of the basis index,
 i.e. qubit 0 is the most significant axis.  All rotation and coupler
@@ -471,26 +470,23 @@ class QuantumModule:
                 ("angles", self.params.angles)]
 
     def forward_rows(self, s: Tensor) -> Tensor:
-        """Apply the module to every row of ``s``; returns (N, d_out)."""
+        """Apply the module to every row of ``s``; returns (N, d_out),
+        recorded as one op: :meth:`ModulePlan.linearize` at the rows."""
         if s.cols != self.d_in:
             raise ValueError(f"expected {self.d_in} input columns, got {s.cols}")
-        w_in_eff, w_out_eff = (ad.record_op(m, [(w, back)]) for w, (m, back)
-                               in zip((self.w_in, self.w_out), self.maps()))
-        u = ad.tanh(ad.matmul(s, ad.transpose(w_in_eff)))
-        m = circuit_expectations(u, self.params.angles, self.n_qubits)
-        return ad.matmul(m, ad.transpose(w_out_eff))
+        value, _, vjp = ModulePlan(self).linearize(s.data)
+        return ad.record_op(value, ad.shared_pullback(
+            (s, self.w_in, self.w_out, self.params.angles), vjp))
 
 
 class ModulePlan:
     """The module at its live weights, as plain NumPy maps on row stacks.
 
-    Built once per solve, or once per certificate analysis and shared by
-    its chunk plans and module budget: the effective maps (one SVD each
-    under spectral normalization) with their pullbacks, and the compiled
-    program.
-    Calling the plan equals ``forward_rows`` bit for bit, and so does the
-    value :meth:`linearize` returns, whose ``vjp`` equals the cotangents of
-    ``forward_rows`` on the tape.
+    Built once per ``forward_rows`` call, once per solve, or once per
+    certificate analysis and shared by its chunk plans and module budget:
+    the effective maps (one SVD each under spectral normalization) with
+    their pullbacks, and the compiled program.  Calling the plan equals
+    the value :meth:`linearize` returns, bit for bit.
     """
 
     def __init__(self, module: QuantumModule):
@@ -513,10 +509,10 @@ class ModulePlan:
         per-row Jacobian Jm of the expectations in the encoding angles,
         (N, n_q, n_q), read on the first call from one adjoint sweep per
         output qubit.  ``vjp(g)`` gives the cotangents of
-        (s, W_in, W_out, angles), each product taken as ``forward_rows``
-        on the tape takes it: one adjoint sweep gives the state and angle
-        cotangents, and the map cotangents are pulled back through the
-        normalization.
+        (s, W_in, W_out, angles): one adjoint sweep gives the state and
+        angle cotangents, and the map cotangents are pulled back through
+        the normalization.  Value and cotangents equal the module recorded
+        op by op, with the circuit as ``circuit_expectations``, bit for bit.
         """
         t = np.tanh(s @ self.w_in.T)
         dt = 1.0 - t * t
@@ -548,9 +544,7 @@ class ModulePlan:
 
 def qmodule_forward(module: QuantumModule, s) -> np.ndarray:
     """Module output for a single input vector, without recording."""
-    row = np.asarray(s, dtype=np.float64).reshape(1, -1)
-    with ad.no_grad():
-        return module.forward_rows(Tensor(row)).data[0]
+    return ModulePlan(module)(np.asarray(s, dtype=np.float64).reshape(1, -1))[0]
 
 
 def parameter_shift_grad(module: QuantumModule, s, index: int) -> np.ndarray:

@@ -592,7 +592,9 @@ def run_jobs(fn, jobs, workers: int) -> list:
     ``os._exit``, never into the caller.  Every worker is waited for
     before this returns or raises, and dies with this process.
     """
-    n = min(max(1, workers), len(jobs))
+    if workers < 1:
+        raise ValueError(f"need at least 1 worker, got {workers}")
+    n = min(workers, len(jobs))
     launcher, pids, outs = os.getpid(), [], []
     try:
         for i in range(n):

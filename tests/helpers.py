@@ -18,7 +18,7 @@ from gdeq.contraction import (PathwayAnalysis, _pairs_per_call, lemma2_bound,
                               pathway_bound)
 from gdeq.graphs import GraphDataset, GraphInstance, normalize_adjacency
 from gdeq.operators import BackboneParams, EquilibriumOperator
-from gdeq.quantum import DeepXyzParams, QuantumModule
+from gdeq.quantum import DeepXyzParams, QuantumModule, circuit_expectations
 from gdeq.solvers import Plan, SolveReport, SolverConfig
 
 # Tolerance of a tape gradient against central differences, relative to
@@ -83,6 +83,30 @@ def check_op(build, *arrays, tol=FD_TOL):
         assert rel_err(got, want) <= tol, f"input {i}: {rel_err(got, want)}"
 
 
+def tanh(a: ad.Tensor) -> ad.Tensor:
+    """Elementwise tanh as a recorded op."""
+    y = np.tanh(a.data)
+    return ad.record_op(y, [(a, lambda g: g * (1.0 - y * y))])
+
+
+def scale(a: ad.Tensor, c: float) -> ad.Tensor:
+    """``a`` times the constant ``c`` as a recorded op."""
+    c = float(c)
+    return ad.record_op(a.data * c, [(a, lambda g: g * c)])
+
+
+def tape_forward_rows(module: QuantumModule, s: ad.Tensor) -> ad.Tensor:
+    """``module.forward_rows`` written op by op on the tape: each
+    normalized map with its pullback, the encoding tanh, the circuit as
+    ``circuit_expectations`` and the output map.  The oracle for
+    ``ModulePlan.linearize``, which ``forward_rows`` records as one op."""
+    w_in_eff, w_out_eff = (ad.record_op(m, [(w, back)]) for w, (m, back)
+                           in zip((module.w_in, module.w_out), module.maps()))
+    u = tanh(ad.matmul(s, ad.transpose(w_in_eff)))
+    m = circuit_expectations(u, module.params.angles, module.n_qubits)
+    return ad.matmul(m, ad.transpose(w_out_eff))
+
+
 def propagate(a_norm, z: ad.Tensor) -> ad.Tensor:
     """A Z as one recorded op; A is a constant, so only Z gets a cotangent."""
     return ad.record_op(a_norm.matmul(z.data), [(z, a_norm.rmatmul)])
@@ -95,7 +119,7 @@ def backbone_apply(bb, a_norm, h: ad.Tensor, z: ad.Tensor,
                  ad.matmul(h, ad.transpose(bb.omega)))
     if extra is not None:
         pre = ad.add(pre, extra)
-    return ad.tanh(ad.add_row(pre, bb.bias))
+    return tanh(ad.add_row(pre, bb.bias))
 
 
 def tape_apply(op, z: ad.Tensor, ctx) -> ad.Tensor:
@@ -110,7 +134,7 @@ def tape_apply(op, z: ad.Tensor, ctx) -> ad.Tensor:
     if op.kind == "classical" or op.alpha == 0.0:
         return base
     s = z if op.kind == "sd" else base
-    return ad.add(base, ad.scale(op.quantum.forward_rows(s), op.alpha))
+    return ad.add(base, scale(tape_forward_rows(op.quantum, s), op.alpha))
 
 
 def solve_inputs(op, ctx):
@@ -394,10 +418,16 @@ def reference_topology_descriptors(a: np.ndarray, l_max: int) -> np.ndarray:
     return np.column_stack([cycles, deg_norm, cc, flag])
 
 
-def _reference_lines(path: Path) -> list:
+def _reference_numbered_lines(path: Path) -> list:
+    """(line number, stripped line) of every nonblank line of ``path``."""
     if not path.is_file():
         raise FileNotFoundError(f"missing dataset file: {path}")
-    return [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
+    return [(n, ln.strip()) for n, ln in
+            enumerate(path.read_text().splitlines(), start=1) if ln.strip()]
+
+
+def _reference_lines(path: Path) -> list:
+    return [ln for _, ln in _reference_numbered_lines(path)]
 
 
 def reference_load_tu_dataset(data_dir, name: str, l_max: int = 6) -> GraphDataset:
@@ -428,11 +458,14 @@ def reference_load_tu_dataset(data_dir, name: str, l_max: int = 6) -> GraphDatas
         sizes[gid - 1] += 1
 
     adjacency = [np.zeros((s, s)) for s in sizes]
-    for lineno, line in enumerate(_reference_lines(fpath("A")), start=1):
+    for lineno, line in _reference_numbered_lines(fpath("A")):
         parts = line.replace(",", " ").split()
         if len(parts) != 2:
             raise ValueError(f"{fpath('A')}:{lineno}: expected 'i, j', got {line!r}")
-        i, j = int(parts[0]) - 1, int(parts[1]) - 1
+        try:
+            i, j = int(parts[0]) - 1, int(parts[1]) - 1
+        except ValueError as err:
+            raise ValueError(f"{fpath('A')}:{lineno}: {err}") from None
         if not (0 <= i < n_nodes_total and 0 <= j < n_nodes_total):
             raise ValueError(f"{fpath('A')}:{lineno}: node id out of range")
         if indicator[i] != indicator[j]:

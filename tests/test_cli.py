@@ -322,7 +322,8 @@ def test_missing_dataset_is_a_config_error(tmp_path):
 @pytest.mark.parametrize("flags", [["--seeds", ","], ["--epochs", "0"],
                                    ["--hidden-dim", "6"], ["--kappa", "1.5"],
                                    ["--kappa", "0"], ["--alpha", "-0.1"],
-                                   ["--seeds", "-1"]])
+                                   ["--seeds", "-1"], ["--seeds", "1,1"],
+                                   ["--workers", "0"], ["--workers", "-2"]])
 def test_a_bad_config_fails_before_any_run_starts(mutag_dir, tmp_path,
                                                    capsys, flags):
     out = tmp_path / "runs"

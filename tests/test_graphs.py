@@ -296,12 +296,13 @@ def test_loader_normalizes_in_one_pass_like_normalize_adjacency(
 
 A_ERRORS = [
     ("1, 2\n2, 1\n1 2 3\n", r":3: expected 'i, j', got '1 2 3'"),
-    ("1, 2\n\n  2\n", r":2: expected 'i, j', got '2'"),
-    ("1, 2\n2, x\n", r"invalid literal for int\(\) with base 10: 'x'"),
+    ("1, 2\n\n  2\n", r":3: expected 'i, j', got '2'"),
+    ("1, 2\n2, x\n", r":2: invalid literal for int\(\) with base 10: 'x'"),
     ("1, 2\n2, 1\n1, 6\n", r":3: node id out of range"),
     ("1, 2\n0, 1\n", r":2: node id out of range"),
-    ("1, 2\n\n\n3, 4\n", r":2: edge crosses graphs"),
+    ("1, 2\n\n\n3, 4\n", r":4: edge crosses graphs"),
     ("1, 2\n5, 5\n", r":2: self-loop"),
+    ("1, 2\n2, 1\n\n1, 1\n", r":4: self-loop"),
     # two errors: the earlier line wins, whatever its kind
     ("1, 2\n2, 2\n1, 2, 3\n", r":2: self-loop"),
     ("1, 2\n1 2 3\n2, 2\n", r":2: expected 'i, j', got '1 2 3'"),

@@ -12,7 +12,7 @@ from gdeq.quantum import DeepXyzParams, QuantumModule
 from gdeq.solvers import SolverConfig, solve_fixed_point
 
 from helpers import (backbone_apply, numeric_grad, propagate, rel_err,
-                     replay_plan, solve_inputs, sum_all, tape_apply)
+                     replay_plan, solve_inputs, sum_all, tanh, tape_apply)
 
 
 def make_backbone(d_h, d_in, rng, kappa=0.8):
@@ -334,7 +334,7 @@ def test_single_application_gradients_match_fd(kind):
     for _, t in inputs:
         tape.watch(t)
     with tape:
-        loss = sum_all(ad.tanh(op.apply(z, ctx)))
+        loss = sum_all(tanh(op.apply(z, ctx)))
     grads = tape.backward(loss)
 
     def loss_for(t):
@@ -342,7 +342,7 @@ def test_single_application_gradients_match_fd(kind):
             keep = t.data.copy()
             t.data[:] = x
             with ad.no_grad():
-                val = sum_all(ad.tanh(op.apply(z, ctx))).data[0, 0]
+                val = sum_all(tanh(op.apply(z, ctx))).data[0, 0]
             t.data[:] = keep
             return val
         return f

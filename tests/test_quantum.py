@@ -5,7 +5,7 @@ import pytest
 
 from gdeq import autodiff as ad
 from gdeq import quantum as qm
-from helpers import numeric_grad, rel_err, sum_all
+from helpers import numeric_grad, rel_err, sum_all, tape_forward_rows
 
 # --- independent dense oracle -------------------------------------------------
 
@@ -325,6 +325,30 @@ def test_gradient_triple_agreement():
         ]).reshape(ang0.shape)
         assert rel_err(shift, grads[module.params.angles]) < 1e-9
         assert rel_err(shift, fd_ang) < 1e-6
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("n_q,reps", GRID)
+def test_forward_rows_equals_the_tape_formulation(n_q, reps, normalize):
+    # one recorded op over the module plan against the circuit recorded op
+    # by op: the value and every cotangent, bit for bit
+    rng = np.random.default_rng(100 * n_q + 10 * reps + normalize)
+    module = random_module(rng, n_q, 5, 3, reps=reps, normalize=normalize)
+    s = rng.normal(size=(7, 5))
+    g_out = rng.normal(size=(7, 3))
+    results = []
+    for forward in (qm.QuantumModule.forward_rows, tape_forward_rows):
+        tape = ad.Tape()
+        s_t = tape.watch(ad.Tensor(s))
+        for _, t in module.tensors():
+            tape.watch(t)
+        with tape:
+            out = forward(module, s_t)
+        grads = tape.vjp(out, g_out)
+        results.append([out.data, grads[s_t]] +
+                       [grads[t] for _, t in module.tensors()])
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
 
 
 def test_output_bounded_by_w_out_row_l1():

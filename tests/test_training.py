@@ -400,7 +400,7 @@ def test_batched_logits_match_each_graph_solved_alone(pathway):
             assert np.max(np.abs(batched.data[i] - alone.data[0])) <= 1e-10
 
 
-@pytest.mark.parametrize("pathway", ["classical", "sd", "bd"])
+@pytest.mark.parametrize("pathway", ["classical", "id", "sd", "bd"])
 def test_a_training_step_builds_the_operator_once(pathway, monkeypatch):
     # the parameter cotangents come from the solve's plan in closed form,
     # not from the operator rebuilt and recorded on a sub-tape at z*
@@ -669,6 +669,13 @@ def test_run_jobs_returns_results_and_errors_in_job_order():
         (True, 2.0), (False, "ValueError: math domain error"),
         (True, 3.0), (True, 4.0)]
     assert run_jobs(math.sqrt, [], workers=2) == []
+    assert_nothing_left_running()
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_run_jobs_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError, match="at least 1 worker"):
+        run_jobs(math.sqrt, [(4.0,)], workers=workers)
     assert_nothing_left_running()
 
 
