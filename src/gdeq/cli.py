@@ -95,8 +95,7 @@ class ExperimentConfig:
         return TrainConfig(lr=self.lr, lr_min=self.lr_min,
                            weight_decay=self.weight_decay,
                            epochs=self.epochs, batch_size=self.batch_size,
-                           grad_clip=self.grad_clip, seed=self.seeds[0],
-                           folds=self.folds)
+                           grad_clip=self.grad_clip, folds=self.folds)
 
     def to_text(self) -> str:
         lines = []
@@ -225,9 +224,11 @@ def certificate_report(model, batch, rng_seed=0) -> LipschitzReport:
     return report
 
 
-def _run_job(cfg: ExperimentConfig, dataset, seed: int, fold: int) -> tuple:
+def _run_job(cfg: ExperimentConfig, dataset, seed: int, fold: int,
+             split: tuple) -> tuple:
     """Train one run in a worker and write its files; returns (RunMetrics,
-    certificate violations)."""
+    certificate violations).  ``split`` is the run's (train, test) indices,
+    whose first four test graphs probe the certificate."""
     metrics, model = run_training(dataset, cfg.model_config(),
                                   cfg.train_config(), seed, fold)
     run_dir = Path(cfg.out) / cfg.dataset / cfg.pathway / f"{seed}_{fold}"
@@ -249,9 +250,7 @@ def _run_job(cfg: ExperimentConfig, dataset, seed: int, fold: int) -> tuple:
                  for e in range(len(metrics.iterations))])
     save_checkpoint(run_dir / "checkpoint.npz", model,
                     config_hash=config_digest(cfg))
-    labels = [g.label for g in dataset.graphs]
-    test_idx = stratified_folds(labels, cfg.folds, seed)[fold][1]
-    probe = collate([dataset.graphs[i] for i in test_idx[:4]])
+    probe = collate([dataset.graphs[i] for i in split[1][:4]])
     report = certificate_report(model, probe, rng_seed=(seed, fold, 99))
     (run_dir / "lipschitz.txt").write_text(report.to_text())
     return metrics, report.violations()
@@ -266,6 +265,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
             raise ValueError(f"need at least 1 worker, got {cfg.workers}")
         cfg.model_config(), cfg.train_config()
         dataset = load_tu_dataset(cfg.data_dir, cfg.dataset, l_max=cfg.l_max)
+        splits = {s: stratified_folds(dataset.labels, cfg.folds, s)
+                  for s in seeds}
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -273,10 +274,10 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     base.mkdir(parents=True, exist_ok=True)
     (base / "config.txt").write_text(cfg.to_text())
 
-    jobs = [(cfg, dataset, s, f) for s in cfg.seeds for f in range(cfg.folds)]
+    jobs = [(cfg, dataset, s, f, splits[s][f])
+            for s in cfg.seeds for f in range(cfg.folds)]
     failed, violations, runs = [], [], []
-    labels = [g.label for g in dataset.graphs]
-    for (_, _, seed, fold), (ok, value) in zip(
+    for (_, _, seed, fold, split), (ok, value) in zip(
             jobs, run_jobs(_run_job, jobs, cfg.workers)):
         tag = f"{seed}_{fold}"
         if not ok:
@@ -284,8 +285,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
             failed.append(tag)
             continue
         metrics, bad = value
-        n_train = len(stratified_folds(labels, cfg.folds, seed)[fold][0])
-        attempts = cfg.epochs * -(-n_train // cfg.batch_size)
+        attempts = cfg.epochs * -(-len(split[0]) // cfg.batch_size)
         gated = [(metrics.skipped_batches, "solves diverged"),
                  (metrics.fwd_max_iter, "forward solves stopped at max_iter"),
                  (metrics.adj_max_iter, "adjoint solves stopped at max_iter")]

@@ -118,6 +118,8 @@ def pathway_bound(kind: str, kappa: float, alpha: float,
 # Most rows one operator application takes when probing a certificate.
 # Larger stacks save little per-call overhead and raise peak memory.
 _PROBE_ROWS = 512
+PROBE_SCALES = (0.1, 1.0, 10.0)   # probe entry scales, cycled pair by pair
+PROBE_DELTA = 1e-3                # offset norm of a tight pair
 
 
 def _pairs_per_call(n_rows: int) -> int:
@@ -138,14 +140,12 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
 def empirical_lipschitz(f: Callable[[np.ndarray], np.ndarray],
                         shape: tuple[int, int],
                         rng: np.random.Generator,
-                        n_pairs: int = 200,
-                        scales: tuple = (0.1, 1.0, 10.0),
-                        delta: float = 1e-3) -> float:
+                        n_pairs: int = 200) -> float:
     """Max pair ratio ||f(a) - f(b)|| / ||a - b|| over random probes.
 
-    Alternates independent pairs at each scale with tight pairs offset by a
-    random direction of Frobenius norm ``delta``.  A lower bound on the true
-    constant, never a certificate.
+    Alternates independent pairs at each of ``PROBE_SCALES`` with tight
+    pairs offset by a random direction of Frobenius norm ``PROBE_DELTA``.
+    A lower bound on the true constant, never a certificate.
 
     ``f`` maps a stack of ``shape[0]``-row blocks block by block: given the
     (m * shape[0], shape[1]) array of m probes on top of each other, it
@@ -163,7 +163,7 @@ def empirical_lipschitz(f: Callable[[np.ndarray], np.ndarray],
         raise ValueError("need at least one pair")
     shape = tuple(shape)
     per_call = _pairs_per_call(shape[0])
-    scales = np.asarray(scales, dtype=np.float64)
+    scales = np.asarray(PROBE_SCALES, dtype=np.float64)
     best = 0.0
     for start in range(0, n_pairs, per_call):
         index = np.arange(start, min(start + per_call, n_pairs))
@@ -176,7 +176,7 @@ def empirical_lipschitz(f: Callable[[np.ndarray], np.ndarray],
         np.multiply(rng.standard_normal((k, 2) + shape).swapaxes(0, 1),
                     slot_scales[:, :, None, None], out=stack)
         d = stack[1, tight]
-        d *= (delta / np.maximum(_row_norms(d), 1e-30))[:, None, None]
+        d *= (PROBE_DELTA / np.maximum(_row_norms(d), 1e-30))[:, None, None]
         stack[1, tight] = stack[0, tight] + d
         denoms = _row_norms(stack[0] - stack[1])
         out = f(stack.reshape(-1, shape[1])).reshape(stack.shape)

@@ -50,6 +50,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 NORM_GUARD = 1e-12
+INIT_ANGLE = 0.1   # ansatz angles start uniform in [-INIT_ANGLE, INIT_ANGLE)
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +402,11 @@ class DeepXyzParams:
         return self.angles.rows * self.angles.cols
 
     @classmethod
-    def init(cls, n_qubits: int, reps: int, rng: np.random.Generator,
-             scale: float = 0.1) -> "DeepXyzParams":
+    def init(cls, n_qubits: int, reps: int,
+             rng: np.random.Generator) -> "DeepXyzParams":
         shape = (reps, per_rep_param_count(n_qubits))
-        return cls(Tensor(rng.uniform(-scale, scale, size=shape)), n_qubits)
+        return cls(Tensor(rng.uniform(-INIT_ANGLE, INIT_ANGLE, size=shape)),
+                   n_qubits)
 
 
 def _unchanged(g: np.ndarray) -> np.ndarray:
@@ -435,7 +437,8 @@ class QuantumModule:
 
     With ``spectral_normalize`` the maps enter the circuit as W / sigma(W),
     recomputed exactly from the live weights on every call, so the module
-    holds no normalization state.  ``rng`` is accepted and unused.
+    holds no normalization state.  ``rng`` is unused; it stays because the
+    acceptance tests pass it.
     """
 
     def __init__(self, w_in, w_out, params: DeepXyzParams,
@@ -457,7 +460,8 @@ class QuantumModule:
         return self.w_out.rows
 
     def refresh_normalization(self, iters: int = 1) -> None:
-        """No-op kept for callers: the normalization has no state to advance."""
+        """No-op: the normalization has no state to advance.  It and ``iters``
+        stay because the acceptance tests call it."""
 
     def maps(self) -> tuple:
         """((W_in', pullback), (W_out', pullback)): the arrays the circuit

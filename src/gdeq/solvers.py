@@ -1,7 +1,10 @@
 """Fixed-point solvers and implicit differentiation through them.
 
-Forward: run Picard or Anderson iteration on z <- f(z) outside any tape,
-with f the plain-NumPy map of a :class:`Plan` built once per solve.
+Forward: one Anderson loop on z <- f(z) outside any tape, with f the
+plain-NumPy map of a :class:`Plan` built once per solve.  Picard iteration
+is that loop with a one-slot window; Anderson mixes a window of
+``ANDERSON_WINDOW`` = 5 iterates with Tikhonov weight ``TIKHONOV`` = 1e-4,
+both module constants.
 Backward: at the solution z*, the gradient of a loss L through z* is
 obtained from the adjoint fixed point
 
@@ -28,14 +31,15 @@ from .autodiff import Tensor
 Array = np.ndarray
 
 
+ANDERSON_WINDOW = 5   # iterates that Anderson mixes
+TIKHONOV = 1e-4       # weight on the residual Gram, relative to its mean
+
+
 @dataclass
 class SolverConfig:
     method: str = "anderson"
     max_iter: int = 300
     tol: float = 1e-6
-    history: int = 5      # anderson window
-    beta: float = 1.0     # anderson mixing
-    lam: float = 1e-4     # tikhonov weight on the residual gram
 
     def __post_init__(self):
         if self.method not in ("picard", "anderson"):
@@ -44,10 +48,6 @@ class SolverConfig:
             raise ValueError("max_iter must be positive")
         if self.tol <= 0.0:
             raise ValueError("tol must be positive")
-        if self.history < 1:
-            raise ValueError("history must be positive")
-        if self.beta <= 0.0:
-            raise ValueError("beta must be positive")
 
 
 @dataclass
@@ -77,61 +77,39 @@ class Plan(NamedTuple):
     tensors: tuple
 
 
-def _norm(a: Array) -> float:
-    return float(np.linalg.norm(a))
-
-
-def picard_solve(f: Callable[[Array], Array], z0: Array,
-                 cfg: SolverConfig) -> SolveReport:
-    z = np.asarray(z0, dtype=np.float64)
-    residual = np.inf
-    with np.errstate(all="ignore"):
-        for it in range(1, cfg.max_iter + 1):
-            z_new = f(z)
-            if not np.all(np.isfinite(z_new)):
-                return SolveReport(False, it, np.inf, z_star=z, diverged=True)
-            residual = _norm(z_new - z)
-            z = z_new
-            if residual <= cfg.tol:
-                return SolveReport(True, it, residual, z_star=z)
-        return SolveReport(False, cfg.max_iter, residual, z_star=z)
-
-
-def anderson_solve(f: Callable[[Array], Array], z0: Array,
-                   cfg: SolverConfig) -> SolveReport:
-    """Anderson mixing over the last ``cfg.history`` iterates.
+def _iterate(f: Callable[[Array], Array], z0: Array, cfg: SolverConfig,
+             window: int) -> SolveReport:
+    """Anderson mixing over the last ``window`` iterates; one slot is Picard.
 
     Mixing weights solve the residual least-squares problem with a sum-to-one
-    constraint through a bordered system.  The Tikhonov term ``cfg.lam`` is
+    constraint through a bordered system.  The Tikhonov term ``TIKHONOV`` is
     scaled by the mean squared residual so the damping is scale invariant and
     the acceleration survives into the small-residual tail; a degenerate
-    system falls back to a plain Picard step.
+    system falls back to a plain Picard step, and so does every step of a
+    one-slot window, which never mixes.
 
-    The window lives in two preallocated ``(history, n)`` buffers, filled
-    as a ring: pair ``it`` goes to slot ``(it - 1) % history``, so the first
+    The window lives in two preallocated ``(window, n)`` buffers, filled
+    as a ring: pair ``it`` goes to slot ``(it - 1) % window``, so the first
     ``k`` slots always hold the window.  One holds the residuals
-    f(x_j) - x_j; the other the Picard steps (1 - beta) x_j + beta f(x_j),
-    so one weighted sum over it gives the mixed iterate, and the fallback
-    is the newest slot.
+    f(x_j) - x_j; the other the images f(x_j), so one weighted sum over it
+    gives the mixed iterate, and the Picard step is the newest slot.
     The residual Gram matrix is kept across iterations, and each new
     residual refreshes one row and one column of it.  A non-finite f(x_j)
     or mixed iterate shows in its squared norm (the new Gram diagonal, or
     the step norm), so a vector is scanned for non-finite entries only when
     that norm is not finite: an overflowing norm alone is not divergence.
-    Floating-point warnings are off for the whole solve, as in
-    :func:`picard_solve`: the report is the only signal of a map that
-    overflows or goes non-finite.
+    Floating-point warnings are off for the whole solve: the report is the
+    only signal of a map that overflows or goes non-finite.
     """
     z0 = np.asarray(z0, dtype=np.float64)
     shape = z0.shape
-    m, beta = cfg.history, cfg.beta
-    steps = np.empty((m, z0.size))
+    steps = np.empty((window, z0.size))
     rs = np.empty_like(steps)
-    gram = np.empty((m, m))
-    eye = np.eye(m)
-    bordered = np.ones((m + 1, m + 1))
+    gram = np.empty((window, window))
+    eye = np.eye(window)
+    bordered = np.ones((window + 1, window + 1))
     bordered[0, 0] = 0.0
-    rhs = np.zeros(m + 1)
+    rhs = np.zeros(window + 1)
     rhs[0] = 1.0
     diff = np.empty(z0.size)
     x = z0.ravel().copy()
@@ -141,21 +119,19 @@ def anderson_solve(f: Callable[[Array], Array], z0: Array,
     with np.errstate(all="ignore"):
         for it in range(1, cfg.max_iter + 1):
             fk = f(x.reshape(shape)).ravel()
-            slot, k = (it - 1) % m, min(it, m)
+            slot, k = (it - 1) % window, min(it, window)
             np.subtract(fk, x, out=rs[slot])
             gram[slot, :k] = gram[:k, slot] = rs[:k] @ rs[slot]
             # a non-finite f(x) shows in its squared residual; so may overflow
             if not math.isfinite(gram[slot, slot]) and not np.isfinite(fk).all():
                 return SolveReport(False, it, np.inf, z_star=x.reshape(shape),
                                    diverged=True, fallback_steps=fallback)
-            picard = np.multiply(fk, beta, out=steps[slot])
-            if beta != 1.0:
-                picard += (1.0 - beta) * x
+            steps[slot] = fk
             x_next = None
             if k > 1:
                 scale = np.trace(gram[:k, :k]) / k
                 h = bordered[:k + 1, :k + 1]
-                np.multiply(eye[:k, :k], cfg.lam * scale, out=h[1:, 1:])
+                np.multiply(eye[:k, :k], TIKHONOV * scale, out=h[1:, 1:])
                 h[1:, 1:] += gram[:k, :k]
                 try:
                     alpha = np.linalg.solve(h, rhs[:k + 1])[1:]
@@ -166,7 +142,7 @@ def anderson_solve(f: Callable[[Array], Array], z0: Array,
                 else:
                     fallback += 1
             if x_next is None:
-                x_next = picard.copy()
+                x_next = steps[slot].copy()
             np.subtract(x_next, x, out=diff)
             residual = math.sqrt(diff @ diff)
             if not math.isfinite(residual) and not np.isfinite(x_next).all():
@@ -178,6 +154,22 @@ def anderson_solve(f: Callable[[Array], Array], z0: Array,
                                    fallback_steps=fallback)
         return SolveReport(False, cfg.max_iter, residual,
                            z_star=x.reshape(shape), fallback_steps=fallback)
+
+
+def picard_solve(f: Callable[[Array], Array], z0: Array,
+                 cfg: SolverConfig) -> SolveReport:
+    """Plain iteration z <- f(z): the loop of :func:`anderson_solve` with a
+    one-slot window."""
+    return _iterate(f, z0, cfg, 1)
+
+
+def anderson_solve(f: Callable[[Array], Array], z0: Array,
+                   cfg: SolverConfig) -> SolveReport:
+    """Anderson mixing over the last ``ANDERSON_WINDOW`` = 5 iterates with
+    Tikhonov weight ``TIKHONOV`` = 1e-4, both module constants.  It runs the
+    solvers' one loop, which :func:`picard_solve` runs with a one-slot
+    window."""
+    return _iterate(f, z0, cfg, ANDERSON_WINDOW)
 
 
 def solve_fixed_point(f: Callable[[Array], Array], z0: Array,

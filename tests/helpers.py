@@ -318,9 +318,33 @@ def reference_attention_readout(z: np.ndarray, ranges, att) -> np.ndarray:
     return np.concatenate(pooled, axis=0)
 
 
-def reference_anderson_solve(f, z0: np.ndarray, cfg: SolverConfig) -> SolveReport:
+def reference_picard_solve(f, z0: np.ndarray, cfg: SolverConfig) -> SolveReport:
+    """Plain iteration z <- f(z) in its own loop: the oracle for
+    ``gdeq.solvers.picard_solve``, which runs the Anderson loop with a
+    one-slot window."""
+    z = np.asarray(z0, dtype=np.float64)
+    residual = np.inf
+    with np.errstate(all="ignore"):
+        for it in range(1, cfg.max_iter + 1):
+            z_new = f(z)
+            if not np.all(np.isfinite(z_new)):
+                return SolveReport(False, it, np.inf, z_star=z, diverged=True)
+            residual = float(np.linalg.norm(z_new - z))
+            z = z_new
+            if residual <= cfg.tol:
+                return SolveReport(True, it, residual, z_star=z)
+        return SolveReport(False, cfg.max_iter, residual, z_star=z)
+
+
+def reference_anderson_solve(f, z0: np.ndarray, cfg: SolverConfig,
+                             window: int = 5, beta: float = 1.0,
+                             lam: float = 1e-4) -> SolveReport:
     """Anderson mixing that re-stacks its window and rebuilds the Gram
-    matrix on every iteration: the oracle for ``gdeq.solvers.anderson_solve``.
+    matrix on every iteration: the oracle for ``gdeq.solvers``' loop.
+
+    ``window`` iterates are mixed with damping ``beta`` (each step is
+    (1 - beta) x + beta f(x)) and Tikhonov weight ``lam``; the solvers fix
+    beta = 1, and run windows of 1 (Picard) and 5 (Anderson).
     """
     z0 = np.asarray(z0, dtype=np.float64)
     shape = z0.shape
@@ -345,7 +369,7 @@ def reference_anderson_solve(f, z0: np.ndarray, cfg: SolverConfig) -> SolveRepor
             h = np.zeros((k + 1, k + 1))
             h[0, 1:] = 1.0
             h[1:, 0] = 1.0
-            h[1:, 1:] = gram + cfg.lam * scale * np.eye(k)
+            h[1:, 1:] = gram + lam * scale * np.eye(k)
             rhs = np.zeros(k + 1)
             rhs[0] = 1.0
             try:
@@ -355,19 +379,19 @@ def reference_anderson_solve(f, z0: np.ndarray, cfg: SolverConfig) -> SolveRepor
             if alpha is not None and np.all(np.isfinite(alpha)):
                 xw = alpha @ np.stack(xs[-k:])
                 fw = alpha @ np.stack(fs[-k:])
-                x_next = (1.0 - cfg.beta) * xw + cfg.beta * fw
+                x_next = (1.0 - beta) * xw + beta * fw
             if x_next is None:
                 fallback += 1
         if x_next is None:
-            x_next = (1.0 - cfg.beta) * xs[-1] + cfg.beta * fk
+            x_next = (1.0 - beta) * xs[-1] + beta * fk
         if not np.all(np.isfinite(x_next)):
             return SolveReport(False, it, np.inf, z_star=xs[-1].reshape(shape),
                                diverged=True, fallback_steps=fallback)
         residual = float(np.linalg.norm(x_next - xs[-1]))
         xs.append(x_next)
-        if len(xs) > cfg.history:
-            xs = xs[-cfg.history:]
-            fs = fs[-(cfg.history - 1):] if cfg.history > 1 else []
+        if len(xs) > window:
+            xs = xs[-window:]
+            fs = fs[-(window - 1):] if window > 1 else []
         if residual <= cfg.tol:
             return SolveReport(True, it, residual, z_star=xs[-1].reshape(shape),
                                fallback_steps=fallback)

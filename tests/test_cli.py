@@ -323,12 +323,28 @@ def test_missing_dataset_is_a_config_error(tmp_path):
                                    ["--hidden-dim", "6"], ["--kappa", "1.5"],
                                    ["--kappa", "0"], ["--alpha", "-0.1"],
                                    ["--seeds", "-1"], ["--seeds", "1,1"],
-                                   ["--workers", "0"], ["--workers", "-2"]])
+                                   ["--workers", "0"], ["--workers", "-2"],
+                                   ["--folds", "70"]])
 def test_a_bad_config_fails_before_any_run_starts(mutag_dir, tmp_path,
                                                    capsys, flags):
     out = tmp_path / "runs"
     code = main(DESK + ["--pathway", "classical", "--seeds", "1", "--folds",
                         "2", "--epochs", "1", "--out", str(out), *flags])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+    assert_nothing_left_running()
+
+
+@pytest.mark.parametrize("line", ["heads=0", "heads=-4", "mlp_hidden=-1"])
+def test_a_bad_model_size_in_a_config_file_fails_before_any_run_starts(
+        mutag_dir, tmp_path, capsys, line):
+    config = tmp_path / "cfg.txt"
+    config.write_text(line + "\n")
+    out = tmp_path / "runs"
+    code = main(DESK + ["--config", str(config), "--pathway", "classical",
+                        "--seeds", "1", "--folds", "2", "--epochs", "1",
+                        "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()

@@ -274,25 +274,29 @@ def _probe_case(kind, layout, rng):
     return EquilibriumOperator(kind, bb, module, alpha=0.05), ctx
 
 
-# (n_pairs, keyword arguments): a single pair, one of each kind, several
-# chunks with a shorter last one, the default count; then every tight pair
-# skipped (delta 0) and two scales, which shifts the scale of each pair
-# against its parity.
+# (n_pairs, oracle keyword arguments): a single pair, one of each kind,
+# several chunks with a shorter last one, the default count; then every
+# tight pair skipped (delta 0) and two scales, which shifts the scale of
+# each pair against its parity.  The production side gets the same values
+# by patching its PROBE_DELTA and PROBE_SCALES constants.
 PROBE_RUNS = [(1, {}), (2, {}), (60, {}), (200, {}),
               (60, {"delta": 0.0}), (60, {"scales": (0.5, 3.0)})]
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 @pytest.mark.parametrize("kind", ["classical", "id", "sd", "bd"])
-def test_bulk_draws_match_pair_by_pair_draws_byte_for_byte(kind, layout):
+def test_bulk_draws_match_pair_by_pair_draws_byte_for_byte(kind, layout,
+                                                           monkeypatch):
     op, ctx = _probe_case(kind, layout, np.random.default_rng(30))
     f = apply_on_copies(op, ctx)
     shape = (ctx.h.rows, op.backbone.d_hidden)
     for n_pairs, kwargs in PROBE_RUNS:
         rng_bulk = np.random.default_rng((30, n_pairs))
         rng_oracle = np.random.default_rng((30, n_pairs))
-        got = empirical_lipschitz(f, shape, rng_bulk, n_pairs=n_pairs,
-                                  **kwargs)
+        with monkeypatch.context() as patch:
+            for name, value in kwargs.items():
+                patch.setattr(contraction, "PROBE_" + name.upper(), value)
+            got = empirical_lipschitz(f, shape, rng_bulk, n_pairs=n_pairs)
         want = chunked_empirical_lipschitz(f, shape, rng_oracle,
                                            n_pairs=n_pairs, **kwargs)
         assert got == want, (n_pairs, kwargs, got.hex(), want.hex())

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,8 +9,12 @@ from gdeq.autodiff import Tensor
 from gdeq.solvers import (SolverConfig, anderson_solve, equilibrium_solve,
                           picard_solve, solve_fixed_point)
 
-from helpers import (numeric_grad, reference_anderson_solve, rel_err,
-                     replay_plan, scale, sum_all, tanh)
+from helpers import (numeric_grad, reference_anderson_solve,
+                     reference_picard_solve, rel_err, replay_plan, scale,
+                     sum_all, tanh)
+
+# each solver with the window of the re-stacking oracle it runs
+SOLVERS = [(picard_solve, 1), (anderson_solve, 5)]
 
 
 def scaled_to(m, sigma):
@@ -85,10 +90,14 @@ def test_anderson_beats_picard_on_stiff_affine():
     assert rep_a.fallback_steps == 0
 
 
-def test_anderson_history_one_degenerates_to_picard():
-    cfg = SolverConfig(method="anderson", history=1, tol=1e-10)
-    rep = anderson_solve(lambda z: 0.5 * z + 1.0, np.zeros((1, 1)), cfg)
+def test_picard_is_the_one_slot_window_of_the_oracle():
+    cfg = SolverConfig(method="picard", tol=1e-10)
+    f = lambda z: 0.5 * z + 1.0
+    rep = picard_solve(f, np.zeros((1, 1)), cfg)
+    want = reference_anderson_solve(f, np.zeros((1, 1)), cfg, window=1)
     assert rep.converged and abs(rep.z_star[0, 0] - 2.0) <= 1e-9
+    assert np.array_equal(rep.z_star, want.z_star)
+    assert rep.iterations == want.iterations and rep.fallback_steps == 0
 
 
 @pytest.mark.parametrize("method", ["picard", "anderson"])
@@ -108,10 +117,10 @@ def test_max_iter_exhaustion():
     assert np.isfinite(rep.residual) and rep.residual > cfg.tol
 
 
-def assert_matches_reference(f, z0, cfg):
+def assert_matches_reference(f, z0, cfg, solver=anderson_solve, window=5):
     """The ring-buffer solver against the re-stacking oracle."""
-    got = anderson_solve(f, z0, cfg)
-    want = reference_anderson_solve(f, z0, cfg)
+    got = solver(f, z0, cfg)
+    want = reference_anderson_solve(f, z0, cfg, window=window)
     assert rel_err(got.z_star, want.z_star) <= 1e-12
     for name in ("iterations", "fallback_steps", "converged", "diverged"):
         assert getattr(got, name) == getattr(want, name), name
@@ -126,11 +135,11 @@ def contraction_map(seed=13, shape=(12, 3)):
     return lambda z: np.tanh(m @ z + b)
 
 
-@pytest.mark.parametrize("beta", [0.5, 1.0])
-@pytest.mark.parametrize("history", [1, 2, 5])
-def test_anderson_matches_restacking_oracle(history, beta):
-    cfg = SolverConfig(history=history, beta=beta, tol=1e-10, max_iter=500)
-    rep = assert_matches_reference(contraction_map(), np.zeros((12, 3)), cfg)
+@pytest.mark.parametrize("solver, window", SOLVERS)
+def test_solver_matches_restacking_oracle(solver, window):
+    cfg = SolverConfig(tol=1e-10, max_iter=500)
+    rep = assert_matches_reference(contraction_map(), np.zeros((12, 3)), cfg,
+                                   solver, window)
     assert rep.converged
 
 
@@ -174,16 +183,17 @@ def fails_at_call(bad_call, value):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("bad_call", [1, 2, 8])
-@pytest.mark.parametrize("history", [1, 5])
-def test_anderson_reports_a_nonfinite_map_like_the_oracle(value, bad_call,
-                                                          history):
+@pytest.mark.parametrize("solver, window", SOLVERS)
+def test_solver_reports_a_nonfinite_map_like_the_oracle(value, bad_call,
+                                                        solver, window):
     # call 1 has no window yet, call 2 has a two-slot one, and call 8 is
     # past a full ring of five
-    cfg = SolverConfig(history=history, tol=1e-14)
+    cfg = SolverConfig(tol=1e-14)
     z0 = np.zeros((12, 3))
     with np.errstate(invalid="ignore", over="ignore"):
-        got = anderson_solve(fails_at_call(bad_call, value), z0, cfg)
-        want = reference_anderson_solve(fails_at_call(bad_call, value), z0, cfg)
+        got = solver(fails_at_call(bad_call, value), z0, cfg)
+        want = reference_anderson_solve(fails_at_call(bad_call, value), z0, cfg,
+                                        window=window)
     assert got.diverged and got.residual == np.inf
     assert got.iterations == bad_call
     assert rel_err(got.z_star, want.z_star) <= 1e-12
@@ -191,22 +201,42 @@ def test_anderson_reports_a_nonfinite_map_like_the_oracle(value, bad_call,
         assert getattr(got, name) == getattr(want, name), name
 
 
-def test_anderson_reports_an_overflowing_step_like_the_oracle():
-    # f(x) is finite, but the step 2 f(x) - x overflows
-    cfg = SolverConfig(beta=2.0)
+def overflows_when_mixed(z):
+    """Column 0 stays at 1e308 and column 1 contracts by 0.9: from
+    (1e308, 1), the second step's weights are near (-9, 10), so the mixed
+    column 0 overflows although every f(x) and residual is finite."""
+    out = 0.9 * z
+    out[:, 0] = 1e308
+    return out
+
+
+OVERFLOW_Z0 = np.array([[1e308, 1.0]])
+
+
+def test_anderson_reports_an_overflowing_mixed_iterate_like_the_oracle():
     with np.errstate(over="ignore", invalid="ignore"):
-        rep = assert_matches_reference(lambda z: np.full_like(z, 1e308),
-                                       np.zeros((4, 2)), cfg)
-    assert rep.diverged and rep.iterations == 1 and rep.residual == np.inf
+        rep = assert_matches_reference(overflows_when_mixed, OVERFLOW_Z0,
+                                       SolverConfig())
+    assert rep.diverged and rep.iterations == 2 and rep.residual == np.inf
+    assert rep.fallback_steps == 0
+    assert np.array_equal(rep.z_star, [[1e308, 0.9]])
+
+
+def test_a_singular_mixing_system_falls_back_to_picard(monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    f, z0 = contraction_map(), np.zeros((12, 3))
+    cfg = SolverConfig(max_iter=20)
+    picard = picard_solve(f, z0, cfg)
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    rep = assert_matches_reference(f, z0, cfg)
+    assert rep.fallback_steps == rep.iterations - 1
+    assert np.array_equal(rep.z_star, picard.z_star)
+    assert rep.iterations == picard.iterations
 
 
 def test_anderson_matches_oracle_through_fallback():
-    # a translation keeps every residual equal, so without damping the
-    # bordered system is singular and each mixing step falls back
-    c = np.array([[1.0, -2.0, 0.5]])
-    cfg = SolverConfig(lam=0.0, max_iter=20)
-    rep = assert_matches_reference(lambda z: z + c, np.zeros((1, 3)), cfg)
-    assert rep.fallback_steps == 19
     # residuals of 1e160 overflow the Gram matrix, so the weights are not
     # finite until 25 Picard steps have shrunk them; five mixing steps follow
     cfg = SolverConfig(max_iter=30)
@@ -216,27 +246,28 @@ def test_anderson_matches_oracle_through_fallback():
     assert rep.fallback_steps == 25
 
 
-# (map factory, z0, config): the non-finite and overflow cases above
+# (map factory, z0, config, solver and oracle window): the non-finite and
+# overflow cases above
 WARNING_CASES = [
-    (lambda: lambda z: np.full_like(z, 1e308), (4, 2), SolverConfig(beta=2.0)),
-    (lambda: lambda z: 0.5 * z + 1e160, (4, 2), SolverConfig(max_iter=30)),
-    (fails_near_the_solution, (12, 3), SolverConfig()),
+    (lambda: overflows_when_mixed, OVERFLOW_Z0, SolverConfig(), SOLVERS[1]),
+    (lambda: lambda z: 0.5 * z + 1e160, np.zeros((4, 2)),
+     SolverConfig(max_iter=30), SOLVERS[1]),
+    (fails_near_the_solution, np.zeros((12, 3)), SolverConfig(), SOLVERS[1]),
 ] + [(lambda bad_call=bad_call, value=value: fails_at_call(bad_call, value),
-      (12, 3), SolverConfig(history=history, tol=1e-14))
+      np.zeros((12, 3)), SolverConfig(tol=1e-14), solver)
      for value in (np.nan, np.inf, -np.inf) for bad_call in (1, 2, 8)
-     for history in (1, 5)]
+     for solver in SOLVERS]
 
 
 @pytest.mark.parametrize("case", range(len(WARNING_CASES)))
-def test_anderson_is_silent_on_nonfinite_and_overflowing_maps(case):
+def test_solver_is_silent_on_nonfinite_and_overflowing_maps(case):
     # with every warning an error, the report is the solve's only signal
-    make_map, shape, cfg = WARNING_CASES[case]
-    z0 = np.zeros(shape)
+    make_map, z0, cfg, (solver, window) = WARNING_CASES[case]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = anderson_solve(make_map(), z0, cfg)
+        got = solver(make_map(), z0, cfg)
     with np.errstate(all="ignore"):
-        want = reference_anderson_solve(make_map(), z0, cfg)
+        want = reference_anderson_solve(make_map(), z0, cfg, window=window)
     assert rel_err(got.z_star, want.z_star) <= 1e-12
     for name in ("iterations", "fallback_steps", "converged", "diverged"):
         assert getattr(got, name) == getattr(want, name), name
@@ -250,9 +281,44 @@ def test_config_validation():
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
-    for beta in (0.0, -0.5):
-        with pytest.raises(ValueError):
-            SolverConfig(beta=beta)
+    assert [f.name for f in fields(SolverConfig)] == ["method", "max_iter",
+                                                      "tol"]
+
+
+def picard_cases():
+    """(map factory, z0, config): tanh contractions at three tolerances,
+    divergence, max_iter, a finite map whose residual overflows, and maps
+    that go non-finite at calls 1, 2 and 7."""
+    cases = [(lambda seed=seed: contraction_map(seed), np.zeros((12, 3)),
+              SolverConfig("picard", tol=tol))
+             for seed in range(20) for tol in (1e-4, 1e-8, 1e-12)]
+    cases += [
+        (lambda: lambda z: z * z, np.full((1, 2), 1e200),
+         SolverConfig("picard")),
+        (lambda: lambda z: 0.999 * z, np.ones((1, 1)),
+         SolverConfig("picard", max_iter=10, tol=1e-12)),
+        (lambda: lambda z: -np.sign(z) * 1e308, np.full((2, 2), 1e308),
+         SolverConfig("picard", max_iter=5)),
+    ]
+    cases += [(lambda bad_call=bad_call, value=value:
+               fails_at_call(bad_call, value), np.zeros((12, 3)),
+               SolverConfig("picard", tol=1e-14))
+              for bad_call in (1, 2, 7) for value in (np.nan, np.inf, -np.inf)]
+    return cases
+
+
+PICARD_CASES = picard_cases()
+
+
+@pytest.mark.parametrize("case", range(len(PICARD_CASES)))
+def test_picard_matches_the_plain_loop_bit_for_bit(case):
+    make_map, z0, cfg = PICARD_CASES[case]
+    got = picard_solve(make_map(), z0, cfg)
+    want = reference_picard_solve(make_map(), z0, cfg)
+    assert np.array_equal(got.z_star, want.z_star)
+    for name in ("iterations", "residual", "converged", "diverged",
+                 "fallback_steps"):
+        assert getattr(got, name) == getattr(want, name), name
 
 
 def adjoint(jac, g, cfg):

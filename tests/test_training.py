@@ -275,8 +275,10 @@ def test_model_config_validation():
         ModelConfig(d_hidden=10, heads=4)
     with pytest.raises(ValueError):
         ModelConfig(dropout=1.0)
-    with pytest.raises(ValueError):
-        ModelConfig(encoder="mlp")
+    for bad in ({"heads": 0}, {"heads": -4}, {"mlp_hidden": 0},
+                {"mlp_hidden": -1}):
+        with pytest.raises(ValueError, match="must be positive"):
+            ModelConfig(**bad)
     with pytest.raises(ValueError):
         TrainConfig(folds=1)
 
@@ -644,8 +646,8 @@ def test_rerun_is_bit_identical():
 def test_cross_validate_counts_runs_and_aggregates():
     ds = toy_dataset()
     tcfg = TrainConfig(lr=1e-3, epochs=2, batch_size=4, folds=2)
-    runs, agg = cross_validate(ds, small_config(), tcfg,
-                               seeds=[0, 1], folds=2, workers=3)
+    runs, agg = cross_validate(ds, small_config(), tcfg, seeds=[0, 1],
+                               workers=3)
     assert_nothing_left_running()
     assert len(runs) == 4
     assert {(r.seed, r.fold) for r in runs} == {(0, 0), (0, 1), (1, 0), (1, 1)}
