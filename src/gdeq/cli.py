@@ -38,10 +38,11 @@ import numpy as np
 from . import autodiff as ad
 from .contraction import LipschitzReport, analyze_operator
 from .graphs import collate, load_tu_dataset, stratified_folds
-from .operators import GraphContext, PATHWAYS
+from .operators import PATHWAYS
 from .solvers import SolverConfig
-from .training import (ModelConfig, TrainConfig, aggregate_runs, encode,
-                       run_jobs, run_training, save_checkpoint)
+from .training import (ModelConfig, TrainConfig, aggregate_runs, run_jobs,
+                       run_training, save_checkpoint)
+from .training import encode  # noqa: F401 - perfbench traces cli.encode by name
 
 FAILURE_RATE_LIMIT = 0.1   # diverged or max_iter share of solves that fails a run
 
@@ -213,11 +214,7 @@ def emit_iteration_curves(runs):
 def certificate_report(model, batch, rng_seed=0) -> LipschitzReport:
     """Lipschitz analysis of a trained operator on a probe batch."""
     with ad.no_grad():
-        h = encode(batch.features, model.encoder)
-        ctx = GraphContext(a_norm=batch.a_norm, h=h)
-        if model.cfg.pathway == "id":
-            ctx = replace(ctx, q_id=model.operator.compute_id_conditioning(
-                h, batch.tau))
+        ctx = model.context(batch)
     report = LipschitzReport(kappa=model.cfg.kappa, alpha=model.cfg.alpha)
     report.add(analyze_operator(model.operator, ctx,
                                 np.random.default_rng(rng_seed)))

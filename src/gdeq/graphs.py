@@ -48,78 +48,86 @@ class GraphDataset:
         return np.array([g.label for g in self.graphs], dtype=np.int64)
 
 
-def padded_layout(sizes) -> tuple[int, np.ndarray | None]:
-    """(n_max, rows) for per-graph blocks of ``sizes`` rows padded to the largest.
-
-    ``rows`` maps every row of the stacked (sum(sizes), d) layout to its row
-    in the padded (len(sizes) * n_max, d) layout, and is ``None`` when every
-    block is full, so that the two layouts coincide.
-    """
-    n_max = max(sizes)
-    if min(sizes) == n_max:
-        return n_max, None
-    return n_max, np.concatenate([b * n_max + np.arange(n)
-                                  for b, n in enumerate(sizes)])
-
-
 class BlockAdjacency:
     """A block-diagonal matrix kept as one zero-padded block per graph.
 
-    ``blocks`` is (B, n_max, n_max) and ``rows`` is the row map of
-    :func:`padded_layout` (``None`` when no block is padded).  Products
-    never form the N x N matrix.
+    This class alone knows the padded layout of a batch: graph b's
+    ``sizes[b]`` rows lead slot b of a (B, n_max) grid, with n_max the
+    largest graph.  ``blocks`` is (B, n_max, n_max), ``valid`` masks the
+    real slots, and ``rows`` maps each row of the stacked (sum(sizes), d)
+    layout to its slot in the flattened grid; it is ``None`` when no block
+    is padded, so that the two layouts coincide.  Products never form the
+    N x N matrix.
     """
 
-    __slots__ = ("blocks", "rows")
+    __slots__ = ("blocks", "sizes", "rows", "_valid")
 
-    def __init__(self, blocks: np.ndarray, rows: np.ndarray | None = None):
+    def __init__(self, blocks: np.ndarray, sizes=None):
+        """``sizes`` holds each block's row count; every block is full when
+        it is omitted."""
+        b, n_max = blocks.shape[:2]
         self.blocks = blocks
-        self.rows = rows
+        self.sizes = (n_max,) * b if sizes is None else tuple(sizes)
+        self.rows = self._valid = None
+        if sizes is not None and min(self.sizes) < n_max:
+            self._valid = np.arange(n_max) < np.array(self.sizes)[:, None]
+            self.rows = np.flatnonzero(self._valid)
 
     @classmethod
     def stack(cls, mats: list) -> "BlockAdjacency":
         """block_diag(*mats), padded to the largest block."""
         sizes = [m.shape[0] for m in mats]
-        n_max, rows = padded_layout(sizes)
-        blocks = np.zeros((len(mats), n_max, n_max))
+        if min(sizes) < 1:
+            raise ValueError("every block needs at least one row")
+        blocks = np.zeros((len(mats), max(sizes), max(sizes)))
         for b, (m, n) in enumerate(zip(mats, sizes)):
             blocks[b, :n, :n] = m
-        return cls(blocks, rows)
+        return cls(blocks, sizes)
+
+    @property
+    def valid(self) -> np.ndarray:
+        """(B, n_max) mask of the slots that hold a real row."""
+        if self._valid is None:
+            self._valid = np.ones(self.blocks.shape[:2], dtype=bool)
+        return self._valid
 
     def repeat(self, k: int) -> "BlockAdjacency":
         """block_diag(M, ..., M) with k copies of this matrix M, copy-major.
 
-        The row map is offset per copy.  The copies are contiguous, so the
-        first c of them are ``head(c * N)`` for an N-row M.
+        The copies are contiguous, so the first c of them are
+        ``head(c * N)`` for an N-row M.
         """
-        blocks = np.tile(self.blocks, (k, 1, 1))
-        if self.rows is None:
-            return BlockAdjacency(blocks)
-        stride = self.blocks.shape[0] * self.blocks.shape[1]
-        return BlockAdjacency(
-            blocks, (stride * np.arange(k)[:, None] + self.rows).ravel())
+        return BlockAdjacency(np.tile(self.blocks, (k, 1, 1)), self.sizes * k)
 
     def head(self, n_rows: int) -> "BlockAdjacency":
         """The leading blocks that hold the first ``n_rows`` rows; those rows
         must end where a block ends."""
-        n_max = self.blocks.shape[1]
-        if self.rows is None:
-            return BlockAdjacency(self.blocks[:n_rows // n_max])
-        rows = self.rows[:n_rows]
-        return BlockAdjacency(self.blocks[:rows[-1] // n_max + 1], rows)
+        last = n_rows - 1 if self.rows is None else self.rows[n_rows - 1]
+        c = last // self.blocks.shape[1] + 1
+        return BlockAdjacency(self.blocks[:c], self.sizes[:c])
 
-    def _product(self, blocks: np.ndarray, z: np.ndarray) -> np.ndarray:
-        b, n_max = blocks.shape[:2]
+    def pad(self, z: np.ndarray) -> np.ndarray:
+        """The stacked (N, d) rows ``z`` as (B, n_max, d), zero where padded."""
+        b, n_max = self.blocks.shape[:2]
+        n = b * n_max if self.rows is None else self.rows.size
+        if z.shape[0] != n:
+            raise ValueError(f"expected {n} rows, got {z.shape[0]}")
         if self.rows is None:
-            if z.shape[0] != b * n_max:
-                raise ValueError(f"expected {b * n_max} rows, got {z.shape[0]}")
-            if b == 1:  # one dense matrix: skip the batched-matmul set-up
-                return blocks[0] @ z
-            return (blocks @ z.reshape(b, n_max, -1)).reshape(z.shape)
+            return z.reshape(b, n_max, -1)
         padded = np.zeros((b * n_max, z.shape[1]))
         padded[self.rows] = z
-        out = blocks @ padded.reshape(b, n_max, -1)
-        return np.take(out.reshape(b * n_max, -1), self.rows, axis=0)
+        return padded.reshape(b, n_max, -1)
+
+    def unpad(self, p: np.ndarray) -> np.ndarray:
+        """The real rows of a (B, n_max, d) array ``p``, stacked as (N, d)."""
+        flat = p.reshape(-1, p.shape[-1])
+        return flat if self.rows is None else np.take(flat, self.rows, axis=0)
+
+    def _product(self, blocks: np.ndarray, z: np.ndarray) -> np.ndarray:
+        padded = self.pad(z)
+        if self.rows is None and padded.shape[0] == 1:
+            return blocks[0] @ z   # one dense matrix: skip the batched set-up
+        return self.unpad(blocks @ padded)
 
     def matmul(self, z: np.ndarray) -> np.ndarray:
         """A @ z for a stacked (N, d) array ``z``."""
@@ -137,12 +145,11 @@ class Batch:
     a_norm: BlockAdjacency
     features: np.ndarray
     tau: np.ndarray
-    ranges: list            # [(row0, row1)] per graph
     labels: np.ndarray
 
     @property
     def n_graphs(self) -> int:
-        return len(self.ranges)
+        return len(self.labels)
 
     @property
     def n_nodes(self) -> int:
@@ -238,17 +245,6 @@ def _descriptors(table: np.ndarray, deg: np.ndarray, sizes,
     np.divide(2.0 * tri, denom, out=out[:, k + 1], where=denom > 0)
     out[:, k + 2] = tri > 0
     return out
-
-
-def simple_cycle_counts(a, l_max: int = DEFAULT_L_MAX) -> np.ndarray:
-    """Per-node counts of simple cycles of each length 3..l_max.
-
-    Each cycle is counted once (see :func:`_cycle_counts`).  The result is
-    a function of the adjacency alone, so node relabeling permutes rows and
-    nothing else.
-    """
-    a = _check_adjacency(a)
-    return _cycle_counts(_neighbour_table(*np.nonzero(a), a.shape[0])[0], l_max)
 
 
 def topology_descriptors(a, l_max: int = DEFAULT_L_MAX) -> np.ndarray:
@@ -480,16 +476,10 @@ def collate(graphs: list) -> Batch:
     """Stack graphs into one block-diagonal batch."""
     if not graphs:
         raise ValueError("cannot collate an empty batch")
-    ranges = []
-    row = 0
-    for g in graphs:
-        ranges.append((row, row + g.n_nodes))
-        row += g.n_nodes
     return Batch(
         a_norm=BlockAdjacency.stack([g.a_norm for g in graphs]),
         features=np.concatenate([g.features for g in graphs], axis=0),
         tau=np.concatenate([g.tau for g in graphs], axis=0),
-        ranges=ranges,
         labels=np.array([g.label for g in graphs], dtype=np.int64),
     )
 

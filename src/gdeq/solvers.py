@@ -46,8 +46,8 @@ class SolverConfig:
             raise ValueError(f"unknown solver {self.method!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
 
 @dataclass

@@ -4,7 +4,8 @@ A linear encoder lifts node features to the hidden width, the equilibrium
 operator drives the node states to their fixed point, a multi-head
 self-attention readout pools each graph's rows into one vector, and a small
 MLP head produces class logits.  The readout runs on the whole batch at
-once, on the zero-padded per-graph layout the adjacency already uses, so
+once, on the zero-padded per-graph layout of the batch's adjacency
+(``graphs.BlockAdjacency`` pads and unpads; the readout only masks), so
 a graph's pooled vector agrees with its single-graph readout to round-off
 rather than bit for bit; the same batch always reads the same bytes.
 Training follows AdamW with selective weight decay, cosine-annealed
@@ -32,14 +33,14 @@ import tempfile
 import time
 import traceback
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graphs import (descriptor_dim, make_batches, padded_layout,
+from .graphs import (BlockAdjacency, descriptor_dim, make_batches,
                      stratified_folds)
 from .operators import (BackboneParams, EquilibriumOperator, GraphContext,
                         PATHWAYS, clip_spectral)
@@ -78,9 +79,9 @@ class ModelConfig:
             raise ValueError("head count must divide the hidden dimension")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout rate must lie in [0, 1)")
-        if self.alpha < 0.0 or not 0.0 < self.kappa <= 1.0:
-            raise ValueError("alpha must be nonnegative and kappa lie in "
-                             f"(0, 1], got {self.alpha} and {self.kappa}")
+        if not (0.0 <= self.alpha < math.inf and 0.0 < self.kappa <= 1.0):
+            raise ValueError("alpha must be nonnegative and finite and kappa "
+                             f"lie in (0, 1], got {self.alpha} and {self.kappa}")
 
 
 @dataclass
@@ -97,8 +98,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.folds < 2:
             raise ValueError("epochs/batch_size/folds out of range")
-        if self.lr < 0 or self.lr_min < 0 or self.weight_decay < 0:
-            raise ValueError("rates must be nonnegative")
+        if not all(0.0 <= r < math.inf
+                   for r in (self.lr, self.lr_min, self.weight_decay)):
+            raise ValueError("rates must be nonnegative and finite")
+        if not math.isfinite(self.grad_clip):
+            raise ValueError(f"grad_clip must be finite, got {self.grad_clip}")
 
 
 @dataclass
@@ -162,50 +166,29 @@ class AttentionParams:
                 ("attn_wo", self.w_o), ("attn_bo", self.b_o)]
 
 
-def _graph_sizes(ranges, n_rows: int) -> list:
-    """Row counts of ``ranges``, which must tile [0, n_rows) in order."""
-    sizes, row = [], 0
-    for i0, i1 in ranges:
-        if i1 <= i0:
-            raise ValueError(f"empty graph range ({i0}, {i1})")
-        if i0 != row:
-            raise ValueError(f"graph range ({i0}, {i1}) does not start at "
-                             f"row {row}: ranges must tile the rows in order")
-        sizes.append(i1 - i0)
-        row = i1
-    if row != n_rows or not sizes:
-        raise ValueError(f"graph ranges cover rows [0, {row}) of {n_rows}")
-    return sizes
-
-
-def _pooled_attention(qkv: Tensor, sizes: list, heads: int) -> Tensor:
+def _pooled_attention(qkv: Tensor, layout: BlockAdjacency,
+                      heads: int) -> Tensor:
     """Per-graph multi-head attention, summed over each graph's rows.
 
-    ``qkv`` holds the projected [Q | K | V] rows, (N, 3d).  The rows are
-    scattered into the zero-padded (B, n_max) layout of
-    :func:`graphs.padded_layout`; padded keys get score -inf and padded
-    queries are left out of the sum.  Only the sum over queries is kept,
-    so each graph's pooled head is (P 1)ᵀ V, where P[j, i] is the softmax
-    over keys j of k_j · q_i / √width.  Scores are stored key-major, so the
-    softmax reduces over a non-contiguous axis, which NumPy vectorizes
-    across the queries.  Returns (B, d).
+    ``qkv`` holds the projected [Q | K | V] rows, (N, 3d), which
+    ``layout.pad`` lays out as (B, n_max); padded keys get score -inf and
+    padded queries are left out of the sum.  Only the sum over queries is
+    kept, so each graph's pooled head is (P 1)ᵀ V, where P[j, i] is the
+    softmax over keys j of k_j · q_i / √width.  Scores are stored
+    key-major, so the softmax reduces over a non-contiguous axis, which
+    NumPy vectorizes across the queries.  Returns (B, d).
     """
     d3 = qkv.cols
     d = d3 // 3
     width = d // heads
-    b = len(sizes)
-    n_max, rows = padded_layout(sizes)
+    valid = layout.valid                                         # (B, n_max)
+    b, n_max = valid.shape
 
-    def split_heads(flat):
-        """(B * n_max, 3d) -> Q, K, V views, each (B, heads, n_max, width)."""
-        return flat.reshape(b, n_max, 3, heads, width).transpose(2, 0, 3, 1, 4)
+    def split_heads(padded):
+        """(B, n_max, 3d) -> Q, K, V views, each (B, heads, n_max, width)."""
+        return padded.reshape(b, n_max, 3, heads, width).transpose(2, 0, 3, 1, 4)
 
-    padded = qkv.data
-    if rows is not None:
-        padded = np.zeros((b * n_max, d3))
-        padded[rows] = qkv.data
-    q, k, v = split_heads(padded)
-    valid = np.arange(n_max) < np.asarray(sizes)[:, None]       # (B, n_max)
+    q, k, v = split_heads(layout.pad(qkv.data))
     c = 1.0 / math.sqrt(width)
     e = k @ q.transpose(0, 1, 3, 2)                              # [j, i]
     e *= c
@@ -224,40 +207,43 @@ def _pooled_attention(qkv: Tensor, sizes: list, heads: int) -> Tensor:
         gs = u - mean_u
         gs *= e
         gs *= r * c
-        grad = np.empty((b * n_max, d3))
+        grad = np.empty((b, n_max, d3))
         gq, gk, gv = split_heads(grad)
         gq[...] = gs.transpose(0, 1, 3, 2) @ k
         gk[...] = gs @ q
         gv[...] = weight * gh
-        return grad if rows is None else grad[rows]
+        return layout.unpad(grad)
 
     return ad.record_op(pooled, [(qkv, back)])
 
 
-def attention_readout(z: Tensor, ranges, att: AttentionParams) -> Tensor:
+def attention_readout(z: Tensor, layout: BlockAdjacency,
+                      att: AttentionParams) -> Tensor:
     """Multi-head self-attention within each graph, attended rows summed.
 
-    ``ranges`` must tile [0, z.rows) in order with non-empty ranges, as
-    :func:`graphs.collate` builds them.  Every graph attends only over its
-    own rows, so permuting rows inside one graph leaves its pooled vector
-    unchanged, and a batched readout agrees with the stacked single-graph
-    readouts to round-off (≤1e-12 relative): the projections are shared
-    BLAS products over the whole batch, whose rows depend on the row count
-    in the last bits.  The same batch read twice is byte-identical.
+    ``layout`` is the batch's adjacency (``Batch.a_norm``), whose
+    ``sizes`` split the rows of ``z`` into graphs, in order.  Every graph
+    attends only over its own rows, so permuting rows inside one graph
+    leaves its pooled vector unchanged, and a batched readout agrees with
+    the stacked single-graph readouts to round-off (≤1e-12 relative): the
+    projections are shared BLAS products over the whole batch, whose rows
+    depend on the row count in the last bits.  The same batch read twice
+    is byte-identical.
 
     The whole batch is computed at once: one product projects Q, K and V
-    for every row, one recorded op runs the masked attention on the padded
-    per-graph layout and sums each graph's attended rows, and ``W_o`` maps
-    the pooled rows, adding ``n_b · b_o`` for a graph of ``n_b`` nodes.
+    for every row, one recorded op runs the masked attention on the
+    layout's padded grid and sums each graph's attended rows, and ``W_o``
+    maps the pooled rows, adding ``n_b · b_o`` for a graph of ``n_b``
+    nodes.
     """
-    sizes = _graph_sizes(ranges, z.rows)
     w_qkv = ad.concat_cols(ad.concat_cols(ad.transpose(att.w_q),
                                           ad.transpose(att.w_k)),
                            ad.transpose(att.w_v))
     b_qkv = ad.concat_cols(ad.concat_cols(att.b_q, att.b_k), att.b_v)
     qkv = ad.add_row(ad.matmul(z, w_qkv), b_qkv)
-    pooled = _pooled_attention(qkv, sizes, att.heads)
-    counts = ad.constant(np.asarray(sizes, dtype=np.float64).reshape(-1, 1))
+    pooled = _pooled_attention(qkv, layout, att.heads)
+    counts = ad.constant(np.asarray(layout.sizes,
+                                    dtype=np.float64).reshape(-1, 1))
     return ad.add(ad.matmul(pooled, ad.transpose(att.w_o)),
                   ad.matmul(counts, att.b_o))
 
@@ -348,6 +334,14 @@ class GraphClassifier:
             names.add("quantum_angles")
         return frozenset(names)
 
+    def context(self, batch) -> GraphContext:
+        """The operator's per-solve constants for ``batch``: its adjacency,
+        the encoded node rows, and for the id pathway their conditioning."""
+        h = encode(batch.features, self.encoder)
+        q_id = (self.operator.compute_id_conditioning(h, batch.tau)
+                if self.cfg.pathway == "id" else None)
+        return GraphContext(batch.a_norm, h, q_id)
+
     def forward_batch(self, batch, train: bool = False, dropout_rng=None,
                       refresh: bool = True):
         """(loss, logits, solve report) for one block-diagonal batch.
@@ -358,23 +352,17 @@ class GraphClassifier:
         exact and stateless; it stays because the acceptance tests pass it.
         """
         cfg = self.cfg
-        h = encode(batch.features, self.encoder)
-        ctx = GraphContext(a_norm=batch.a_norm, h=h)
-        if cfg.pathway == "id":
-            ctx = replace(
-                ctx, q_id=self.operator.compute_id_conditioning(h, batch.tau))
         z0 = np.zeros((batch.features.shape[0], cfg.d_hidden))
-        z, report = equilibrium_solve(self.operator.plan(ctx), z0, cfg.fwd,
-                                      cfg.bwd)
+        z, report = equilibrium_solve(self.operator.plan(self.context(batch)),
+                                      z0, cfg.fwd, cfg.bwd)
         if report.diverged:
             return None, None, report
-        pooled = attention_readout(z, batch.ranges, self.attention)
+        pooled = attention_readout(z, batch.a_norm, self.attention)
         mask = None
         if train and cfg.dropout > 0.0:
             if dropout_rng is None:
                 raise ValueError("training with dropout needs a generator")
-            mask = dropout_mask(dropout_rng,
-                                (len(batch.ranges), cfg.mlp_hidden),
+            mask = dropout_mask(dropout_rng, (batch.n_graphs, cfg.mlp_hidden),
                                 cfg.dropout)
         logits = classify(pooled, self.classifier, mask)
         loss = ad.cross_entropy_mean(logits, batch.labels)

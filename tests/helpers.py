@@ -288,7 +288,7 @@ def reference_analyze_operator(op, ctx, rng: np.random.Generator,
         pairs=n_pairs, lq=lq)
 
 
-def reference_attention_readout(z: np.ndarray, ranges, att) -> np.ndarray:
+def reference_attention_readout(z: np.ndarray, sizes, att) -> np.ndarray:
     """Per-graph, per-head attention readout in plain NumPy: the oracle for
     ``gdeq.training.attention_readout``.
 
@@ -301,8 +301,7 @@ def reference_attention_readout(z: np.ndarray, ranges, att) -> np.ndarray:
     width = w_q.shape[0] // att.heads
     inv_scale = 1.0 / math.sqrt(width)
     pooled = []
-    for i0, i1 in ranges:
-        rows = z[i0:i1]
+    for rows in np.split(z, np.cumsum(sizes)[:-1]):
         q = rows @ w_q.T + b_q
         k = rows @ w_k.T + b_k
         v = rows @ w_v.T + b_v
@@ -401,7 +400,8 @@ def reference_anderson_solve(f, z0: np.ndarray, cfg: SolverConfig,
 
 def reference_simple_cycle_counts(a: np.ndarray, l_max: int) -> np.ndarray:
     """Per-node simple-cycle counts by a recursive canonical DFS, one graph
-    at a time: the oracle for ``gdeq.graphs.simple_cycle_counts``.
+    at a time: the oracle for the cycle columns of
+    ``gdeq.graphs.topology_descriptors``.
 
     A cycle is discovered exactly once, from its smallest vertex, walking
     toward its smaller second vertex.

@@ -324,7 +324,9 @@ def test_missing_dataset_is_a_config_error(tmp_path):
                                    ["--kappa", "0"], ["--alpha", "-0.1"],
                                    ["--seeds", "-1"], ["--seeds", "1,1"],
                                    ["--workers", "0"], ["--workers", "-2"],
-                                   ["--folds", "70"]])
+                                   ["--folds", "70"], ["--bwd-tol", "inf"],
+                                   ["--fwd-tol", "nan"], ["--alpha", "nan"],
+                                   ["--alpha", "inf"]])
 def test_a_bad_config_fails_before_any_run_starts(mutag_dir, tmp_path,
                                                    capsys, flags):
     out = tmp_path / "runs"
@@ -336,7 +338,8 @@ def test_a_bad_config_fails_before_any_run_starts(mutag_dir, tmp_path,
     assert_nothing_left_running()
 
 
-@pytest.mark.parametrize("line", ["heads=0", "heads=-4", "mlp_hidden=-1"])
+@pytest.mark.parametrize("line", ["heads=0", "heads=-4", "mlp_hidden=-1",
+                                  "lr=nan", "grad_clip=nan"])
 def test_a_bad_model_size_in_a_config_file_fails_before_any_run_starts(
         mutag_dir, tmp_path, capsys, line):
     config = tmp_path / "cfg.txt"

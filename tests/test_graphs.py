@@ -10,6 +10,11 @@ from helpers import (reference_load_tu_dataset, reference_simple_cycle_counts,
                      reference_topology_descriptors)
 
 
+def cycle_columns(a: np.ndarray, l_max: int) -> np.ndarray:
+    """The simple-cycle counts 3..l_max of ``topology_descriptors``."""
+    return gr.topology_descriptors(a, l_max)[:, :l_max - 2]
+
+
 def nx_cycle_counts(a: np.ndarray, l_max: int) -> np.ndarray:
     """Independent per-node simple-cycle counts via networkx enumeration."""
     g = nx.from_numpy_array(a)
@@ -84,7 +89,7 @@ def test_cycle_counts_match_enumeration_oracle():
     for _ in range(25):
         n = int(rng.integers(3, 9))
         a = random_adjacency(rng, n, p=0.5)
-        got = gr.simple_cycle_counts(a, l_max=6)
+        got = cycle_columns(a, l_max=6)
         want = nx_cycle_counts(a, l_max=6)
         assert np.array_equal(got, want)
 
@@ -92,7 +97,7 @@ def test_cycle_counts_match_enumeration_oracle():
 def test_cycle_counts_complete_four():
     # K4: every node lies on three triangles and all three 4-cycles.
     a = np.ones((4, 4)) - np.eye(4)
-    got = gr.simple_cycle_counts(a, l_max=6)
+    got = cycle_columns(a, l_max=6)
     assert np.array_equal(got, nx_cycle_counts(a, l_max=6))
     assert np.array_equal(got[:, 0], np.full(4, 3.0))
     assert np.array_equal(got[:, 1], np.full(4, 3.0))
@@ -111,7 +116,7 @@ def named_graphs():
 @pytest.mark.parametrize("l_max", range(3, 9))
 def test_cycle_kernel_matches_the_dfs_on_named_graphs(l_max):
     for name, a in named_graphs():
-        got = gr.simple_cycle_counts(a, l_max)
+        got = cycle_columns(a, l_max)
         assert np.array_equal(got, reference_simple_cycle_counts(a, l_max)), name
         assert np.array_equal(gr.topology_descriptors(a, l_max),
                               reference_topology_descriptors(a, l_max)), name
@@ -124,7 +129,7 @@ def test_cycle_kernel_matches_the_dfs_on_random_graphs():
         l_max = 3 + i % 6
         n = int(rng.integers(1, 13 if l_max <= 6 else 10))
         a = random_adjacency(rng, n, p=float(rng.uniform(0.1, 0.9)))
-        assert np.array_equal(gr.simple_cycle_counts(a, l_max),
+        assert np.array_equal(cycle_columns(a, l_max),
                               reference_simple_cycle_counts(a, l_max)), (i, n)
         if i % 6 == 3:
             assert np.array_equal(gr.topology_descriptors(a, l_max),
@@ -140,11 +145,9 @@ def test_one_cycle_kernel_serves_graphs_and_datasets(monkeypatch, tiny_tu):
         return kernel(table, l_max)
 
     monkeypatch.setattr(gr, "_cycle_counts", counted)
-    a = np.ones((3, 3)) - np.eye(3)
-    gr.simple_cycle_counts(a)
-    gr.topology_descriptors(a)
+    gr.topology_descriptors(np.ones((3, 3)) - np.eye(3))
     gr.load_tu_dataset(tiny_tu, "TINY")
-    assert calls == [3, 3, 5]   # the loader describes all 5 nodes at once
+    assert calls == [3, 5]   # the loader describes all 5 nodes at once
 
 
 def test_load_is_independent_of_the_pass_size(monkeypatch, mutag_dir):
@@ -154,8 +157,6 @@ def test_load_is_independent_of_the_pass_size(monkeypatch, mutag_dir):
 
 
 def test_cycle_kernel_rejects_short_l_max():
-    with pytest.raises(ValueError, match="l_max"):
-        gr.simple_cycle_counts(np.zeros((2, 2)), l_max=2)
     with pytest.raises(ValueError, match="l_max"):
         gr.topology_descriptors(np.zeros((2, 2)), l_max=2)
 
@@ -412,7 +413,7 @@ def test_folds_class_smaller_than_k_rejected():
 def test_batch_blocks_bit_equal_to_singles(tiny_tu):
     ds = gr.load_tu_dataset(tiny_tu, "TINY")
     batch = gr.collate(ds.graphs)
-    assert batch.ranges == [(0, 3), (3, 5)]
+    assert batch.a_norm.sizes == (3, 2)
     blocks = batch.a_norm.blocks
     assert blocks.shape == (2, 3, 3)
     assert np.array_equal(blocks[0], ds.graphs[0].a_norm)
@@ -421,6 +422,43 @@ def test_batch_blocks_bit_equal_to_singles(tiny_tu):
     assert batch.a_norm.rows.tolist() == [0, 1, 2, 3, 4]
     assert np.array_equal(batch.labels, np.array([1, 0]))
     assert np.array_equal(batch.tau[0:3], ds.graphs[0].tau)
+
+
+def slot_rows(sizes) -> np.ndarray:
+    """Each stacked row's slot in the flattened (B, n_max) grid: graph b's
+    rows fill slots b * n_max onward."""
+    n_max = max(sizes)
+    return np.concatenate([b * n_max + np.arange(n) for b, n in enumerate(sizes)])
+
+
+@pytest.mark.parametrize("sizes", [(1, 3, 9, 17, 28), (4, 4), (6,), (1,)])
+def test_block_layout_pads_and_unpads_rows(sizes):
+    rng = np.random.default_rng(len(sizes))
+    layout = gr.BlockAdjacency.stack([rng.normal(size=(n, n)) for n in sizes])
+    z = rng.normal(size=(sum(sizes), 3))
+    padded = layout.pad(z)
+    assert padded.shape == (len(sizes), max(sizes), 3)
+    assert np.array_equal(layout.unpad(padded), z)
+    assert layout.valid.sum(axis=1).tolist() == list(sizes)
+    assert not padded[~layout.valid].any()
+    assert (layout.rows is None) == (min(sizes) == max(sizes))
+    rows = np.arange(sum(sizes)) if layout.rows is None else layout.rows
+    assert np.array_equal(rows, slot_rows(sizes))
+
+    copies = layout.repeat(3)
+    assert copies.sizes == tuple(sizes) * 3
+    z3 = rng.normal(size=(3 * sum(sizes), 3))
+    assert np.array_equal(copies.unpad(copies.pad(z3)), z3)
+    assert copies.head(2 * sum(sizes)).sizes == tuple(sizes) * 2
+    first = layout.head(sizes[0])
+    assert first.sizes == sizes[:1]
+    assert np.array_equal(first.matmul(z[:sizes[0]]),
+                          layout.matmul(z)[:sizes[0]])
+
+
+def test_block_layout_rejects_an_empty_graph():
+    with pytest.raises(ValueError, match="row"):
+        gr.BlockAdjacency.stack([np.ones((1, 1)), np.zeros((0, 0))])
 
 
 def test_make_batches_shuffles_deterministically(tiny_tu):

@@ -16,8 +16,8 @@ import pytest
 import gdeq
 from gdeq import autodiff as ad
 from gdeq.autodiff import Tensor
-from gdeq.graphs import (GraphDataset, GraphInstance, collate,
-                         normalize_adjacency, topology_descriptors)
+from gdeq.graphs import (BlockAdjacency, GraphDataset, GraphInstance,
+                         collate, normalize_adjacency, topology_descriptors)
 from gdeq.solvers import SolverConfig
 from gdeq import training
 from gdeq.training import (AdamW, AttentionParams,
@@ -105,13 +105,18 @@ def test_encode_gradient_matches_finite_differences():
 # attention readout
 
 
+def layout(sizes):
+    """The padded layout a batch of graphs with ``sizes`` rows reads out on."""
+    return BlockAdjacency.stack([np.zeros((n, n)) for n in sizes])
+
+
 def test_single_node_graph_reduces_to_value_projection():
     rng = np.random.default_rng(3)
     att = AttentionParams.init(8, 2, rng)
     for _, t in att.tensors():
         t.data[...] = rng.normal(size=t.data.shape)
     z = Tensor(rng.normal(size=(1, 8)))
-    got = attention_readout(z, [(0, 1)], att).data
+    got = attention_readout(z, layout([1]), att).data
     v = z.data @ att.w_v.data.T + att.b_v.data
     want = v @ att.w_o.data.T + att.b_o.data
     assert np.array_equal(got, want)
@@ -121,9 +126,9 @@ def test_readout_is_invariant_to_node_order_within_a_graph():
     rng = np.random.default_rng(4)
     att = AttentionParams.init(8, 4, rng)
     z = rng.normal(size=(6, 8))
-    base = attention_readout(Tensor(z), [(0, 6)], att).data
+    base = attention_readout(Tensor(z), layout([6]), att).data
     perm = rng.permutation(6)
-    swapped = attention_readout(Tensor(z[perm]), [(0, 6)], att).data
+    swapped = attention_readout(Tensor(z[perm]), layout([6]), att).data
     assert np.max(np.abs(base - swapped)) <= 1e-12
 
 
@@ -133,11 +138,6 @@ def random_attention(d, heads, rng):
     for _, t in att.tensors():
         t.data[...] = rng.normal(size=t.data.shape)
     return att
-
-
-def tiling(sizes):
-    bounds = np.cumsum([0, *sizes])
-    return [(int(i0), int(i1)) for i0, i1 in zip(bounds[:-1], bounds[1:])]
 
 
 # a 1-node graph, and graphs of 8 rows or more, where NumPy's 8-way pairwise
@@ -150,9 +150,9 @@ def test_readout_matches_per_graph_per_head_reference(heads):
     rng = np.random.default_rng(10 + heads)
     att = random_attention(8, heads, rng)
     z = rng.normal(size=(sum(READOUT_SIZES), 8))
-    ranges = tiling(READOUT_SIZES)
-    got = attention_readout(Tensor(z), ranges, att).data
-    assert rel_err(got, reference_attention_readout(z, ranges, att)) <= 1e-12
+    got = attention_readout(Tensor(z), layout(READOUT_SIZES), att).data
+    want = reference_attention_readout(z, READOUT_SIZES, att)
+    assert rel_err(got, want) <= 1e-12
 
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
@@ -164,13 +164,13 @@ def test_readout_vjp_matches_finite_differences(heads):
     for b in (att.b_q, att.b_k, att.b_v, att.b_o):
         b.data[...] = rng.normal(size=b.data.shape)
     z = rng.normal(size=(sum(READOUT_SIZES), 8))
-    ranges = tiling(READOUT_SIZES)
+    batch = layout(READOUT_SIZES)
     w = ad.constant(rng.normal(size=(len(READOUT_SIZES), 8))
                     / np.array(READOUT_SIZES)[:, None])
 
     def build(zt, *tensors):
         a = AttentionParams(*tensors, heads=heads)
-        return sum_all(ad.mul(attention_readout(zt, ranges, a), w))
+        return sum_all(ad.mul(attention_readout(zt, batch, a), w))
 
     check_op(build, z, *(t.data for _, t in att.tensors()))
 
@@ -179,10 +179,10 @@ def test_batched_readout_matches_per_graph_readout():
     rng = np.random.default_rng(5)
     att = random_attention(8, 2, rng)
     z = rng.normal(size=(sum(READOUT_SIZES), 8))
-    ranges = tiling(READOUT_SIZES)
-    batch = attention_readout(Tensor(z), ranges, att).data
-    alone = np.vstack([attention_readout(Tensor(z[i0:i1]), [(0, i1 - i0)],
-                                         att).data for i0, i1 in ranges])
+    batch = attention_readout(Tensor(z), layout(READOUT_SIZES), att).data
+    graphs = np.split(z, np.cumsum(READOUT_SIZES)[:-1])
+    alone = np.vstack([attention_readout(Tensor(g), layout([len(g)]),
+                                         att).data for g in graphs])
     assert rel_err(batch, alone) <= 1e-12
 
 
@@ -190,30 +190,17 @@ def test_readout_of_the_same_batch_is_byte_identical():
     rng = np.random.default_rng(7)
     att = random_attention(8, 4, rng)
     z = rng.normal(size=(sum(READOUT_SIZES), 8))
-    ranges = tiling(READOUT_SIZES)
-    first = attention_readout(Tensor(z), ranges, att).data
-    again = attention_readout(Tensor(z.copy()), list(ranges), att).data
+    first = attention_readout(Tensor(z), layout(READOUT_SIZES), att).data
+    again = attention_readout(Tensor(z.copy()), layout(READOUT_SIZES),
+                              att).data
     assert np.array_equal(first, again)
 
 
-@pytest.mark.parametrize("ranges", [
-    [(0, 2), (3, 5)],   # gap
-    [(0, 3), (2, 5)],   # overlap
-    [(2, 5), (0, 2)],   # out of order
-    [(0, 3)],           # rows left over
-    [(0, 3), (3, 6)],   # past the last row
-    [],
-])
-def test_readout_rejects_ranges_that_do_not_tile_the_rows(ranges):
+@pytest.mark.parametrize("sizes", [(4,), (3, 3), (1, 3), (2, 4, 1)])
+def test_readout_rejects_rows_that_do_not_fill_the_layout(sizes):
     att = AttentionParams.init(8, 2, np.random.default_rng(8))
-    with pytest.raises(ValueError):
-        attention_readout(Tensor(np.zeros((5, 8))), ranges, att)
-
-
-def test_readout_rejects_empty_range():
-    att = AttentionParams.init(8, 2, np.random.default_rng(6))
-    with pytest.raises(ValueError):
-        attention_readout(Tensor(np.zeros((3, 8))), [(2, 2)], att)
+    with pytest.raises(ValueError, match="rows"):
+        attention_readout(Tensor(np.zeros((5, 8))), layout(sizes), att)
 
 
 # ---------------------------------------------------------------------------
