@@ -3,10 +3,18 @@
 Values live in :class:`Tensor`; a :class:`Tape` records every operation
 applied to tensors bound to it, as a list of (output id, [(input id,
 vjp closure), ...]) entries in forward execution order.  Replaying the
-list in reverse is a valid reverse-topological walk, so ``backward``
-is a single sweep with a dict of cotangent accumulators keyed by node
-id.  Tapes are define-by-run and nest; the stack of active tapes is one
-per process, so tapes must not be used from several threads at once.
+list in reverse is a valid reverse-topological walk, so a sweep is a
+single pass with a dict of cotangent accumulators keyed by node id.
+
+``Tape.backward`` consumes its tape: it pops each record as it pulls that
+record's cotangent back and drops each op output's cotangent once passed
+on, so a step's closures and intermediates die during the sweep rather
+than after it, and only the watched leaves keep gradients.  A consumed
+tape cannot be swept again.  ``Tape.vjp`` is the repeatable sweep: it
+leaves the records in place, for Jacobian oracles and several seeds.
+
+Tapes are define-by-run and nest; the stack of active tapes is one per
+process, so tapes must not be used from several threads at once.
 """
 
 from __future__ import annotations
@@ -112,11 +120,13 @@ class Gradients:
 
 
 class Tape:
-    """Ordered record of operations for one reverse-mode sweep."""
+    """Ordered record of operations for reverse-mode sweeps: any number of
+    :meth:`vjp` sweeps, then at most one consuming :meth:`backward`."""
 
     def __init__(self):
         self._records: list[tuple[int, tuple]] = []
         self._next_id = 0
+        self._consumed = False
 
     def _fresh_id(self) -> int:
         nid = self._next_id
@@ -138,14 +148,25 @@ class Tape:
         _STATE.stack.pop()
         return False
 
-    def vjp(self, output: Tensor, cotangent) -> Gradients:
-        """Pull ``cotangent`` at ``output`` back to every tracked node."""
+    def vjp(self, output: Tensor, cotangent, _consume=False) -> Gradients:
+        """Pull ``cotangent`` at ``output`` back to every tracked node.
+
+        Repeatable: the records stay, and the result holds every reached
+        node's cotangent.  ``backward`` alone passes ``_consume``, which pops
+        each record as it is pulled back and each op output's cotangent once
+        passed on, leaving the tape empty and the leaves' gradients.
+        """
         if output.tape is not self:
             raise ValueError("output tensor is not bound to this tape")
+        if self._consumed:
+            raise ValueError("tape was consumed by backward; record a new one")
+        self._consumed = _consume
         seed = np.asarray(cotangent, dtype=np.float64).reshape(output.data.shape)
         grads: dict[int, Array] = {output.nid: seed}
-        for out_id, parents in reversed(self._records):
-            g = grads.get(out_id)
+        records = self._records if _consume else self._records.copy()
+        while records:
+            out_id, parents = records.pop()
+            g = grads.pop(out_id, None) if _consume else grads.get(out_id)
             if g is None:
                 continue
             for in_id, vjp_fn in parents:
@@ -155,10 +176,11 @@ class Tape:
         return Gradients(self, grads)
 
     def backward(self, loss: Tensor) -> Gradients:
-        """Gradient sweep from a 1x1 loss seeded with 1.0."""
+        """Consuming gradient sweep from a 1x1 loss seeded with 1.0; the
+        tape holds no records afterwards and cannot be swept again."""
         if loss.data.shape != (1, 1):
             raise ValueError(f"loss must be 1x1, got {loss.data.shape}")
-        return self.vjp(loss, np.ones((1, 1)))
+        return self.vjp(loss, np.ones((1, 1)), True)
 
 
 def record_op(out_data, parents: Sequence[tuple[Tensor, Callable]]) -> Tensor:

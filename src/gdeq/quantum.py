@@ -475,9 +475,12 @@ class QuantumModule:
 
     def forward_rows(self, s: Tensor) -> Tensor:
         """Apply the module to every row of ``s``; returns (N, d_out),
-        recorded as one op: :meth:`ModulePlan.linearize` at the rows."""
+        recorded as one op: :meth:`ModulePlan.linearize` at the rows.  With
+        no active tape it runs the plan alone, with no stash to pull back."""
         if s.cols != self.d_in:
             raise ValueError(f"expected {self.d_in} input columns, got {s.cols}")
+        if ad._active_tape() is None:
+            return Tensor(ModulePlan(self)(s.data))
         value, _, vjp = ModulePlan(self).linearize(s.data)
         return ad.record_op(value, ad.shared_pullback(
             (s, self.w_in, self.w_out, self.params.angles), vjp))

@@ -91,7 +91,7 @@ class TrainConfig:
     weight_decay: float = 1e-4
     epochs: int = 200
     batch_size: int = 32
-    grad_clip: float = 1.0
+    grad_clip: float = 1.0   # global-norm bound; 0 means no clip
     seed: int = 42   # unused, runs take their own; the acceptance tests set it
     folds: int = 10
 
@@ -101,8 +101,9 @@ class TrainConfig:
         if not all(0.0 <= r < math.inf
                    for r in (self.lr, self.lr_min, self.weight_decay)):
             raise ValueError("rates must be nonnegative and finite")
-        if not math.isfinite(self.grad_clip):
-            raise ValueError(f"grad_clip must be finite, got {self.grad_clip}")
+        if not 0.0 <= self.grad_clip < math.inf:
+            raise ValueError("grad_clip must be nonnegative and finite, "
+                             f"got {self.grad_clip}")
 
 
 @dataclass
@@ -410,8 +411,8 @@ class AdamW:
 
 
 def clip_gradients(grads: dict, max_norm: float) -> float:
-    """Scale all gradients in place to a global norm <= max_norm; returns
-    the pre-clip norm."""
+    """Scale all gradients in place to a global norm <= max_norm, or leave
+    them as they are when max_norm is 0; returns the pre-clip norm."""
     total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     if max_norm > 0 and total > max_norm:
         s = max_norm / total

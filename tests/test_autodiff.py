@@ -115,6 +115,24 @@ def test_backward_requires_scalar_loss():
         tape.backward(y)
 
 
+def test_backward_consumes_its_tape():
+    tape = ad.Tape()
+    a = tape.watch(ad.Tensor(np.full((2, 2), 0.3)))
+    with tape:
+        y = tanh(a)
+        loss = sum_all(y)
+    want = tape.vjp(loss, np.ones((1, 1)))
+    assert len(tape._records) == 2  # vjp leaves the records in place
+    grads = tape.backward(loss)
+    assert tape._records == []
+    assert np.array_equal(grads[a], want[a])
+    assert grads.get(y) is None and want.get(y) is not None
+    for sweep in (lambda: tape.backward(loss),
+                  lambda: tape.vjp(loss, np.ones((1, 1)))):
+        with pytest.raises(ValueError, match="consumed"):
+            sweep()
+
+
 def test_no_grad_suppresses_recording():
     tape = ad.Tape()
     a = tape.watch(ad.Tensor(np.ones((2, 2))))

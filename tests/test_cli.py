@@ -339,7 +339,8 @@ def test_a_bad_config_fails_before_any_run_starts(mutag_dir, tmp_path,
 
 
 @pytest.mark.parametrize("line", ["heads=0", "heads=-4", "mlp_hidden=-1",
-                                  "lr=nan", "grad_clip=nan"])
+                                  "lr=nan", "grad_clip=nan",
+                                  "grad_clip=-1"])
 def test_a_bad_model_size_in_a_config_file_fails_before_any_run_starts(
         mutag_dir, tmp_path, capsys, line):
     config = tmp_path / "cfg.txt"

@@ -351,6 +351,29 @@ def test_forward_rows_equals_the_tape_formulation(n_q, reps, normalize):
         assert np.array_equal(got, want)
 
 
+def test_forward_rows_off_the_tape_runs_the_plan_without_a_stash(monkeypatch):
+    # evaluation and certificates run the module with nothing to pull back
+    rng = np.random.default_rng(12)
+    module = random_module(rng, 3, 5, 4, reps=2, normalize=True)
+    s = rng.normal(size=(6, 5))
+    want = qm.ModulePlan(module).linearize(s)[0]
+    run, stashes = qm._run_program, []
+
+    def counting_run(u_rows, program, stash=None):
+        stashes.append(stash)
+        return run(u_rows, program, stash)
+
+    monkeypatch.setattr(qm, "_run_program", counting_run)
+    tape = ad.Tape()
+    s_t = tape.watch(ad.Tensor(s))
+    outs = [module.forward_rows(s_t)]
+    with tape, ad.no_grad():
+        outs.append(module.forward_rows(s_t))
+    assert stashes == [None, None] and tape._records == []
+    for out in outs:
+        assert out.nid is None and out.data.tobytes() == want.tobytes()
+
+
 def test_output_bounded_by_w_out_row_l1():
     rng = np.random.default_rng(9)
     for _ in range(10):

@@ -475,7 +475,7 @@ def test_equilibrium_adjoint_runs_once_per_cotangent():
     assert calls["f"] == rep.iterations and calls["vjp"] == 0
     assert len(calls["linearize"]) == 1
     assert calls["linearize"][0] is rep.z_star
-    tape.backward(loss)
+    tape.vjp(loss, np.ones((1, 1)))  # backward would consume the tape
     # one adjoint solve, then one parameter VJP shared by both tensors
     assert calls["vjp"] == 1
     assert rep.backward is not None and rep.backward.converged

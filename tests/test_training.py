@@ -8,7 +8,7 @@ import sys
 import weakref
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
+from types import FunctionType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -268,6 +268,10 @@ def test_model_config_validation():
             ModelConfig(**bad)
     with pytest.raises(ValueError):
         TrainConfig(folds=1)
+    for bad in (-1.0, -1e-12, math.inf, math.nan):
+        with pytest.raises(ValueError, match="grad_clip"):
+            TrainConfig(grad_clip=bad)
+    assert TrainConfig(grad_clip=0.0).grad_clip == 0.0  # no clip
 
 
 def test_cosine_schedule_endpoints_and_midpoint():
@@ -479,6 +483,88 @@ def test_a_finished_step_frees_its_tape_without_the_cycle_collector(pathway):
     finally:
         if enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize("pathway", ["classical", "sd"])
+def test_the_adjoint_solve_runs_after_the_later_records_are_released(
+        pathway, monkeypatch):
+    # backward pops the readout, head and loss records before it reaches
+    # the equilibrium op, so their pullbacks and cotangents are dead while
+    # the adjoint solve runs
+    from gdeq import solvers
+
+    solve, held = solvers.solve_fixed_point, []
+
+    def counting_solve(f, z0, cfg):
+        held.append(len(tape._records))
+        return solve(f, z0, cfg)
+
+    monkeypatch.setattr(solvers, "solve_fixed_point", counting_solve)
+    ds = toy_dataset()
+    model = GraphClassifier(small_config(pathway), ds.feature_dim, 2, seed=1)
+    tape = ad.Tape()
+    for _, t in model.parameters():
+        tape.watch(t)
+    with tape:
+        loss, _, _ = model.forward_batch(collate(ds.graphs[:4]))
+    recorded = len(tape._records)
+    tape.backward(loss)
+    before_solve, in_adjoint = held
+    assert recorded > before_solve + 10  # the op, readout, head and loss
+    assert in_adjoint == before_solve and tape._records == []
+
+
+def reachable_functions(records) -> list:
+    """Every recorded pullback and the functions its closure cells hold."""
+    found, todo = {}, [fn for _, parents in records for _, fn in parents]
+    while todo:
+        fn = todo.pop()
+        if id(fn) not in found:
+            found[id(fn)] = fn
+            todo += [c.cell_contents for c in fn.__closure__ or ()
+                     if isinstance(c.cell_contents, FunctionType)]
+    return list(found.values())
+
+
+@pytest.mark.parametrize("pathway", ["classical", "sd"])
+def test_a_step_is_released_before_the_next_forward_solve(pathway,
+                                                          monkeypatch):
+    # train_epoch still holds the last step's loss, logits and grads, and
+    # through them its tape, while the next batch solves; backward left
+    # that tape empty, so no pullback of the step outlives it, gc or not
+    from gdeq import solvers
+
+    solve, vjp = solvers.solve_fixed_point, ad.Tape.vjp
+    pullbacks, alive, sweeping = [], [], []
+
+    def watching_vjp(self, *args):
+        pullbacks[:] = [weakref.ref(f) for f in reachable_functions(
+            self._records)]
+        sweeping.append(True)
+        try:
+            return vjp(self, *args)
+        finally:
+            sweeping.pop()
+
+    def watching_solve(f, z0, cfg):
+        if pullbacks and not sweeping:
+            alive.append(sum(r() is not None for r in pullbacks))
+        return solve(f, z0, cfg)
+
+    monkeypatch.setattr(ad.Tape, "vjp", watching_vjp)
+    monkeypatch.setattr(solvers, "solve_fixed_point", watching_solve)
+    ds = toy_dataset()
+    model = GraphClassifier(small_config(pathway), ds.feature_dim, 2, seed=1)
+    opt = AdamW(model.parameters(), lr=1e-3)
+    batches = [collate(ds.graphs[:4]), collate(ds.graphs[4:8])]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        train_epoch(model, opt, batches, lr=1e-3)
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(pullbacks) > 10 and alive == [0]
 
 
 # ---------------------------------------------------------------------------
