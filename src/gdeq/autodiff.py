@@ -6,12 +6,13 @@ vjp closure), ...]) entries in forward execution order.  Replaying the
 list in reverse is a valid reverse-topological walk, so a sweep is a
 single pass with a dict of cotangent accumulators keyed by node id.
 
-``Tape.backward`` consumes its tape: it pops each record as it pulls that
-record's cotangent back and drops each op output's cotangent once passed
-on, so a step's closures and intermediates die during the sweep rather
-than after it, and only the watched leaves keep gradients.  A consumed
-tape cannot be swept again.  ``Tape.vjp`` is the repeatable sweep: it
-leaves the records in place, for Jacobian oracles and several seeds.
+Every sweep drops each op output's cotangent once it is passed on, so it
+returns the leaves' cotangents.  ``Tape.backward`` also consumes its tape:
+it pops each record as it pulls that record's cotangent back, so a step's
+closures and intermediates die during the sweep rather than after it.  A
+consumed tape cannot be swept again.  ``Tape.vjp`` is the repeatable
+sweep: it leaves the records in place, for Jacobian oracles and several
+seeds.
 
 Tapes are define-by-run and nest; the stack of active tapes is one per
 process, so tapes must not be used from several threads at once.
@@ -149,12 +150,12 @@ class Tape:
         return False
 
     def vjp(self, output: Tensor, cotangent, _consume=False) -> Gradients:
-        """Pull ``cotangent`` at ``output`` back to every tracked node.
+        """Pull ``cotangent`` at ``output`` back to the tape's leaves.
 
-        Repeatable: the records stay, and the result holds every reached
-        node's cotangent.  ``backward`` alone passes ``_consume``, which pops
-        each record as it is pulled back and each op output's cotangent once
-        passed on, leaving the tape empty and the leaves' gradients.
+        Each op output's cotangent is dropped once it is passed on, so the
+        result holds the leaves' cotangents.  Repeatable: the records stay,
+        except when ``backward`` passes ``_consume``, which pops each record
+        as it is pulled back and leaves the tape empty.
         """
         if output.tape is not self:
             raise ValueError("output tensor is not bound to this tape")
@@ -166,7 +167,7 @@ class Tape:
         records = self._records if _consume else self._records.copy()
         while records:
             out_id, parents = records.pop()
-            g = grads.pop(out_id, None) if _consume else grads.get(out_id)
+            g = grads.pop(out_id, None)
             if g is None:
                 continue
             for in_id, vjp_fn in parents:
