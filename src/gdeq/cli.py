@@ -36,13 +36,12 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .contraction import LipschitzReport, analyze_operator
+from .contraction import PathwayAnalysis, analyze_operator
 from .graphs import collate, load_tu_dataset, stratified_folds
 from .operators import PATHWAYS
 from .solvers import SolverConfig
 from .training import (ModelConfig, TrainConfig, aggregate_runs, run_jobs,
                        run_training, save_checkpoint)
-from .training import encode  # noqa: F401 - perfbench traces cli.encode by name
 
 FAILURE_RATE_LIMIT = 0.1   # diverged or max_iter share of solves that fails a run
 
@@ -211,21 +210,19 @@ def emit_iteration_curves(runs):
 # runner
 
 
-def certificate_report(model, batch, rng_seed=0) -> LipschitzReport:
+def certificate_report(model, batch, rng_seed=0) -> PathwayAnalysis:
     """Lipschitz analysis of a trained operator on a probe batch."""
     with ad.no_grad():
         ctx = model.context(batch)
-    report = LipschitzReport(kappa=model.cfg.kappa, alpha=model.cfg.alpha)
-    report.add(analyze_operator(model.operator, ctx,
-                                np.random.default_rng(rng_seed)))
-    return report
+    return analyze_operator(model.operator, ctx,
+                            np.random.default_rng(rng_seed))
 
 
 def _run_job(cfg: ExperimentConfig, dataset, seed: int, fold: int,
              split: tuple) -> tuple:
     """Train one run in a worker and write its files; returns (RunMetrics,
-    certificate violations).  ``split`` is the run's (train, test) indices,
-    whose first four test graphs probe the certificate."""
+    whether the certificate is consistent).  ``split`` is the run's (train,
+    test) indices, whose first four test graphs probe the certificate."""
     metrics, model = run_training(dataset, cfg.model_config(),
                                   cfg.train_config(), seed, fold)
     run_dir = Path(cfg.out) / cfg.dataset / cfg.pathway / f"{seed}_{fold}"
@@ -248,9 +245,9 @@ def _run_job(cfg: ExperimentConfig, dataset, seed: int, fold: int,
     save_checkpoint(run_dir / "checkpoint.npz", model,
                     config_hash=config_digest(cfg))
     probe = collate([dataset.graphs[i] for i in split[1][:4]])
-    report = certificate_report(model, probe, rng_seed=(seed, fold, 99))
-    (run_dir / "lipschitz.txt").write_text(report.to_text())
-    return metrics, report.violations()
+    analysis = certificate_report(model, probe, rng_seed=(seed, fold, 99))
+    (run_dir / "lipschitz.txt").write_text(analysis.to_text())
+    return metrics, analysis.consistent
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
@@ -281,7 +278,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
             print(f"run {tag} failed: {value}", file=sys.stderr)
             failed.append(tag)
             continue
-        metrics, bad = value
+        metrics, consistent = value
         attempts = cfg.epochs * -(-len(split[0]) // cfg.batch_size)
         gated = [(metrics.skipped_batches, "solves diverged"),
                  (metrics.fwd_max_iter, "forward solves stopped at max_iter"),
@@ -291,9 +288,9 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         if over:
             print(f"run {tag}: " + "; ".join(over), file=sys.stderr)
             failed.append(tag)
-        if bad:
-            violations.append((tag, bad))
-            print(f"run {tag}: certificate violated for {bad}",
+        if not consistent:
+            violations.append(tag)
+            print(f"run {tag}: certificate violated for {cfg.pathway}",
                   file=sys.stderr)
         runs.append(metrics)
         print(f"run {tag}: acc {metrics.test_accuracy:.4f} "

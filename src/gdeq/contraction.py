@@ -28,7 +28,7 @@ probe applications.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -67,52 +67,23 @@ class PathwayBounds(NamedTuple):
     sd: float
 
 
-def _exact_inputs(kappa: float, alpha: float, *lqs: float) -> list:
-    """kappa, alpha and module bounds, validated, as exact rationals of
-    their decimal values."""
-    kappa, alpha = float(kappa), float(alpha)
-    lqs = [float(lq) for lq in lqs]
+def theorem_bounds(kappa: float, alpha: float, lq: float) -> PathwayBounds:
+    """Analytic contraction factors for the three pathways.
+
+    The arithmetic runs on exact rationals built from the decimal value of
+    each input, so budgets specified as short decimals (0.8, 0.1, ...)
+    produce bounds that round-trip cleanly.
+    """
+    kappa, alpha, lq = float(kappa), float(alpha), float(lq)
     if not 0.0 <= kappa <= 1.0:
         raise ValueError("kappa must lie in [0, 1]")
     if alpha < 0.0:
         raise ValueError("alpha must be nonnegative")
-    if any(lq < 0.0 for lq in lqs):
-        raise ValueError("module bounds must be nonnegative")
-    return [Fraction(str(x)) for x in (kappa, alpha, *lqs)]
-
-
-def _coupled(kind: str, k: Fraction, a: Fraction, lq: Fraction) -> float:
-    """State coupling k + a lq, or output coupling k (1 + a lq)."""
-    return float(k + a * lq) if kind == "sd" else float(k * (1 + a * lq))
-
-
-def theorem_bounds(kappa: float, alpha: float, lq_sd: float,
-                   lq_bd: float | None = None) -> PathwayBounds:
-    """Analytic contraction factors for the three pathways.
-
-    ``lq_bd`` defaults to ``lq_sd`` when the same module bound applies to
-    both coupled pathways.  The arithmetic runs on exact rationals built
-    from the decimal value of each input, so budgets specified as short
-    decimals (0.8, 0.1, ...) produce bounds that round-trip cleanly.
-    """
-    if lq_bd is None:
-        lq_bd = lq_sd
-    k, a, lsd, lbd = _exact_inputs(kappa, alpha, lq_sd, lq_bd)
-    return PathwayBounds(id=float(k), bd=_coupled("bd", k, a, lbd),
-                         sd=_coupled("sd", k, a, lsd))
-
-
-def pathway_bound(kind: str, kappa: float, alpha: float,
-                  lq: float | None) -> float:
-    """``getattr(theorem_bounds(kappa, alpha, lq), kind)``, computing only
-    that bound; kappa itself for the classical and id pathways."""
-    if kind in ("classical", "id"):
-        return kappa
-    if kind not in ("sd", "bd"):
-        raise ValueError(f"unknown pathway {kind!r}")
-    if lq is None:
-        raise ValueError(f"pathway {kind!r} needs a module bound")
-    return _coupled(kind, *_exact_inputs(kappa, alpha, lq))
+    if lq < 0.0:
+        raise ValueError("the module bound must be nonnegative")
+    k, a, q = (Fraction(str(x)) for x in (kappa, alpha, lq))
+    return PathwayBounds(id=float(k), bd=float(k * (1 + a * q)),
+                         sd=float(k + a * q))
 
 
 # Most rows one operator application takes when probing a certificate.
@@ -188,7 +159,12 @@ def empirical_lipschitz(f: Callable[[np.ndarray], np.ndarray],
 
 @dataclass
 class PathwayAnalysis:
+    """One operator's certificate: its analytic bound beside the empirical
+    estimate, with the kappa and alpha the bound came from."""
+
     kind: str
+    kappa: float
+    alpha: float
     analytic: float
     empirical: float
     pairs: int
@@ -203,30 +179,18 @@ class PathwayAnalysis:
         # empirical estimates are lower bounds; they may never exceed analytic
         return self.empirical <= self.analytic + 1e-9
 
-
-@dataclass
-class LipschitzReport:
-    kappa: float
-    alpha: float
-    entries: dict = field(default_factory=dict)
-
-    def add(self, analysis: PathwayAnalysis):
-        self.entries[analysis.kind] = analysis
-
-    def violations(self) -> list:
-        return [k for k, a in self.entries.items() if not a.consistent]
-
     def to_text(self) -> str:
-        lines = [f"kappa={self.kappa:.17g}", f"alpha={self.alpha:.17g}"]
-        for kind in sorted(self.entries):
-            a = self.entries[kind]
-            lines.append(f"{kind}.analytic={a.analytic:.17g}")
-            lines.append(f"{kind}.empirical={a.empirical:.17g}")
-            lines.append(f"{kind}.pairs={a.pairs}")
-            if a.lq is not None:
-                lines.append(f"{kind}.lq={a.lq:.17g}")
-            lines.append(f"{kind}.certified={str(a.certified).lower()}")
-            lines.append(f"{kind}.consistent={str(a.consistent).lower()}")
+        """key=value lines, floats to 17 significant digits so they
+        re-parse exactly."""
+        k = self.kind
+        lines = [f"kappa={self.kappa:.17g}", f"alpha={self.alpha:.17g}",
+                 f"{k}.analytic={self.analytic:.17g}",
+                 f"{k}.empirical={self.empirical:.17g}",
+                 f"{k}.pairs={self.pairs}"]
+        if self.lq is not None:
+            lines.append(f"{k}.lq={self.lq:.17g}")
+        lines.append(f"{k}.certified={str(self.certified).lower()}")
+        lines.append(f"{k}.consistent={str(self.consistent).lower()}")
         return "\n".join(lines) + "\n"
 
 
@@ -234,36 +198,39 @@ def analyze_operator(op, ctx, rng: np.random.Generator,
                      n_pairs: int = 200) -> PathwayAnalysis:
     """Empirical-vs-analytic check of one operator on a fixed graph context.
 
-    The weights are read once per analysis: on sd and bd, one
+    The analytic bound is kappa on the classical and id pathways, and the
+    :func:`theorem_bounds` entry of the pathway on sd and bd.  The weights
+    are read once per analysis: on sd and bd, one
     :meth:`~gdeq.operators.EquilibriumOperator.module_plan` holds the
     circuit's normalized maps and compiled program, and both the module
     budget ``lq`` and every chunk's plan use it.  The operator acts
-    row-wise within each graph's block, so the probe stacks of
-    :func:`empirical_lipschitz` run as copies of ``ctx`` (see
-    :meth:`GraphContext.repeat`), built once for a full chunk.  Each chunk
-    is one call of ``op.plan(copies.head(rows), module).f``, which equals
-    ``op.apply`` bit for bit; the plan is built once per distinct chunk
-    row count (full chunks and a shorter last one).  The last chunk is not
+    row-wise within each graph's block, so a chunk of ``rows`` probe rows
+    from :func:`empirical_lipschitz` is one call of
+    ``op.plan(ctx.repeat(rows // n), module).f`` for an n-row ``ctx`` (see
+    :meth:`GraphContext.repeat`), which equals ``op.apply`` on those copies
+    bit for bit.  The copies and plan are built once per distinct chunk row
+    count (full chunks and a shorter last one).  The last chunk is not
     padded: BLAS output rows can change in their last bits with the row
     count.
     """
+    kappa, alpha = op.backbone.kappa, op.alpha
     module = op.module_plan()
-    lq = None
+    lq, analytic = None, kappa
     if module is not None:
         lq = headline_budget(module.n_qubits, module.w_in, module.w_out)
-    analytic = pathway_bound(op.kind, op.backbone.kappa, op.alpha, lq)
+        analytic = getattr(theorem_bounds(kappa, alpha, lq), op.kind)
 
     n = ctx.h.rows
-    copies = ctx.repeat(2 * _pairs_per_call(n))
     plans = {}
 
     def f(zd: np.ndarray) -> np.ndarray:
         rows = zd.shape[0]
         if rows not in plans:
-            plans[rows] = op.plan(copies.head(rows), module).f
+            plans[rows] = op.plan(ctx.repeat(rows // n), module).f
         return plans[rows](zd)
 
     shape = (n, op.backbone.d_hidden)
     emp = empirical_lipschitz(f, shape, rng, n_pairs=n_pairs)
-    return PathwayAnalysis(kind=op.kind, analytic=analytic,
-                           empirical=emp, pairs=n_pairs, lq=lq)
+    return PathwayAnalysis(kind=op.kind, kappa=kappa, alpha=alpha,
+                           analytic=analytic, empirical=emp, pairs=n_pairs,
+                           lq=lq)

@@ -92,19 +92,8 @@ class BlockAdjacency:
         return self._valid
 
     def repeat(self, k: int) -> "BlockAdjacency":
-        """block_diag(M, ..., M) with k copies of this matrix M, copy-major.
-
-        The copies are contiguous, so the first c of them are
-        ``head(c * N)`` for an N-row M.
-        """
+        """block_diag(M, ..., M) with k copies of this matrix M, copy-major."""
         return BlockAdjacency(np.tile(self.blocks, (k, 1, 1)), self.sizes * k)
-
-    def head(self, n_rows: int) -> "BlockAdjacency":
-        """The leading blocks that hold the first ``n_rows`` rows; those rows
-        must end where a block ends."""
-        last = n_rows - 1 if self.rows is None else self.rows[n_rows - 1]
-        c = last // self.blocks.shape[1] + 1
-        return BlockAdjacency(self.blocks[:c], self.sizes[:c])
 
     def pad(self, z: np.ndarray) -> np.ndarray:
         """The stacked (N, d) rows ``z`` as (B, n_max, d), zero where padded."""
@@ -150,10 +139,6 @@ class Batch:
     @property
     def n_graphs(self) -> int:
         return len(self.labels)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.features.shape[0]
 
 
 def _check_adjacency(a: np.ndarray) -> np.ndarray:

@@ -112,18 +112,12 @@ class GraphContext:
         and ``h`` and ``q_id`` are tiled to match.  Every pathway acts
         row-wise within each graph's block, so applying an operator to k
         stacked states on the copies gives each state the result it would
-        get alone on this context.  ``head(c * N)`` is the first c copies.
+        get alone on this context.
         """
         def tile(t: Tensor | None) -> Tensor | None:
             return None if t is None else Tensor(np.tile(t.data, (k, 1)))
 
         return GraphContext(self.a_norm.repeat(k), tile(self.h), tile(self.q_id))
-
-    def head(self, n_rows: int) -> "GraphContext":
-        """The graphs holding the first ``n_rows`` rows, which must end a graph."""
-        return GraphContext(
-            self.a_norm.head(n_rows), Tensor(self.h.data[:n_rows]),
-            None if self.q_id is None else Tensor(self.q_id.data[:n_rows]))
 
 
 class EquilibriumOperator:

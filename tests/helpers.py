@@ -15,7 +15,7 @@ from numpy.linalg import _umath_linalg
 
 from gdeq import autodiff as ad
 from gdeq.contraction import (PathwayAnalysis, _pairs_per_call, lemma2_bound,
-                              pathway_bound)
+                              theorem_bounds)
 from gdeq.graphs import GraphDataset, GraphInstance, normalize_adjacency
 from gdeq.operators import BackboneParams, EquilibriumOperator
 from gdeq.quantum import DeepXyzParams, QuantumModule, circuit_expectations
@@ -260,14 +260,14 @@ def chunked_empirical_lipschitz(f, shape, rng: np.random.Generator,
 
 
 def apply_on_copies(op, ctx):
-    """:func:`tape_apply` on the copies of ``ctx`` that a probe chunk needs:
-    the map ``gdeq.contraction.analyze_operator`` stands for, on the tape.
+    """:func:`tape_apply` on as many copies of ``ctx`` as a probe stack
+    holds: the map ``gdeq.contraction.analyze_operator`` stands for, on the
+    tape.
     """
-    copies = ctx.repeat(2 * _pairs_per_call(ctx.h.rows))
-
     def f(zd):
+        copies = ctx.repeat(zd.shape[0] // ctx.h.rows)
         with ad.no_grad():
-            return tape_apply(op, ad.Tensor(zd), copies.head(zd.shape[0])).data
+            return tape_apply(op, ad.Tensor(zd), copies).data
 
     return f
 
@@ -276,13 +276,14 @@ def reference_analyze_operator(op, ctx, rng: np.random.Generator,
                                n_pairs: int = 200) -> PathwayAnalysis:
     """``analyze_operator`` from :func:`apply_on_copies` and
     :func:`chunked_empirical_lipschitz`: its oracle."""
-    lq = None
-    if op.kind in ("sd", "bd") and op.quantum is not None:
+    kappa, alpha = op.backbone.kappa, op.alpha
+    lq, analytic = None, kappa
+    if op.kind in ("sd", "bd"):
         lq = lemma2_bound(op.quantum)
+        analytic = getattr(theorem_bounds(kappa, alpha, lq), op.kind)
     shape = (ctx.h.rows, op.backbone.d_hidden)
     return PathwayAnalysis(
-        kind=op.kind,
-        analytic=pathway_bound(op.kind, op.backbone.kappa, op.alpha, lq),
+        kind=op.kind, kappa=kappa, alpha=alpha, analytic=analytic,
         empirical=chunked_empirical_lipschitz(apply_on_copies(op, ctx), shape,
                                               rng, n_pairs=n_pairs),
         pairs=n_pairs, lq=lq)

@@ -4,12 +4,14 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gdeq
+from gdeq import cli
 from gdeq.cli import (ExperimentConfig, build_config, config_digest,
                       emit_iteration_curves, emit_summary, fmt, main,
                       parse_config, read_kv, write_kv, write_table)
@@ -369,3 +371,22 @@ def test_solves_stopped_at_max_iter_are_written_and_fail_the_run(
         assert int(record["fwd_max_iter"]) == 0
         assert f"run {tag}: " in err
     assert "adjoint solves stopped at max_iter" in err
+
+
+def test_a_violated_certificate_is_written_named_and_fails_the_run(
+        mutag_dir, tmp_path, capsys, monkeypatch):
+    # a zero bound under a positive estimate: the forked workers inherit it
+    analyze = cli.analyze_operator
+    monkeypatch.setattr(cli, "analyze_operator",
+                        lambda *args: replace(analyze(*args), analytic=0.0))
+    out = tmp_path / "runs"
+    code = main(DESK + ["--pathway", "sd", "--seeds", "5", "--folds", "2",
+                        "--epochs", "1", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    for tag in ("5_0", "5_1"):
+        assert f"run {tag}: certificate violated for sd\n" in err
+        record = read_kv(out / "MUTAG" / "sd" / tag / "lipschitz.txt")
+        assert record["sd.analytic"] == "0"
+        assert record["sd.consistent"] == "false"
+    assert read_kv(out / "MUTAG" / "sd" / "summary.txt")["variant"] == "sd"

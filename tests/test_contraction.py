@@ -9,10 +9,9 @@ from helpers import (apply_on_copies, chunked_empirical_lipschitz,
 import gdeq.autodiff as ad
 from gdeq import contraction, quantum
 from gdeq.autodiff import Tensor
-from gdeq.contraction import (LipschitzReport, PathwayAnalysis,
-                              _pairs_per_call, analyze_operator,
-                              empirical_lipschitz, lemma2_bound, pathway_bound,
-                              spectral_norm, theorem_bounds)
+from gdeq.contraction import (PathwayAnalysis, _pairs_per_call,
+                              analyze_operator, empirical_lipschitz,
+                              lemma2_bound, spectral_norm, theorem_bounds)
 from gdeq.graphs import BlockAdjacency, normalize_adjacency
 from gdeq.operators import BackboneParams, EquilibriumOperator, GraphContext
 from gdeq.quantum import DeepXyzParams, QuantumModule
@@ -126,12 +125,6 @@ def test_theorem_bounds_alpha_zero_collapses():
     assert got.id == got.sd == got.bd == 0.7
 
 
-def test_theorem_bounds_separate_module_constants():
-    got = theorem_bounds(0.5, 0.2, 2.0, 1.0)
-    assert got.sd == 0.5 + 0.2 * 2.0
-    assert got.bd == 0.5 * (1.0 + 0.2 * 1.0)
-
-
 def test_theorem_bounds_domain():
     for bad in ((1.5, 0.1, 1.0), (-0.1, 0.1, 1.0), (0.5, -1.0, 1.0),
                 (0.5, 0.1, -1.0)):
@@ -151,39 +144,6 @@ def test_ordering_on_grid():
 def test_ordering_property(kappa, alpha, lq):
     got = theorem_bounds(kappa, alpha, lq)
     assert got.id <= got.bd <= got.sd + 1e-15
-
-
-def test_pathway_bound_dispatch():
-    assert pathway_bound("classical", 0.8, 0.5, None) == 0.8
-    assert pathway_bound("id", 0.8, 0.5, None) == 0.8
-    assert pathway_bound("sd", 0.8, 0.1, 1.0) == 0.9
-    assert abs(pathway_bound("bd", 0.8, 0.1, 1.0) - 0.88) <= 1e-15
-    with pytest.raises(ValueError):
-        pathway_bound("sd", 0.8, 0.1, None)
-
-
-def test_pathway_bound_is_its_theorem_bound_bit_for_bit():
-    # criterion 4's grid, its worked example, then random draws over the
-    # ranges the certificate sweeps see and beyond
-    rng = np.random.default_rng(38)
-    cases = [(kappa, 1.0, lq) for kappa in (0.0, 0.25, 0.5, 0.8, 1.0)
-             for lq in (0.0, 0.1, 1.0, 10.0)]
-    cases.append((0.8, 0.1, 1.0))
-    cases += [(rng.uniform(0.0, 1.0), 10.0 ** rng.uniform(-4.0, 1.0),
-               rng.uniform(0.0, 10.0)) for _ in range(500)]
-    for kappa, alpha, lq in cases:
-        bounds = theorem_bounds(kappa, alpha, lq)
-        for kind in ("id", "sd", "bd"):
-            got = pathway_bound(kind, kappa, alpha, lq)
-            assert got.hex() == getattr(bounds, kind).hex(), (kind, kappa,
-                                                               alpha, lq)
-    for bad in ((1.5, 0.1, 1.0), (-0.1, 0.1, 1.0), (0.5, -1.0, 1.0),
-                (0.5, 0.1, -1.0)):
-        for kind in ("sd", "bd"):
-            with pytest.raises(ValueError):
-                pathway_bound(kind, *bad)
-    with pytest.raises(ValueError):
-        pathway_bound("xd", 0.8, 0.1, 1.0)
 
 
 def test_empirical_identity_and_halving():
@@ -387,36 +347,60 @@ def test_analyze_operator_reads_weights_mutated_in_place(kind):
     assert got.lq != before.lq and got.empirical != before.empirical
 
 
-def test_analyze_operator_certifies_clipped_state_coupling():
+@pytest.mark.parametrize("kind", ["classical", "id", "sd", "bd"])
+def test_analyze_operator_certifies_clipped_operators(kind):
     rng = np.random.default_rng(28)
     n, d_h = 5, 4
     bb = BackboneParams.init(d_h, d_h, 0.8, rng)
     module = make_module(2, d_h, d_h, rng, sn=True)
     lq = lemma2_bound(module)
     alpha = 0.15 / lq  # leaves headroom under 1
-    op = EquilibriumOperator("sd", bb, module, alpha=alpha)
+    op = EquilibriumOperator(kind, bb, None if kind == "classical" else module,
+                             alpha=alpha)
     a = np.ones((n, n)) - np.eye(n)
     ctx = GraphContext(a_norm=ad.constant(normalize_adjacency(a)),
                        h=Tensor(rng.normal(size=(n, d_h))))
+    if kind == "id":
+        ctx.q_id = Tensor(rng.normal(size=(n, d_h)))
     analysis = analyze_operator(op, ctx, rng, n_pairs=200)
-    assert analysis.kind == "sd"
-    assert abs(analysis.analytic - (0.8 + alpha * lq)) <= 1e-12
+    assert (analysis.kind, analysis.kappa, analysis.alpha) == (kind, 0.8, alpha)
+    if kind in ("classical", "id"):
+        assert analysis.lq is None
+        assert analysis.analytic == 0.8
+    else:
+        assert analysis.lq == lq
+        bound = getattr(theorem_bounds(0.8, alpha, lq), kind)
+        assert analysis.analytic == bound
+        formula = 0.8 + alpha * lq if kind == "sd" else 0.8 * (1 + alpha * lq)
+        assert abs(bound - formula) <= 1e-12
     assert analysis.certified
     assert analysis.consistent
 
 
-def test_report_serialization_and_violations():
-    rep = LipschitzReport(kappa=0.8, alpha=0.1)
-    rep.add(PathwayAnalysis(kind="id", analytic=0.8, empirical=0.74, pairs=200))
-    rep.add(PathwayAnalysis(kind="sd", analytic=1.2, empirical=0.9,
-                            pairs=200, lq=4.0))
-    assert rep.violations() == []
-    assert not rep.entries["sd"].certified
-    text = rep.to_text()
-    assert "kappa=0.80000000000000004" in text or "kappa=0.8" in text
-    assert "sd.lq=4" in text
-    assert "id.certified=true" in text
-    assert "sd.certified=false" in text
-
-    rep.add(PathwayAnalysis(kind="bd", analytic=0.9, empirical=0.95, pairs=10))
-    assert rep.violations() == ["bd"]
+def test_analysis_text_golden_bytes():
+    classical = PathwayAnalysis(kind="classical", kappa=0.8, alpha=0.1,
+                                analytic=0.8, empirical=0.74, pairs=200)
+    assert classical.to_text() == (
+        "kappa=0.80000000000000004\n"
+        "alpha=0.10000000000000001\n"
+        "classical.analytic=0.80000000000000004\n"
+        "classical.empirical=0.73999999999999999\n"
+        "classical.pairs=200\n"
+        "classical.certified=true\n"
+        "classical.consistent=true\n")
+    sd = PathwayAnalysis(kind="sd", kappa=0.8, alpha=0.1, analytic=1.2,
+                         empirical=0.9, pairs=60, lq=4.0)
+    assert sd.to_text() == (
+        "kappa=0.80000000000000004\n"
+        "alpha=0.10000000000000001\n"
+        "sd.analytic=1.2\n"
+        "sd.empirical=0.90000000000000002\n"
+        "sd.pairs=60\n"
+        "sd.lq=4\n"
+        "sd.certified=false\n"
+        "sd.consistent=true\n")
+    # an estimate above its bound
+    bd = PathwayAnalysis(kind="bd", kappa=0.8, alpha=0.1, analytic=0.9,
+                         empirical=0.95, pairs=10)
+    assert bd.certified and not bd.consistent
+    assert bd.to_text().endswith("bd.certified=true\nbd.consistent=false\n")

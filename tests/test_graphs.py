@@ -449,11 +449,8 @@ def test_block_layout_pads_and_unpads_rows(sizes):
     assert copies.sizes == tuple(sizes) * 3
     z3 = rng.normal(size=(3 * sum(sizes), 3))
     assert np.array_equal(copies.unpad(copies.pad(z3)), z3)
-    assert copies.head(2 * sum(sizes)).sizes == tuple(sizes) * 2
-    first = layout.head(sizes[0])
-    assert first.sizes == sizes[:1]
-    assert np.array_equal(first.matmul(z[:sizes[0]]),
-                          layout.matmul(z)[:sizes[0]])
+    each = [layout.matmul(c) for c in np.split(z3, 3)]
+    assert np.array_equal(copies.matmul(z3), np.concatenate(each))
 
 
 def test_block_layout_rejects_an_empty_graph():
