@@ -261,12 +261,12 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         dataset = load_tu_dataset(cfg.data_dir, cfg.dataset, l_max=cfg.l_max)
         splits = {s: stratified_folds(dataset.labels, cfg.folds, s)
                   for s in seeds}
+        base = Path(cfg.out) / cfg.dataset / cfg.pathway
+        base.mkdir(parents=True, exist_ok=True)
+        (base / "config.txt").write_text(cfg.to_text())
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    base = Path(cfg.out) / cfg.dataset / cfg.pathway
-    base.mkdir(parents=True, exist_ok=True)
-    (base / "config.txt").write_text(cfg.to_text())
 
     jobs = [(cfg, dataset, s, f, splits[s][f])
             for s in cfg.seeds for f in range(cfg.folds)]
@@ -333,7 +333,10 @@ def build_config(argv) -> tuple:
 
     cfg = ExperimentConfig()
     if args.config:
-        cfg = parse_config(Path(args.config).read_text(), cfg)
+        try:
+            cfg = parse_config(Path(args.config).read_text(), cfg)
+        except ValueError as e:
+            raise ValueError(f"{args.config}: {e}") from None
     names = (*_FLAGS, "pathway", "solver")
     overrides = {n: getattr(args, n) for n in names
                  if getattr(args, n) is not None}
@@ -341,7 +344,11 @@ def build_config(argv) -> tuple:
 
 
 def main(argv=None) -> int:
-    cfg, print_only = build_config(argv)
+    try:
+        cfg, print_only = build_config(argv)
+    except (OSError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     if print_only:
         print(cfg.to_text(), end="")
         return 0

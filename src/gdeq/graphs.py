@@ -112,19 +112,13 @@ class BlockAdjacency:
         flat = p.reshape(-1, p.shape[-1])
         return flat if self.rows is None else np.take(flat, self.rows, axis=0)
 
-    def _product(self, blocks: np.ndarray, z: np.ndarray) -> np.ndarray:
-        padded = self.pad(z)
-        if self.rows is None and padded.shape[0] == 1:
-            return blocks[0] @ z   # one dense matrix: skip the batched set-up
-        return self.unpad(blocks @ padded)
-
     def matmul(self, z: np.ndarray) -> np.ndarray:
         """A @ z for a stacked (N, d) array ``z``."""
-        return self._product(self.blocks, z)
+        return self.unpad(self.blocks @ self.pad(z))
 
     def rmatmul(self, g: np.ndarray) -> np.ndarray:
         """Aᵀ @ g, block by block."""
-        return self._product(self.blocks.transpose(0, 2, 1), g)
+        return self.unpad(self.blocks.transpose(0, 2, 1) @ self.pad(g))
 
 
 @dataclass

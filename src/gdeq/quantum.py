@@ -2,10 +2,11 @@
 
 The circuit follows an encode / entangle / measure shape: input angles
 u = tanh(W_in s) are written onto the qubits with R_y rotations, a
-repeated three-block ansatz with data re-uploading is applied (full
-XYZ rotations + ZZ couplers, then XY rotations + XX couplers, then YZ
-rotations + YY couplers, re-encoding u before each block), and the
-per-qubit Pauli-Z expectations are read out and mixed by W_out.
+repeated ansatz with data re-uploading is applied (re-encoding u before
+each block), and the per-qubit Pauli-Z expectations are read out and
+mixed by W_out.  ``ANSATZ`` is the ansatz's one description: a table of
+one repetition's blocks, from which the gate program, the angle layout
+and the parameter count are all read.
 
 Simulation is vectorized across rows and runs in the encoding's
 eigenbasis: an encoding layer is W diag(Φ(u)) Wᴴ, W = V^{⊗n_q} with V the
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from itertools import count
 from typing import NamedTuple
 
 import numpy as np
@@ -63,63 +65,31 @@ class Gate(NamedTuple):
     source: tuple          # ("enc", qubit) or ("param", rep, col)
 
 
+# One ansatz repetition, a row per block after its own encoding layer: the
+# rotation axes applied to each qubit in turn, then the coupler applied to
+# each neighbouring pair.
+ANSATZ = (("xyz", "zz"), ("xy", "xx"), ("yz", "yy"))
+
+
 def per_rep_param_count(n_qubits: int) -> int:
-    return 7 * n_qubits + 3 * max(n_qubits - 1, 0)
-
-
-class _Layout(NamedTuple):
-    block1: slice
-    zz: slice
-    block2: slice
-    xx: slice
-    block3: slice
-    yy: slice
-
-
-@lru_cache(maxsize=None)
-def _layout(n_qubits: int) -> _Layout:
-    n, e = n_qubits, max(n_qubits - 1, 0)
-    c = 0
-    spans = []
-    for width in (3 * n, e, 2 * n, e, 2 * n, e):
-        spans.append(slice(c, c + width))
-        c += width
-    return _Layout(*spans)
+    return sum(len(a) * n_qubits + max(n_qubits - 1, 0) for a, _ in ANSATZ)
 
 
 @lru_cache(maxsize=None)
 def build_program(n_qubits: int, reps: int) -> tuple:
-    """Full gate list: initial encoding plus ``reps`` ansatz repetitions."""
-    lay = _layout(n_qubits)
-    gates: list[Gate] = []
-
-    def encode():
-        gates.extend(Gate("ry", (j,), ("enc", j)) for j in range(n_qubits))
-
-    encode()
+    """Full gate list: an encoding layer, then ``reps`` repetitions of
+    ``ANSATZ``.  A repetition's columns run in gate order, so parameter
+    gate k reads ``angles.flat[k]``."""
+    encode = [Gate("ry", (j,), ("enc", j)) for j in range(n_qubits)]
+    gates = list(encode)
     for r in range(reps):
-        encode()
-        for j in range(n_qubits):
-            base = lay.block1.start + 3 * j
-            gates.append(Gate("rx", (j,), ("param", r, base)))
-            gates.append(Gate("ry", (j,), ("param", r, base + 1)))
-            gates.append(Gate("rz", (j,), ("param", r, base + 2)))
-        for j in range(n_qubits - 1):
-            gates.append(Gate("zz", (j, j + 1), ("param", r, lay.zz.start + j)))
-        encode()
-        for j in range(n_qubits):
-            base = lay.block2.start + 2 * j
-            gates.append(Gate("rx", (j,), ("param", r, base)))
-            gates.append(Gate("ry", (j,), ("param", r, base + 1)))
-        for j in range(n_qubits - 1):
-            gates.append(Gate("xx", (j, j + 1), ("param", r, lay.xx.start + j)))
-        encode()
-        for j in range(n_qubits):
-            base = lay.block3.start + 2 * j
-            gates.append(Gate("ry", (j,), ("param", r, base)))
-            gates.append(Gate("rz", (j,), ("param", r, base + 1)))
-        for j in range(n_qubits - 1):
-            gates.append(Gate("yy", (j, j + 1), ("param", r, lay.yy.start + j)))
+        col = count()
+        for axes, coupler in ANSATZ:
+            gates += encode
+            gates += [Gate("r" + a, (j,), ("param", r, next(col)))
+                      for j in range(n_qubits) for a in axes]
+            gates += [Gate(coupler, (j, j + 1), ("param", r, next(col)))
+                      for j in range(n_qubits - 1)]
     return tuple(gates)
 
 
@@ -183,12 +153,12 @@ class _Segments(NamedTuple):
     """The angle-free layout of a program.
 
     ``blocks`` has one entry per segment: ``None`` for an encoding layer,
-    else the slice of the parameter gates that the block fuses.  The last
-    is a block (empty after a final encoding layer): its W ends the run.
+    else the slice of the parameter gates that the block fuses, which is
+    also the slice of ``angles.flat`` they read.  The last is a block
+    (empty after a final encoding layer): its W ends the run.
     """
 
     blocks: tuple
-    index: tuple           # (reps, cols) of every parameter gate's angle
     paulis: np.ndarray     # (n_param_gates, 2**n_q, 2**n_q) generators
 
 
@@ -212,13 +182,10 @@ def _segments(n_qubits: int, reps: int) -> _Segments:
     if blocks[-1] is None:
         blocks.append(slice(len(params), len(params)))
     dim = 2 ** n_qubits
-    index = tuple(np.array([g.source[i] for g in params], dtype=np.intp)
-                  for i in (1, 2))
     paulis = np.array([_generator(g, n_qubits) for g in params],
                       dtype=np.complex128).reshape(-1, dim, dim)
-    for arr in (*index, paulis):
-        arr.setflags(write=False)
-    return _Segments(tuple(blocks), index, paulis)
+    paulis.setflags(write=False)
+    return _Segments(tuple(blocks), paulis)
 
 
 def _product(gates: np.ndarray) -> np.ndarray:
@@ -234,13 +201,14 @@ def _product(gates: np.ndarray) -> np.ndarray:
 class _FusedBlock:
     """A run of parameter gates at fixed angles, and left · product · W:
     W leaves the encoding eigenbasis the state arrives in, and ``left`` is
-    Wᴴ before an encoding layer, else the identity."""
+    Wᴴ before an encoding layer, else the identity.  ``span`` is the slice
+    of ``angles.flat`` its gates read."""
 
-    def __init__(self, gates: np.ndarray, paulis: np.ndarray, index: tuple,
+    def __init__(self, gates: np.ndarray, paulis: np.ndarray, span: slice,
                  left: np.ndarray, right: np.ndarray):
         self.gates = gates
         self.paulis = paulis
-        self.index = index
+        self.span = span
         self.left = left
         self.unitary = _product(np.concatenate([right[None], gates,
                                                 left[None]]))
@@ -264,16 +232,16 @@ class _FusedBlock:
 
 
 def _compile(angles: np.ndarray, n_qubits: int) -> tuple:
-    """The program at ``angles``: ``None`` per encoding layer, else a block."""
+    """The program at ``angles`` (reps, per-rep count), parameter gate k at
+    ``angles.flat[k]``: ``None`` per encoding layer, else a block."""
     seg = _segments(n_qubits, angles.shape[0])
-    half = 0.5 * angles[seg.index][:, None, None]
+    half = 0.5 * angles.reshape(-1)[:, None, None]
     eye = np.eye(2 ** n_qubits)
     gates = np.cos(half) * eye - 1j * np.sin(half) * seg.paulis
     w = _frame(n_qubits)
     w_h, last = np.conj(w.T), len(seg.blocks) - 1
     return tuple(None if span is None else
-                 _FusedBlock(gates[span], seg.paulis[span],
-                             (seg.index[0][span], seg.index[1][span]),
+                 _FusedBlock(gates[span], seg.paulis[span], span,
                              w_h if k < last else eye, w)
                  for k, span in enumerate(seg.blocks))
 
@@ -345,7 +313,8 @@ def _angle_grads(angle_shape: tuple, program: tuple, stash: list,
     for fused, psi, lam in zip(program, stash[1:], lams):
         if fused is not None:
             c_t = np.conj(lam) @ psi.T          # transpose of C
-            d_ang[fused.index] = (fused.observables @ c_t.reshape(-1)).imag
+            d_ang.reshape(-1)[fused.span] = (
+                fused.observables @ c_t.reshape(-1)).imag
     return d_ang
 
 
@@ -567,11 +536,10 @@ def parameter_shift_grad(module: QuantumModule, s, index: int) -> np.ndarray:
     (w_in, _), (out_map, _) = module.maps()
     u = np.tanh(row @ w_in.T)
     n_q = module.n_qubits
-    r, c = divmod(index, module.params.angles.cols)
 
     def measure(shift: float) -> np.ndarray:
         ang = module.params.angles.data.copy()
-        ang[r, c] += shift
+        ang.reshape(-1)[index] += shift
         return _expectations(_run_program(u, _compile(ang, n_q)), n_q)[0]
 
     dm = (measure(np.pi / 2) - measure(-np.pi / 2)) / 2.0

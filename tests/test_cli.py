@@ -342,11 +342,13 @@ def test_a_bad_config_fails_before_any_run_starts(mutag_dir, tmp_path,
 
 @pytest.mark.parametrize("line", ["heads=0", "heads=-4", "mlp_hidden=-1",
                                   "lr=nan", "grad_clip=nan",
-                                  "grad_clip=-1"])
+                                  "grad_clip=-1", "learning_rate=0.1",
+                                  "epochs=abc", "seeds=a", None])
 def test_a_bad_model_size_in_a_config_file_fails_before_any_run_starts(
         mutag_dir, tmp_path, capsys, line):
     config = tmp_path / "cfg.txt"
-    config.write_text(line + "\n")
+    if line is not None:   # no config file at all
+        config.write_text(line + "\n")
     out = tmp_path / "runs"
     code = main(DESK + ["--config", str(config), "--pathway", "classical",
                         "--seeds", "1", "--folds", "2", "--epochs", "1",
@@ -354,6 +356,30 @@ def test_a_bad_model_size_in_a_config_file_fails_before_any_run_starts(
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+    assert_nothing_left_running()
+
+
+@pytest.mark.parametrize("line", [None, "learning_rate=0.1", "epochs=abc"])
+def test_a_config_file_that_cannot_be_read_exits_2_naming_it_when_printing(
+        tmp_path, capsys, line):
+    config = tmp_path / "cfg.txt"
+    if line is not None:
+        config.write_text(line + "\n")
+    assert main(["--config", str(config), "--print-config"]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.startswith("error: ") and str(config) in printed.err
+
+
+def test_an_out_dir_under_a_regular_file_exits_2_and_writes_nothing(
+        mutag_dir, tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    code = main(DESK + ["--pathway", "classical", "--seeds", "1", "--folds",
+                        "2", "--epochs", "1", "--out", str(blocker / "runs")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == ""
     assert_nothing_left_running()
 
 

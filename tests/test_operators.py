@@ -108,7 +108,8 @@ def test_dense_context_is_one_block():
     for given in (dense, ad.constant(dense)):
         ctx = GraphContext(a_norm=given, h=Tensor(np.zeros((5, 2))))
         assert ctx.a_norm.blocks.shape == (1, 5, 5) and ctx.a_norm.rows is None
-        assert np.max(np.abs(ctx.a_norm.matmul(z) - dense @ z)) <= 1e-14
+        assert np.array_equal(ctx.a_norm.matmul(z), dense @ z)
+        assert np.array_equal(ctx.a_norm.rmatmul(z), dense.T @ z)
     with pytest.raises(ValueError):
         ctx.a_norm.matmul(z[:4])
 

@@ -96,8 +96,12 @@ def test_program_order_two_qubits():
            ("yy", (0, 1), "param")]
     )
     assert kinds == expected
-    cols = [g.source[2] for g in qm.build_program(2, 1) if g.source[0] == "param"]
-    assert cols == list(range(17))
+    for n_q in range(1, 5):
+        width = qm.per_rep_param_count(n_q)
+        for reps in range(4):
+            sources = [g.source[1:] for g in qm.build_program(n_q, reps)
+                       if g.source[0] == "param"]
+            assert sources == [divmod(k, width) for k in range(reps * width)]
 
 
 def test_param_rows_validated():
