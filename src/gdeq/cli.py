@@ -131,7 +131,10 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
         key = key.strip()
         if key not in known:
             raise ValueError(f"line {ln}: unknown config key {key!r}")
-        updates[key] = _PARSERS[key](raw.strip())
+        try:
+            updates[key] = _PARSERS[key](raw.strip())
+        except ValueError as e:
+            raise ValueError(f"line {ln}: {key}: {e}") from None
     return replace(cfg, **updates)
 
 
@@ -179,15 +182,6 @@ def write_table(path, header, rows) -> None:
 
 # ---------------------------------------------------------------------------
 # aggregation records
-
-
-def emit_summary(runs, dataset: str = "") -> dict:
-    """The pathway's record: mean/std accuracy (n-1), iterations, minutes."""
-    agg = aggregate_runs(runs)
-    return {"variant": runs[0].pathway, "dataset": dataset,
-            "acc_mean": agg["acc_mean"], "acc_std": agg["acc_std"],
-            "iter_mean": agg["iter_mean"],
-            "time_minutes_mean": agg["time_minutes_mean"]}
 
 
 def emit_iteration_curves(runs):
@@ -298,7 +292,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
               f"({metrics.wall_minutes:.2f} min)")
 
     if runs:
-        record = emit_summary(runs, dataset=cfg.dataset)
+        record = aggregate_runs(runs, cfg.dataset)
         write_table(base / "summary.csv", list(record),
                     [list(record.values())])
         write_kv(base / "summary.txt", record)

@@ -11,17 +11,19 @@ and the parameter count are all read.
 Simulation is vectorized across rows and runs in the encoding's
 eigenbasis: an encoding layer is W diag(Φ(u)) Wᴴ, W = V^{⊗n_q} with V the
 eigenvectors of Y (Schuld, Sweke & Meyer, PRA 103, 032430, 2021).
-The program is compiled at the current angles into segments: each run
-of consecutive parameter gates becomes one fused 2**n_q x 2**n_q
-unitary, with W and Wᴴ folded in where it meets an
-encoding layer, applied to all rows as one complex matmul; each encoding
-layer is one elementwise product with the per-row phases Φ.  States are
-amplitude-major, (2**n_q, N).  Gradients are exact
-reverse-mode through the state: the output state of every segment is
-stashed, the cotangent is pulled back through each segment's adjoint,
-and each fused block yields all of its angle gradients from one
-2**n_q x 2**n_q matrix.  The parameter-shift rule is provided separately
-as an independent route to the same angle gradients.
+The program is one opening encoding layer, then one block per ``ANSATZ``
+row per repetition (reps >= 1), each after its own encoding layer, so u
+enters 1 + len(ANSATZ)·reps times.  It is compiled at the current angles
+into one fused 2**n_q x 2**n_q unitary per block, built from its row's
+gates with W and Wᴴ folded in and applied to all rows as one complex
+matmul; each encoding layer is one elementwise product with the per-row
+phases Φ.  States are amplitude-major, (2**n_q, N).  Gradients are exact
+reverse-mode through the state: the output state of every encoding layer
+and block is stashed, the cotangent is pulled back through each block's
+adjoint and each layer's conjugate phases, and each fused block yields
+all of its angle gradients from one 2**n_q x 2**n_q matrix.  The
+parameter-shift rule is provided separately as an independent route to
+the same angle gradients.
 
 The module is written once, as :class:`ModulePlan`: the live weights,
 read once per ``forward_rows`` call, solve or certificate analysis (under
@@ -71,6 +73,12 @@ class Gate(NamedTuple):
 ANSATZ = (("xyz", "zz"), ("xy", "xx"), ("yz", "yy"))
 
 
+def _row_gates(axes: str, coupler: str, n_qubits: int) -> list:
+    """One ``ANSATZ`` row's (kind, qubits) pairs in gate order."""
+    return ([("r" + a, (j,)) for j in range(n_qubits) for a in axes]
+            + [(coupler, (j, j + 1)) for j in range(n_qubits - 1)])
+
+
 def per_rep_param_count(n_qubits: int) -> int:
     return sum(len(a) * n_qubits + max(n_qubits - 1, 0) for a, _ in ANSATZ)
 
@@ -84,12 +92,10 @@ def build_program(n_qubits: int, reps: int) -> tuple:
     gates = list(encode)
     for r in range(reps):
         col = count()
-        for axes, coupler in ANSATZ:
+        for row in ANSATZ:
             gates += encode
-            gates += [Gate("r" + a, (j,), ("param", r, next(col)))
-                      for j in range(n_qubits) for a in axes]
-            gates += [Gate(coupler, (j, j + 1), ("param", r, next(col)))
-                      for j in range(n_qubits - 1)]
+            gates += [Gate(kind, qubits, ("param", r, next(col)))
+                      for kind, qubits in _row_gates(*row, n_qubits)]
     return tuple(gates)
 
 
@@ -142,50 +148,25 @@ _PAULI = {
 }
 
 
-def _generator(gate: Gate, n_qubits: int) -> np.ndarray:
-    """Dense Pauli (product) P of ``gate`` on the full register."""
-    pauli = _PAULI[gate.kind[-1]]
-    return reduce(np.kron, [pauli if j in gate.qubits else np.eye(2)
+def _generator(kind: str, qubits: tuple, n_qubits: int) -> np.ndarray:
+    """Dense Pauli (product) P of a gate on the full register."""
+    return reduce(np.kron, [_PAULI[kind[-1]] if j in qubits else np.eye(2)
                             for j in range(n_qubits)])
 
 
-class _Segments(NamedTuple):
-    """The angle-free layout of a program.
-
-    ``blocks`` has one entry per segment: ``None`` for an encoding layer,
-    else the slice of the parameter gates that the block fuses, which is
-    also the slice of ``angles.flat`` they read.  The last is a block
-    (empty after a final encoding layer): its W ends the run.
-    """
-
-    blocks: tuple
-    paulis: np.ndarray     # (n_param_gates, 2**n_q, 2**n_q) generators
-
-
 @lru_cache(maxsize=None)
-def _segments(n_qubits: int, reps: int) -> _Segments:
-    """Split the program into encoding layers and parameter blocks.
-
-    ``build_program`` writes each encoding layer as qubits 0..n_q-1 in a
-    row, so a layer starts at every encoding gate on qubit 0.
-    """
-    blocks: list = []
-    params: list[Gate] = []
-    for gate in build_program(n_qubits, reps):
-        if gate.source[0] == "param":
-            if blocks[-1] is None:  # the program opens with an encoding layer
-                blocks.append(slice(len(params), len(params)))
-            params.append(gate)
-            blocks[-1] = slice(blocks[-1].start, len(params))
-        elif gate.qubits[0] == 0:
-            blocks.append(None)
-    if blocks[-1] is None:
-        blocks.append(slice(len(params), len(params)))
-    dim = 2 ** n_qubits
-    paulis = np.array([_generator(g, n_qubits) for g in params],
-                      dtype=np.complex128).reshape(-1, dim, dim)
+def _rep_generators(n_qubits: int) -> tuple:
+    """One repetition's gate generators in gate order, (width, 2**n_q,
+    2**n_q), and each ``ANSATZ`` row's slice of them."""
+    paulis, rows = [], []
+    for row in ANSATZ:
+        start = len(paulis)
+        paulis += [_generator(kind, qubits, n_qubits)
+                   for kind, qubits in _row_gates(*row, n_qubits)]
+        rows.append(slice(start, len(paulis)))
+    paulis = np.array(paulis, dtype=np.complex128)
     paulis.setflags(write=False)
-    return _Segments(tuple(blocks), paulis)
+    return paulis, tuple(rows)
 
 
 def _product(gates: np.ndarray) -> np.ndarray:
@@ -199,10 +180,10 @@ def _product(gates: np.ndarray) -> np.ndarray:
 
 
 class _FusedBlock:
-    """A run of parameter gates at fixed angles, and left · product · W:
+    """One ``ANSATZ`` row's gates at fixed angles, and left · product · W:
     W leaves the encoding eigenbasis the state arrives in, and ``left`` is
-    Wᴴ before an encoding layer, else the identity.  ``span`` is the slice
-    of ``angles.flat`` its gates read."""
+    Wᴴ before the next encoding layer, else (the last block) the identity.
+    ``span`` is the slice of ``angles.flat`` its gates read."""
 
     def __init__(self, gates: np.ndarray, paulis: np.ndarray, span: slice,
                  left: np.ndarray, right: np.ndarray):
@@ -232,18 +213,23 @@ class _FusedBlock:
 
 
 def _compile(angles: np.ndarray, n_qubits: int) -> tuple:
-    """The program at ``angles`` (reps, per-rep count), parameter gate k at
-    ``angles.flat[k]``: ``None`` per encoding layer, else a block."""
-    seg = _segments(n_qubits, angles.shape[0])
-    half = 0.5 * angles.reshape(-1)[:, None, None]
+    """The program at ``angles`` (reps, per-rep count): one block per
+    ``ANSATZ`` row per repetition, parameter gate k at ``angles.flat[k]``."""
+    paulis, rows = _rep_generators(n_qubits)
+    half = 0.5 * angles[:, :, None, None]
     eye = np.eye(2 ** n_qubits)
-    gates = np.cos(half) * eye - 1j * np.sin(half) * seg.paulis
+    gates = np.cos(half) * eye - 1j * np.sin(half) * paulis
     w = _frame(n_qubits)
-    w_h, last = np.conj(w.T), len(seg.blocks) - 1
-    return tuple(None if span is None else
-                 _FusedBlock(gates[span], seg.paulis[span], span,
-                             w_h if k < last else eye, w)
-                 for k, span in enumerate(seg.blocks))
+    w_h = np.conj(w.T)
+    width, last = len(paulis), len(angles) * len(rows) - 1
+    program = []
+    for r in range(len(angles)):
+        for row in rows:
+            span = slice(r * width + row.start, r * width + row.stop)
+            left = w_h if len(program) < last else eye
+            program.append(_FusedBlock(gates[r, row], paulis[row], span,
+                                       left, w))
+    return tuple(program)
 
 
 def _run_program(u_rows: np.ndarray, program: tuple,
@@ -251,15 +237,21 @@ def _run_program(u_rows: np.ndarray, program: tuple,
     """Final amplitude-major states (2**n_q, N) of the rows of ``u_rows``.
 
     The run starts from Wᴴ|0⟩, the uniform vector, in the encoding
-    eigenbasis, where each encoding layer is ``Φ * states``.  ``stash``
-    collects Φ and then every segment's output state.
+    eigenbasis, where each encoding layer is ``Φ * states``: the opening
+    layer, then per block its encoding layer and its unitary.  ``stash``
+    collects Φ, the opening layer's output, then per block its encoding
+    layer's output and its own.
     """
     phases = _phases(u_rows)
-    states = np.full(phases.shape, len(phases) ** -0.5, dtype=np.complex128)
+    states = phases * np.full(phases.shape, len(phases) ** -0.5,
+                              dtype=np.complex128)
     if stash is not None:
-        stash.append(phases)
+        stash += [phases, states]
     for fused in program:
-        states = phases * states if fused is None else fused.unitary @ states
+        states = phases * states
+        if stash is not None:
+            stash.append(states)
+        states = fused.unitary @ states
         if stash is not None:
             stash.append(states)
     return states
@@ -275,31 +267,27 @@ def _backward(program: tuple, stash: list,
     """Adjoint sweep: cotangent on expectations -> (dU, block cotangents).
 
     The state cotangent lambda = dL/dpsi* starts at the final state and is
-    pulled back one segment at a time, to the output of the segment before
-    it: through a fused block as lambda <- Uᴴ lambda, through an encoding
-    layer as lambda <- conj(Φ) * lambda.  There its generators are the
-    diagonals -S[j] / 2, so an encoding layer's u-gradient is
-    S Im(conj(lambda) psi) at its output state psi, summed over layers
-    before the one product with S.  The second value holds the cotangent
-    at every fused block's output (``None`` at encoding layers), from which
-    ``_angle_grads`` reads the angle gradients when they are asked for.
+    pulled back block by block: through a fused block as lambda <- Uᴴ
+    lambda, then through its encoding layer as lambda <- conj(Φ) * lambda.
+    There its generators are the diagonals -S[j] / 2, so an encoding
+    layer's u-gradient is S Im(conj(lambda) psi) at its output state psi,
+    summed over layers (the opening one last) before the one product with
+    S.  The second value holds the cotangent at every block's output, from
+    which ``_angle_grads`` reads the angle gradients when they are asked
+    for.
     """
-    unphase, outs = np.conj(stash[0]), stash[1:]
+    unphase, opening, encoded = np.conj(stash[0]), stash[1], stash[2::2]
     signs = _z_signs(g_m.shape[1])
-    lam = (signs.T @ g_m.T) * outs[-1]
+    lam = (signs.T @ g_m.T) * stash[-1]
     reads = np.zeros(unphase.shape)
-    lams = [None] * len(program)
-    for k in range(len(program) - 1, -1, -1):
-        fused = program[k]
-        if fused is None:
-            reads += (np.conj(lam) * outs[k]).imag
-            if k:
-                lam = unphase * lam
-        else:
-            lams[k] = lam
-            if k:
-                lam = np.conj(fused.unitary).T @ lam
-    return (signs @ reads).T, lams
+    lams = []
+    for fused, psi in zip(program[::-1], encoded[::-1]):
+        lams.append(lam)
+        lam = np.conj(fused.unitary).T @ lam
+        reads += (np.conj(lam) * psi).imag
+        lam = unphase * lam
+    reads += (np.conj(lam) * opening).imag
+    return (signs @ reads).T, lams[::-1]
 
 
 def _angle_grads(angle_shape: tuple, program: tuple, stash: list,
@@ -310,11 +298,10 @@ def _angle_grads(angle_shape: tuple, program: tuple, stash: list,
     psi and cotangent lambda, with C = sum over rows of psi lambdaᴴ.
     """
     d_ang = np.zeros(angle_shape)
-    for fused, psi, lam in zip(program, stash[1:], lams):
-        if fused is not None:
-            c_t = np.conj(lam) @ psi.T          # transpose of C
-            d_ang.reshape(-1)[fused.span] = (
-                fused.observables @ c_t.reshape(-1)).imag
+    for fused, psi, lam in zip(program, stash[3::2], lams):
+        c_t = np.conj(lam) @ psi.T          # transpose of C
+        d_ang.reshape(-1)[fused.span] = (
+            fused.observables @ c_t.reshape(-1)).imag
     return d_ang
 
 
@@ -331,6 +318,8 @@ def circuit_expectations(u: Tensor, angles: Tensor, n_qubits: int) -> Tensor:
         raise ValueError(f"expected {n_qubits} encoding angles, got {u.cols}")
     if angles.cols != per_rep_param_count(n_qubits):
         raise ValueError("angle row width does not match qubit count")
+    if angles.rows < 1:
+        raise ValueError("the ansatz needs at least one repetition")
     angle_shape = angles.data.shape
     program = _compile(angles.data, n_qubits)
     stash: list | None = [] if ad._active_tape() is not None else None
@@ -361,6 +350,8 @@ class DeepXyzParams:
         if self.angles.cols != want:
             raise ValueError(
                 f"expected {want} angles per repetition, got {self.angles.cols}")
+        if self.angles.rows < 1:
+            raise ValueError("the ansatz needs at least one repetition")
 
     @property
     def reps(self) -> int:

@@ -116,11 +116,14 @@ class RunMetrics:
     train_accuracy: list
     iterations: list         # mean forward-solve iterations per epoch
     test_accuracy: float
-    final_iterations: float  # = iterations[-1]
     wall_minutes: float
     skipped_batches: int = 0
     fwd_max_iter: int = 0    # forward solves that stopped at max_iter
     adj_max_iter: int = 0    # adjoint solves that stopped at max_iter
+
+    @property
+    def final_iterations(self) -> float:
+        return self.iterations[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +549,6 @@ def run_training(dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
         pathway=model_cfg.pathway, seed=seed, fold=fold,
         train_loss=loss_series, train_accuracy=acc_series,
         iterations=iter_series, test_accuracy=test_acc,
-        final_iterations=iter_series[-1],
         wall_minutes=(time.perf_counter() - t0) / 60.0,
         skipped_batches=counts["skipped"],
         fwd_max_iter=counts["fwd_max_iter"],
@@ -554,13 +556,15 @@ def run_training(dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
     return metrics, model
 
 
-def aggregate_runs(runs) -> dict:
-    """Mean/std summary over runs; std uses the n-1 denominator."""
+def aggregate_runs(runs, dataset: str) -> dict:
+    """A pathway's record over its runs on ``dataset``: mean/std accuracy
+    (std with the n-1 denominator), mean final iterations and minutes."""
     if not runs:
         raise ValueError("no runs to aggregate")
     accs = np.array([r.test_accuracy for r in runs])
     return {
-        "runs": len(runs),
+        "variant": runs[0].pathway,
+        "dataset": dataset,
         "acc_mean": float(accs.mean()),
         "acc_std": float(accs.std(ddof=1)) if len(runs) > 1 else 0.0,
         "iter_mean": float(np.mean([r.final_iterations for r in runs])),
@@ -684,7 +688,7 @@ def cross_validate(dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
         if not ok:
             raise RuntimeError(f"run {job[3]}_{job[4]} failed: {value}")
         runs.append(value)
-    return runs, aggregate_runs(runs)
+    return runs, aggregate_runs(runs, dataset.name)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ import pytest
 import gdeq
 from gdeq import cli
 from gdeq.cli import (ExperimentConfig, build_config, config_digest,
-                      emit_iteration_curves, emit_summary, fmt, main,
-                      parse_config, read_kv, write_kv, write_table)
-from gdeq.training import RunMetrics
+                      emit_iteration_curves, fmt, main, parse_config,
+                      read_kv, write_kv, write_table)
+from gdeq.training import ModelConfig, RunMetrics, TrainConfig, aggregate_runs
 
 from helpers import (assert_nothing_left_running, blas_threads,
                      process_table)
@@ -28,7 +28,7 @@ def run_metrics(pathway="classical", acc=0.8, iters=None, seed=0, fold=0,
     return RunMetrics(pathway=pathway, seed=seed, fold=fold,
                       train_loss=[0.5] * epochs, train_accuracy=[0.9] * epochs,
                       iterations=list(iters), test_accuracy=acc,
-                      final_iterations=iters[-1], wall_minutes=minutes)
+                      wall_minutes=minutes)
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +48,16 @@ def test_parse_config_rejects_unknown_keys_and_bad_lines():
         parse_config("learning_rate=0.1\n")
     with pytest.raises(ValueError):
         parse_config("no equals sign here\n")
+
+
+def test_parse_config_names_the_line_and_key_of_a_bad_value():
+    with pytest.raises(ValueError, match="line 3: epochs"):
+        parse_config("\n# c\nepochs=abc\n")
+
+
+def test_cli_defaults_restate_the_library_defaults():
+    assert ExperimentConfig().model_config() == ModelConfig()
+    assert ExperimentConfig().train_config() == TrainConfig()
 
 
 def test_parse_config_ignores_comments_and_blanks():
@@ -110,21 +120,21 @@ def test_table_has_header_and_parseable_rows(tmp_path):
 
 def test_summary_of_equal_accuracies():
     runs = [run_metrics(acc=1.0), run_metrics(acc=1.0, fold=1)]
-    rec = emit_summary(runs, dataset="D")
+    rec = aggregate_runs(runs, "D")
     assert rec["acc_mean"] == 1.0 and rec["acc_std"] == 0.0
     assert rec["variant"] == "classical" and rec["dataset"] == "D"
 
 
 def test_summary_two_point_std():
     runs = [run_metrics(acc=0.7), run_metrics(acc=0.9, fold=1)]
-    rec = emit_summary(runs)
+    rec = aggregate_runs(runs, "D")
     assert rec["acc_mean"] == pytest.approx(0.8)
     assert rec["acc_std"] == pytest.approx(0.14142135623730951)
 
 
 def test_summary_rejects_empty():
     with pytest.raises(ValueError):
-        emit_summary([])
+        aggregate_runs([], "D")
 
 
 def test_iteration_curves_single_run_zero_std():
@@ -369,6 +379,9 @@ def test_a_config_file_that_cannot_be_read_exits_2_naming_it_when_printing(
     printed = capsys.readouterr()
     assert printed.out == ""
     assert printed.err.startswith("error: ") and str(config) in printed.err
+    if line is not None:   # and the line and key it could not take
+        assert "line 1: " in printed.err
+        assert line.partition("=")[0] in printed.err
 
 
 def test_an_out_dir_under_a_regular_file_exits_2_and_writes_nothing(

@@ -118,14 +118,6 @@ def test_angle_init_range():
 
 # --- simulator vs oracle -------------------------------------------------------
 
-def test_angle_encode_z_expectation_is_cosine():
-    u = np.array([[0.3, -0.7, 0.05]])
-    angles = np.zeros((0, qm.per_rep_param_count(3)))   # the encoding alone
-    states = qm._run_program(u, qm._compile(angles, 3))
-    assert abs(np.linalg.norm(states) - 1.0) < 1e-12
-    assert np.allclose(qm._expectations(states, 3)[0], np.cos(u[0]), atol=1e-12)
-
-
 @pytest.mark.parametrize("n_q,reps", [(2, 1), (2, 2), (3, 1)])
 def test_amplitudes_match_dense_product(n_q, reps):
     # one row on its own, and the normalized module output built on it
@@ -157,20 +149,17 @@ def test_encoding_layer_is_a_phase_in_the_frame(n_q):
     assert np.max(np.abs(w @ np.diag(phases) @ np.conj(w.T) - dense)) < 1e-14
 
 
+@pytest.mark.parametrize("reps", [1, 2, 3])
 @pytest.mark.parametrize("n_q", [1, 3])
-def test_program_ending_on_an_encoding_layer_matches_dense_product(n_q):
-    # with no repetitions the program is one encoding layer, and the run
-    # must still end in the computational basis
-    rng = np.random.default_rng(30 + n_q)
+def test_zero_angles_leave_only_the_uploads(n_q, reps):
+    # with every angle 0 each block is the identity, so the circuit is u
+    # uploaded once, then before each of the 3 ANSATZ rows per repetition:
+    # <Z_j> = cos((1 + 3 reps) u_j), the count the contraction notes rest on
+    uploads = 1 + 3 * reps
+    rng = np.random.default_rng(30 + n_q + reps)
     u = rng.uniform(-0.99, 0.99, size=(4, n_q))
-    angles = np.zeros((0, qm.per_rep_param_count(n_q)))
-    program = qm._compile(angles, n_q)
-    assert program[-2] is None
-    states = qm._run_program(u, program)
-    for i in range(len(u)):
-        want = oracle_state(u[i], angles, n_q)
-        assert np.max(np.abs(states[:, i] - want)) < 1e-12
-
+    angles = np.zeros((reps, qm.per_rep_param_count(n_q)))
+    assert len(qm._compile(angles, n_q)) == len(qm.ANSATZ) * reps
     weight = rng.normal(size=u.shape)
     tape = ad.Tape()
     u_t = tape.watch(ad.Tensor(u))
@@ -179,9 +168,19 @@ def test_program_ending_on_an_encoding_layer_matches_dense_product(n_q):
         m = qm.circuit_expectations(u_t, angles_t, n_q)
         loss = sum_all(ad.mul(m, ad.constant(weight)))
     grads = tape.backward(loss)
-    # <Z_j> = cos(u_j), so dL/du = -weight * sin(u)
-    assert rel_err(grads[u_t], -weight * np.sin(u)) < 1e-12
+    assert np.max(np.abs(m.data - np.cos(uploads * u))) < 1e-12
+    assert rel_err(grads[u_t], -uploads * weight * np.sin(uploads * u)) < 1e-12
     assert grads[angles_t].shape == angles.shape
+
+
+def test_zero_repetitions_are_rejected():
+    n_q = 2
+    angles = np.zeros((0, qm.per_rep_param_count(n_q)))
+    with pytest.raises(ValueError, match="at least one repetition"):
+        qm.DeepXyzParams(angles, n_q)
+    with pytest.raises(ValueError, match="at least one repetition"):
+        qm.circuit_expectations(ad.Tensor(np.zeros((3, n_q))),
+                                ad.Tensor(angles), n_q)
 
 
 GRID = [(n_q, reps) for n_q in (1, 2, 3, 4) for reps in (1, 2, 3)]

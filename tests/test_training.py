@@ -724,7 +724,7 @@ def test_cross_validate_counts_runs_and_aggregates():
     assert_nothing_left_running()
     assert len(runs) == 4
     assert {(r.seed, r.fold) for r in runs} == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    assert agg["runs"] == 4
+    assert agg["variant"] == "classical" and agg["dataset"] == ds.name
     accs = np.array([r.test_accuracy for r in runs])
     assert agg["acc_mean"] == pytest.approx(accs.mean())
     assert agg["acc_std"] == pytest.approx(accs.std(ddof=1))
@@ -860,11 +860,11 @@ def test_a_job_that_prints_keeps_its_result_and_its_output():
 
 
 def test_aggregate_handles_single_run():
-    run = RunMetrics("classical", 0, 0, [0.1], [1.0], [5.0], 0.9, 5.0, 0.01)
-    agg = aggregate_runs([run])
-    assert agg["acc_std"] == 0.0
+    run = RunMetrics("classical", 0, 0, [0.1], [1.0], [5.0], 0.9, 0.01)
+    agg = aggregate_runs([run], "toy")
+    assert agg["acc_std"] == 0.0 and agg["iter_mean"] == 5.0
     with pytest.raises(ValueError):
-        aggregate_runs([])
+        aggregate_runs([], "toy")
 
 
 # ---------------------------------------------------------------------------
