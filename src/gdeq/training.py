@@ -19,7 +19,15 @@ deterministic in (seed, fold, config).  ``run_jobs`` runs a list of runs
 in worker processes forked from the caller (POSIX ``fork``), with numpy's
 OpenBLAS pinned to one thread, so their results do not depend on the
 worker count or on the caller's BLAS threads; ``cross_validate`` and the
-CLI both drive their runs through it.
+CLI both drive their runs through it.  The caller's OpenBLAS is held at
+one thread from before the first fork until every worker is reaped, so
+each worker inherits the pin and never calls the setter itself: after a
+fork, OpenBLAS's setter first rebuilds the thread pool that its fork
+handler shut down, and the new helper thread busy-waits beside the run.
+
+``train_epoch`` also raises glibc's mmap and trim thresholds once per
+process (``mallopt``; a no-op without it), so the memory one step frees
+stays in the heap for the next instead of being faulted in again.
 """
 
 import contextlib
@@ -430,6 +438,36 @@ def cosine_lr(epoch: int, total: int, lr_max: float, lr_min: float = 0.0) -> flo
     return lr_min + 0.5 * (lr_max - lr_min) * (1.0 + math.cos(math.pi * epoch / total))
 
 
+M_MMAP_THRESHOLD = 32 << 20   # bytes; glibc's own 64-bit dynamic ceiling
+M_TRIM_THRESHOLD = 64 << 20
+_heap_kept = False
+
+
+def _libc():
+    return ctypes.CDLL(None)
+
+
+def _keep_heap() -> None:
+    """Set glibc's mmap and trim thresholds once per process.
+
+    Then the arrays a training step frees stay in the heap for the next
+    step instead of being handed back and faulted in again.  Both are set:
+    either one alone turns off glibc's dynamic mmap threshold and leaves
+    the other at its 128 KiB default, which faults far more than neither.
+    Forked workers inherit the setting; without ``mallopt`` this does
+    nothing.
+    """
+    global _heap_kept
+    if _heap_kept:
+        return
+    _heap_kept = True
+    mallopt = getattr(_libc(), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int] * 2, ctypes.c_int
+        mallopt(-3, M_MMAP_THRESHOLD)   # -3 is glibc's M_MMAP_THRESHOLD
+        mallopt(-1, M_TRIM_THRESHOLD)   # -1 is glibc's M_TRIM_THRESHOLD
+
+
 def train_epoch(model: GraphClassifier, opt: AdamW, batches, lr: float,
                 seed: int = 0, epoch: int = 0, grad_clip: float = 1.0) -> dict:
     """One optimisation pass over the batches; returns the epoch slice.
@@ -439,8 +477,10 @@ def train_epoch(model: GraphClassifier, opt: AdamW, batches, lr: float,
     diverged forward or adjoint solve skips its batch with a warning, and
     counts in ``skipped``; ``fwd_max_iter`` and ``adj_max_iter`` count the
     solves that stopped at ``max_iter``.  The dropout stream is keyed on
-    (seed, epoch, batch) so reruns are bit-identical.
+    (seed, epoch, batch) so reruns are bit-identical.  The first call in a
+    process keeps freed memory in the heap (``_keep_heap``).
     """
+    _keep_heap()
     params = model.parameters()
     loss_sum, hits, seen = 0.0, 0, 0
     iters: list = []
@@ -578,17 +618,23 @@ def run_jobs(fn, jobs, workers: int) -> list:
     Returns one ``(True, result)`` or ``(False, error text)`` per job, in
     job order.  Every job runs in a worker, ``workers=1`` included; worker
     i of n = min(workers, len(jobs)) gets ``jobs[i::n]``.  Workers inherit
-    ``fn`` and the jobs; only results are pickled.  A worker pins numpy's
-    OpenBLAS to one thread before each job, or fails the job naming why.
-    Workers write each result to a file as its job ends, so one that dies
-    fails only the jobs it did not finish; a worker leaves through
-    ``os._exit``, never into the caller.  Every worker is waited for
-    before this returns or raises, and dies with this process.
+    ``fn`` and the jobs; only results are pickled.  The caller's OpenBLAS
+    is set to one thread before the first fork, so each worker inherits
+    the pin and its check before each job finds it in place; a worker that
+    called the setter itself would start a helper thread that busy-waits
+    beside its run (see ``_pin_blas``).  The caller's thread count is
+    restored once every worker has been reaped.  A worker without a
+    pinnable OpenBLAS fails each job naming why.  Workers write each
+    result to a file as its job ends, so one that dies fails only the jobs
+    it did not finish; a worker leaves through ``os._exit``, never into
+    the caller.  Every worker is waited for before this returns or raises,
+    and dies with this process.
     """
     if workers < 1:
         raise ValueError(f"need at least 1 worker, got {workers}")
     n = min(workers, len(jobs))
     launcher, pids, outs = os.getpid(), [], []
+    caller_threads = _set_blas_threads(1)
     try:
         for i in range(n):
             outs.append(tempfile.TemporaryFile())
@@ -619,6 +665,8 @@ def run_jobs(fn, jobs, workers: int) -> list:
                 os.waitpid(pid, 0)
         for out in outs:
             out.close()
+        if caller_threads is not None:
+            _set_blas_threads(caller_threads)
 
 
 def _serve(launcher: int, fn, jobs, out) -> int:
@@ -627,7 +675,7 @@ def _serve(launcher: int, fn, jobs, out) -> int:
     The kernel kills the worker when its launcher dies (Linux's
     ``PR_SET_PDEATHSIG``); if that happened before the call, it exits."""
     try:
-        prctl = getattr(ctypes.CDLL(None), "prctl", None)
+        prctl = getattr(_libc(), "prctl", None)
         if prctl is not None:
             prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
             prctl.restype = ctypes.c_int
@@ -650,8 +698,10 @@ def _serve(launcher: int, fn, jobs, out) -> int:
         _flush_stdio()
 
 
-def _pin_blas() -> None:
-    """Set numpy's loaded OpenBLAS to one thread and check that it holds."""
+def _set_blas_threads(count: int):
+    """Set numpy's loaded OpenBLAS to ``count`` threads unless it already
+    runs on that many; returns the count it ran on before, or None where
+    numpy's BLAS exports no OpenBLAS setter."""
     blas = ctypes.CDLL(_umath_linalg.__file__)   # OpenBLAS is a dependency
     for prefix in ("scipy_openblas", "openblas"):   # numpy >= 2, numpy 1.x
         if hasattr(blas, prefix + "_set_num_threads64_"):
@@ -659,12 +709,28 @@ def _pin_blas() -> None:
             getter = getattr(blas, prefix + "_get_num_threads64_")
             setter.argtypes, setter.restype = [ctypes.c_int], None
             getter.argtypes, getter.restype = [], ctypes.c_int
-            setter(1)
-            if getter() == 1:
-                return
-            raise RuntimeError("numpy's OpenBLAS did not keep one thread")
-    raise RuntimeError("numpy's BLAS exports no OpenBLAS set_num_threads "
-                       "symbol, so workers cannot pin it to one thread")
+            before = getter()
+            if before != count:
+                setter(count)
+            return before
+    return None
+
+
+def _pin_blas() -> None:
+    """Check that numpy's OpenBLAS runs on one thread, setting it only
+    when it does not.
+
+    In a worker the count is already 1, inherited from ``run_jobs``, so
+    the setter is not called.  It must not be: OpenBLAS's fork handler
+    shuts its thread pool down, and after a fork the setter first rebuilds
+    the pool, whose new helper thread busy-waits for about 0.13 s of CPU
+    beside the run before it sleeps.
+    """
+    if _set_blas_threads(1) is None:
+        raise RuntimeError("numpy's BLAS exports no OpenBLAS set_num_threads "
+                           "symbol, so workers cannot pin it to one thread")
+    if _set_blas_threads(1) != 1:
+        raise RuntimeError("numpy's OpenBLAS did not keep one thread")
 
 
 def _flush_stdio() -> None:

@@ -3,8 +3,10 @@ import math
 import operator
 import os
 import pickle
+import resource
 import subprocess
 import sys
+import time
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -571,6 +573,43 @@ def test_a_step_is_released_before_the_next_forward_solve(pathway,
 # training loop
 
 
+def trained_epoch():
+    """(epoch slice, parameters) after one epoch of a small sd model."""
+    ds = toy_dataset()
+    model = GraphClassifier(small_config("sd"), ds.feature_dim, 2, seed=2)
+    opt = AdamW(model.parameters(), exclude=model.decay_exclusions())
+    batches = [collate(ds.graphs[:6]), collate(ds.graphs[6:])]
+    stats = train_epoch(model, opt, batches, lr=1e-2, seed=0, epoch=0)
+    return stats, {n: t.data.copy() for n, t in model.parameters()}
+
+
+def test_training_keeps_the_heap_with_both_thresholds_once_per_process(
+        monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(training, "_libc",
+                        lambda: SimpleNamespace(mallopt=mallopt))
+    monkeypatch.setattr(training, "_heap_kept", False)
+    with_mallopt = trained_epoch()
+    trained_epoch()
+    # glibc's M_MMAP_THRESHOLD is parameter -3 and M_TRIM_THRESHOLD -1
+    assert calls == [(-3, training.M_MMAP_THRESHOLD),
+                     (-1, training.M_TRIM_THRESHOLD)]
+    assert (training.M_MMAP_THRESHOLD, training.M_TRIM_THRESHOLD) == (
+        32 << 20, 64 << 20)
+
+    monkeypatch.setattr(training, "_libc", lambda: SimpleNamespace())
+    monkeypatch.setattr(training, "_heap_kept", False)
+    without = trained_epoch()
+    assert without[0] == with_mallopt[0]
+    for name, value in with_mallopt[1].items():
+        assert np.array_equal(without[1][name], value), name
+
+
 def test_zero_learning_rate_leaves_parameters_unchanged():
     ds = toy_dataset()
     model = GraphClassifier(small_config("sd"), ds.feature_dim, 2, seed=2)
@@ -795,6 +834,43 @@ def test_workers_compute_on_one_blas_thread_with_this_gdeq():
     assert parent != reference
     this_gdeq = str(tests.parent / "src" / "gdeq" / "__init__.py")
     assert got == [(True, (reference, this_gdeq))] * 3
+    assert_nothing_left_running()
+
+
+def task_count():
+    return len(os.listdir("/proc/self/task"))
+
+
+def cpu_seconds_while_sleeping(seconds):
+    before = resource.getrusage(resource.RUSAGE_SELF)
+    time.sleep(seconds)
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    return (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs /proc/self/task")
+def test_a_worker_runs_on_one_os_thread():
+    with blas_threads(2):
+        assert run_jobs(task_count, [()] * 2, workers=2) == [(True, 1)] * 2
+    assert_nothing_left_running()
+
+
+def test_an_idle_worker_does_not_spin():
+    # a helper thread that OpenBLAS starts after the fork busy-waits for
+    # about 0.13 s of CPU before it sleeps
+    with blas_threads(2):
+        [(ok, cpu)] = run_jobs(cpu_seconds_while_sleeping, [(0.3,)], workers=1)
+    assert ok and cpu < 0.05
+    assert_nothing_left_running()
+
+
+def test_the_caller_keeps_its_blas_threads_after_run_jobs():
+    with blas_threads(2):
+        two = blas_bits()
+        assert run_jobs(abs, [(-1,), (-2,)], workers=2) == [(True, 1),
+                                                           (True, 2)]
+        assert blas_bits() == two
     assert_nothing_left_running()
 
 
