@@ -9,6 +9,7 @@ are read from a local directory; nothing is ever fetched.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -165,8 +166,8 @@ def _neighbour_table(src: np.ndarray, dst: np.ndarray,
     return table, deg
 
 
-# Lines parsed, or start vertices grown, per array pass: bounds a pass's
-# transient memory on large datasets.
+# Start vertices grown per array pass: bounds a pass's transient memory
+# on large datasets.
 _PASS_ROWS = 1024
 
 
@@ -243,73 +244,70 @@ def descriptor_dim(l_max: int = DEFAULT_L_MAX) -> int:
 # TU flat files
 
 
-def _read_lines(path: Path) -> list:
+def _node_id(value: str) -> int:
+    """An ``_A.txt`` id clipped into [0, 2**62], out of every node's range."""
+    return min(max(int(value), 0), 2**62)
+
+
+def _table(path: Path, parse=int, fields: str = "i", check=None) -> np.ndarray:
+    """The nonblank lines of the TU file ``path`` as the rows of a 2-d int
+    array, or a float one when ``parse`` is ``float``; ``fields`` names a
+    row's comma-separated values, and "" lets the first row set the width.
+
+    numpy's parser reads a clean file, ``parse`` a line at a time any other
+    up to its first bad line.  ``check`` gets the rows before that line and
+    returns (row, reason) of the first bad one, or None; the earlier line's
+    error is raised, as ``path:line: reason``.
+    """
     if not path.is_file():
         raise FileNotFoundError(f"missing dataset file: {path}")
-    return list(filter(None, map(str.strip, path.read_text().splitlines())))
-
-
-def _file_line(path: Path, k: int) -> int:
-    """Line number of the k-th nonblank line of ``path``, both from 1;
-    only error messages read it, as ``_read_lines`` drops blank lines."""
     lines = path.read_text().splitlines()
-    return [n for n, ln in enumerate(lines, 1) if ln.strip()][k - 1]
+    dtype = float if parse is float else int
+    width = fields.count(",") + 1 if fields else 0
+    if not any(map(str.strip, lines)):   # numpy's reader warns on no data
+        return np.empty((0, width), dtype)
+    table = error = None
+    with contextlib.suppress(ValueError):
+        table = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=2)
+    if table is None or 0 < width != table.shape[1]:
+        rows = []
+        for n, line in enumerate(lines, 1):
+            values = line.replace(",", " ").split()
+            if not values:
+                continue
+            width = width or len(values)
+            try:
+                if len(values) != width:
+                    raise ValueError(f"expected {fields or ', '.join('x' * width)!r}"
+                                     f", got {line.strip()!r}")
+                rows.append(np.array([parse(v) for v in values], dtype))
+            except (ValueError, OverflowError) as err:
+                error = n, err
+                break
+        table = np.array(rows, dtype).reshape(-1, width)
+    if check is not None and (bad := check(table)) is not None:
+        nonblank = [n for n, line in enumerate(lines, 1) if line.strip()]
+        error = nonblank[bad[0]], bad[1]
+    if error is not None:
+        raise ValueError(f"{path}:{error[0]}: {error[1]}")
+    return table
 
 
-def _edge_lines(path: Path) -> tuple[np.ndarray, Exception | None]:
-    """The "i, j" lines of ``path`` as an (m, 2) int array, up to the first
-    line that is not two integers; with that line's error, else ``None``.
-
-    Values outside [0, 2**62] are clipped into it, which keeps them out of
-    range of any node id.
-    """
-    lines = _read_lines(path)
-    blocks = [np.empty((0, 2), dtype=np.int64)]
-    for lo in range(0, len(lines), _PASS_ROWS):
-        part = lines[lo:lo + _PASS_ROWS]
-        # one split of the whole block; the NUL marker between lines must
-        # land on every third field, or some line is not two fields
-        fields = " \0 ".join(part).replace(",", " ").split()
-        if not (len(fields) == 3 * len(part) - 1 and
-                fields.count("\0") == fields[2::3].count("\0") == len(part) - 1):
-            break
-        try:
-            blocks.append(np.array([list(map(int, fields[0::3])),
-                                    list(map(int, fields[1::3]))], dtype=np.int64).T)
-        except (ValueError, OverflowError):
-            break
-    else:
-        return np.concatenate(blocks), None
-    # this block holds a bad line or a huge id: parse it line by line
-    pairs, error = [], None
-    for k, line in enumerate(lines[lo:], start=lo + 1):
-        parts = line.replace(",", " ").split()
-        try:
-            if len(parts) != 2:
-                raise ValueError(f"expected 'i, j', got {line!r}")
-            pairs.append([min(max(int(p), 0), 2**62) for p in parts])
-        except ValueError as err:
-            error = ValueError(f"{path}:{_file_line(path, k)}: {err}")
-            break
-    blocks.append(np.array(pairs, dtype=np.int64).reshape(-1, 2))
-    return np.concatenate(blocks), error
-
-
-def _check_edges(path: Path, pairs: np.ndarray, graph: np.ndarray) -> None:
-    """Raise a ValueError naming the first line of ``pairs`` (1-indexed
-    node ids) with an id out of range, an edge across graphs or a
-    self-loop; ``graph`` is each node's graph."""
+def _bad_edge(pairs: np.ndarray, graph: np.ndarray):
+    """(row, reason) of the first row of ``pairs`` (1-indexed node ids)
+    with an id out of range, an edge across graphs or a self-loop, or None;
+    ``graph`` is each node's graph."""
     i, j = pairs[:, 0] - 1, pairs[:, 1] - 1
     n = graph.shape[0]
     in_range = (0 <= i) & (i < n) & (0 <= j) & (j < n)
     crosses = in_range & (graph[np.where(in_range, i, 0)]
                           != graph[np.where(in_range, j, 0)])
     bad = ~in_range | crosses | (i == j)
-    if bad.any():
-        k = int(np.argmax(bad))
-        reason = ("node id out of range" if not in_range[k]
-                  else "edge crosses graphs" if crosses[k] else "self-loop")
-        raise ValueError(f"{path}:{_file_line(path, k + 1)}: {reason}")
+    if not bad.any():
+        return None
+    k = int(np.argmax(bad))
+    return k, ("node id out of range" if not in_range[k]
+               else "edge crosses graphs" if crosses[k] else "self-loop")
 
 
 def load_tu_dataset(data_dir, name: str, l_max: int = DEFAULT_L_MAX) -> GraphDataset:
@@ -325,15 +323,19 @@ def load_tu_dataset(data_dir, name: str, l_max: int = DEFAULT_L_MAX) -> GraphDat
     def fpath(suffix: str) -> Path:
         return root / f"{name}_{suffix}.txt"
 
-    indicator = np.array(list(map(int, _read_lines(fpath("graph_indicator")))))
-    graph_labels_raw = list(map(int, _read_lines(fpath("graph_labels"))))
+    indicator = _table(fpath("graph_indicator"))[:, 0]
+    classes, graph_labels = np.unique(_table(fpath("graph_labels"))[:, 0],
+                                      return_inverse=True)
     n_nodes_total = indicator.shape[0]
-    n_graphs = len(graph_labels_raw)
+    n_graphs = graph_labels.shape[0]
 
     ids = np.unique(indicator)
-    if not np.array_equal(ids, np.arange(1, n_graphs + 1)):
+    if not np.array_equal(ids, np.arange(1, ids.size + 1)):
         raise ValueError(
             f"{fpath('graph_indicator')}: graph ids must be 1..{n_graphs} contiguous")
+    if ids.size != n_graphs:
+        raise ValueError(f"{fpath('graph_labels')}: {n_graphs} labels for the "
+                         f"{ids.size} graphs of {fpath('graph_indicator').name}")
 
     # node (0-indexed file line) -> its row in the graph-major layout, in
     # which graph g holds rows starts[g]:starts[g] + sizes[g] in file order
@@ -344,10 +346,7 @@ def load_tu_dataset(data_dir, name: str, l_max: int = DEFAULT_L_MAX) -> GraphDat
     row = np.empty(n_nodes_total, dtype=np.intp)
     row[order] = np.arange(n_nodes_total)
 
-    pairs, error = _edge_lines(fpath("A"))
-    _check_edges(fpath("A"), pairs, graph)
-    if error is not None:
-        raise error
+    pairs = _table(fpath("A"), _node_id, "i, j", lambda p: _bad_edge(p, graph))
     src, dst = row[pairs[:, 0] - 1], row[pairs[:, 1] - 1]
     edges = np.unique(np.concatenate([src * n_nodes_total + dst,
                                       dst * n_nodes_total + src]))
@@ -379,37 +378,31 @@ def load_tu_dataset(data_dir, name: str, l_max: int = DEFAULT_L_MAX) -> GraphDat
     blocks = []
     label_path = fpath("node_labels")
     if label_path.is_file():
-        raw = np.array(list(map(int, _read_lines(label_path))))
+        vocab, raw = np.unique(_table(label_path)[:, 0], return_inverse=True)
         if raw.shape[0] != n_nodes_total:
             raise ValueError(f"{label_path}: expected {n_nodes_total} lines")
-        vocab = np.unique(raw)
         onehot = np.zeros((n_nodes_total, vocab.shape[0]))
-        onehot[np.arange(n_nodes_total), np.searchsorted(vocab, raw)] = 1.0
+        onehot[np.arange(n_nodes_total), raw] = 1.0
         blocks.append(onehot)
     attr_path = fpath("node_attributes")
     if attr_path.is_file():
-        rows = [[float(x) for x in ln.replace(",", " ").split()]
-                for ln in _read_lines(attr_path)]
-        widths = {len(r) for r in rows}
-        if len(rows) != n_nodes_total or len(widths) != 1:
-            raise ValueError(f"{attr_path}: ragged or wrong-length attribute rows")
-        blocks.append(np.array(rows))
+        attributes = _table(attr_path, float, "")
+        if attributes.shape[0] != n_nodes_total:
+            raise ValueError(f"{attr_path}: expected {n_nodes_total} lines")
+        blocks.append(attributes)
     if not blocks:
         blocks.append(np.ones((n_nodes_total, 1)))
     features_all = np.concatenate(blocks, axis=1)
     features = features_all[order]
     tau = _descriptors(table, deg, sizes, l_max)
 
-    classes = sorted(set(graph_labels_raw))
-    class_index = {c: i for i, c in enumerate(classes)}
-
     graphs = []
-    for k, (st, n, at) in enumerate(zip(starts.tolist(), sizes.tolist(),
-                                        block_at.tolist())):
+    for label, st, n, at in zip(graph_labels.tolist(), starts.tolist(),
+                                sizes.tolist(), block_at.tolist()):
         graphs.append(GraphInstance(
             adjacency=flat[at:at + n * n].reshape(n, n),
             features=features[st:st + n],
-            label=class_index[graph_labels_raw[k]],
+            label=label,
             a_norm=norm[at:at + n * n].reshape(n, n),
             tau=tau[st:st + n],
         ))

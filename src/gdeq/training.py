@@ -24,6 +24,7 @@ one thread from before the first fork until every worker is reaped, so
 each worker inherits the pin and never calls the setter itself: after a
 fork, OpenBLAS's setter first rebuilds the thread pool that its fork
 handler shut down, and the new helper thread busy-waits beside the run.
+Without a setter to pin, no worker is forked and every run fails.
 
 ``train_epoch`` also raises glibc's mmap and trim thresholds once per
 process (``mallopt``; a no-op without it), so the memory one step frees
@@ -620,21 +621,25 @@ def run_jobs(fn, jobs, workers: int) -> list:
     i of n = min(workers, len(jobs)) gets ``jobs[i::n]``.  Workers inherit
     ``fn`` and the jobs; only results are pickled.  The caller's OpenBLAS
     is set to one thread before the first fork, so each worker inherits
-    the pin and its check before each job finds it in place; a worker that
-    called the setter itself would start a helper thread that busy-waits
-    beside its run (see ``_pin_blas``).  The caller's thread count is
-    restored once every worker has been reaped.  A worker without a
-    pinnable OpenBLAS fails each job naming why.  Workers write each
-    result to a file as its job ends, so one that dies fails only the jobs
-    it did not finish; a worker leaves through ``os._exit``, never into
-    the caller.  Every worker is waited for before this returns or raises,
-    and dies with this process.
+    the pin; a worker that called the setter itself would start a helper
+    thread that busy-waits beside its run, as OpenBLAS's setter rebuilds
+    the pool its fork handler shut down.  The caller's thread count is
+    restored once every worker has been reaped.  Without a pinnable
+    OpenBLAS nothing is forked and every job fails naming why.  Workers
+    write each result to a file as its job ends, so one that dies fails
+    only the jobs it did not finish; a worker leaves through ``os._exit``,
+    never into the caller.  Every worker is waited for before this returns
+    or raises, and dies with this process.
     """
     if workers < 1:
         raise ValueError(f"need at least 1 worker, got {workers}")
+    caller_threads = _set_blas_threads(1)
+    if caller_threads is None:
+        return [(False, "RuntimeError: numpy's BLAS exports no OpenBLAS "
+                        "set_num_threads symbol, so workers cannot pin it to "
+                        "one thread")] * len(jobs)
     n = min(workers, len(jobs))
     launcher, pids, outs = os.getpid(), [], []
-    caller_threads = _set_blas_threads(1)
     try:
         for i in range(n):
             outs.append(tempfile.TemporaryFile())
@@ -665,8 +670,7 @@ def run_jobs(fn, jobs, workers: int) -> list:
                 os.waitpid(pid, 0)
         for out in outs:
             out.close()
-        if caller_threads is not None:
-            _set_blas_threads(caller_threads)
+        _set_blas_threads(caller_threads)
 
 
 def _serve(launcher: int, fn, jobs, out) -> int:
@@ -684,7 +688,6 @@ def _serve(launcher: int, fn, jobs, out) -> int:
             return 1
         for job in jobs:
             try:
-                _pin_blas()
                 item = pickle.dumps((True, fn(*job)))
             except Exception as e:  # noqa: BLE001 - a run must not kill the rest
                 traceback.print_exc(file=sys.__stderr__)
@@ -714,23 +717,6 @@ def _set_blas_threads(count: int):
                 setter(count)
             return before
     return None
-
-
-def _pin_blas() -> None:
-    """Check that numpy's OpenBLAS runs on one thread, setting it only
-    when it does not.
-
-    In a worker the count is already 1, inherited from ``run_jobs``, so
-    the setter is not called.  It must not be: OpenBLAS's fork handler
-    shuts its thread pool down, and after a fork the setter first rebuilds
-    the pool, whose new helper thread busy-waits for about 0.13 s of CPU
-    beside the run before it sleeps.
-    """
-    if _set_blas_threads(1) is None:
-        raise RuntimeError("numpy's BLAS exports no OpenBLAS set_num_threads "
-                           "symbol, so workers cannot pin it to one thread")
-    if _set_blas_threads(1) != 1:
-        raise RuntimeError("numpy's OpenBLAS did not keep one thread")
 
 
 def _flush_stdio() -> None:

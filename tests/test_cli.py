@@ -1,5 +1,6 @@
 import contextlib
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -329,6 +330,22 @@ def test_missing_dataset_is_a_config_error(tmp_path):
     code = main(["--data-dir", str(tmp_path), "--dataset", "NOPE",
                  "--out", str(tmp_path / "runs")])
     assert code == 2
+
+
+def test_a_wrong_graph_label_count_names_the_labels_file(mutag_dir, tmp_path,
+                                                         capsys):
+    shutil.copytree(mutag_dir / "MUTAG", tmp_path / "MUTAG")
+    labels = tmp_path / "MUTAG" / "MUTAG_graph_labels.txt"
+    labels.write_text(labels.read_text() + "1\n")
+    out = tmp_path / "runs"
+    code = main(["--data-dir", str(tmp_path), "--dataset", "MUTAG",
+                 "--epochs", "1", "--seeds", "1", "--folds", "2",
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {labels}: 189 labels for the 188 graphs of "
+        "MUTAG_graph_indicator.txt\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [["--seeds", ","], ["--epochs", "0"],

@@ -309,6 +309,10 @@ A_ERRORS = [
     ("1, 2\n1 2 3\n2, 2\n", r":2: expected 'i, j', got '1 2 3'"),
     ("1, 9\n2, y\n", r":1: node id out of range"),
     ("3, 4\n1, 9\n", r":1: edge crosses graphs"),
+    # every line one field too wide; an id beyond int64; '#' is no comment
+    ("1, 2, 3\n2, 1, 3\n", r":1: expected 'i, j', got '1, 2, 3'"),
+    ("1, 2\n\n99999999999999999999, 1\n", r":3: node id out of range"),
+    ("1, 2\n#1, 2\n", r":2: invalid literal for int\(\) with base 10: '#1'"),
 ]
 
 
@@ -332,6 +336,57 @@ def test_two_integer_line_in_a_per_line_file_is_rejected(tiny_tu, fname):
     path.write_text(path.read_text().replace("1\n", "1 1\n", 1))
     with pytest.raises(ValueError):
         gr.load_tu_dataset(tiny_tu, "TINY")
+
+
+PER_LINE_ERRORS = [
+    ("TINY_graph_indicator.txt", "1\n1\nx\n2\n2\n", 3),
+    ("TINY_graph_indicator.txt", "1\n1\n1\n99999999999999999999\n2\n", 4),
+    ("TINY_graph_labels.txt", "1\n\n0.5\n", 3),
+    ("TINY_graph_labels.txt", "1\n-99999999999999999999\n", 2),
+    ("TINY_node_labels.txt", "0\n0\n1 1\n1\n2\n", 3),
+    ("TINY_node_attributes.txt", "1.0\n2.0\nx\n4.0\n5.0\n", 3),
+    ("TINY_node_attributes.txt", "1, 2\n3, 4\n5\n6, 7\n8, 9\n", 3),   # ragged
+]
+
+
+@pytest.mark.parametrize("fname,text,line", PER_LINE_ERRORS)
+def test_a_bad_line_in_a_per_line_file_is_named(tiny_tu, fname, text, line):
+    path = tiny_tu / "TINY" / fname
+    path.write_text(text)
+    with pytest.raises(ValueError) as got:
+        gr.load_tu_dataset(tiny_tu, "TINY")
+    assert str(got.value).startswith(f"{path}:{line}: ")
+
+
+@pytest.mark.parametrize("fname,text", [
+    ("TINY_A.txt", ""),
+    ("TINY_A.txt", "\n  \n\t\n"),
+    # fields int() takes and numpy's parser does not: these files go
+    # through the line pass
+    ("TINY_A.txt", "1\t2\n 2  1\n\n  \n1,3\n3, 1\n4 ,5\n5\t,\t4\n"),
+    ("TINY_graph_indicator.txt", "1\n1\n0_1\n\u0662\n2\n"),
+    ("TINY_graph_labels.txt", "1_0\n-1\n"),
+    ("TINY_node_labels.txt", "0\n \n0\n1\n1_0\n\u0662\n"),
+])
+def test_files_numpy_rejects_load_like_the_oracle(tiny_tu, fname, text):
+    (tiny_tu / "TINY" / fname).write_text(text)
+    assert_same_dataset(gr.load_tu_dataset(tiny_tu, "TINY"),
+                        reference_load_tu_dataset(tiny_tu, "TINY"))
+
+
+@pytest.mark.parametrize("attributes", [
+    "1.5, -2e-3\n-0.25,3E+2\n1e-310, -7\n4.0, 5\n-1.25e1, .1\n",
+    "1.5, -2e-3\n-0.25 3E+2\n1e-310, -7\n4.0, 5\n-1.25e1, .1\n",
+])
+def test_node_attributes_load_like_the_oracle(tiny_tu, attributes):
+    (tiny_tu / "TINY" / "TINY_node_attributes.txt").write_text(attributes)
+    got = gr.load_tu_dataset(tiny_tu, "TINY")
+    want = reference_load_tu_dataset(tiny_tu, "TINY")
+    assert_same_dataset(got, want)
+    assert got.feature_dim == 5
+    for g, w in zip(got.graphs, want.graphs):
+        assert g.features.tobytes() == w.features.tobytes()
+    assert got.graphs[0].features[1, 3:].tolist() == [-0.25, 300.0]
 
 
 @pytest.mark.parametrize("fname", ["TINY_A.txt", "TINY_graph_indicator.txt",
