@@ -158,11 +158,12 @@ def normalize_adjacency(a) -> np.ndarray:
 def _neighbour_table(src: np.ndarray, dst: np.ndarray,
                      n: int) -> tuple[np.ndarray, np.ndarray]:
     """(table, degrees) of the n-node graph with directed edges ``src ->
-    dst``, both directions listed and sorted by ``src``: row v of the
-    (n, max degree) table holds v's neighbours, padded with -1."""
+    dst``, both directions listed and sorted by ``src``: column v of the
+    (max degree, n) table holds v's neighbours, padded with -1, so that
+    one row holds every vertex's k-th neighbour."""
     deg = np.bincount(src, minlength=n)
-    table = np.full((n, deg.max(initial=0)), -1, dtype=np.intp)
-    table[src, np.arange(src.size) - (np.cumsum(deg) - deg)[src]] = dst
+    table = np.full((deg.max(initial=0), n), -1, dtype=np.intp)
+    table[np.arange(src.size) - (np.cumsum(deg) - deg)[src], src] = dst
     return table, deg
 
 
@@ -178,32 +179,38 @@ def _cycle_counts(table: np.ndarray, l_max: int) -> np.ndarray:
     Exact canonical enumeration: a cycle is found once, as the path that
     starts at its smallest vertex, grows only through larger unvisited
     vertices, and closes back to the start when its second vertex is
-    smaller than its last.  All such paths of one length form a frontier
-    array, grown a level at a time for every start vertex at once.
+    smaller than its last.  All such paths of one length form a frontier,
+    held as one index column per path position and grown a level at a time
+    for every start vertex at once: each level gathers every column once.
+    The counts are integers, so the frontier's row order does not matter.
     """
     if l_max < 3:
         raise ValueError("l_max must be at least 3")
-    n = table.shape[0]
+    n = table.shape[1]
     counts = np.zeros((n, l_max - 2))
     for lo in range(0, n, _PASS_ROWS):
-        paths = np.arange(lo, min(lo + _PASS_ROWS, n))[:, None]
+        path = [np.arange(lo, min(lo + _PASS_ROWS, n))]
         for length in range(1, l_max + 1):
-            if not paths.size:
+            start, last = path[0], path[-1]
+            if not start.size:
                 break
-            nxt = table[paths[:, -1]]
-            start = paths[:, :1]
+            nxt = table.take(last, axis=1)
             if length >= 3:
-                closes = (nxt == start).any(axis=1) & (paths[:, 1] < paths[:, -1])
-                counts[:, length - 3] += np.bincount(paths[closes].ravel(),
-                                                     minlength=n)
+                closes = (nxt == start).any(axis=0) & (path[1] < last)
+                # a pass's paths hold only vertices from lo on
+                hits = np.bincount(
+                    np.concatenate([col[closes] for col in path]) - lo)
+                counts[lo:lo + hits.size, length - 3] += hits
             if length == l_max:
                 break
-            # the padding is below every start; no row lists its own vertex
+            # the padding is below every start; no column lists its own vertex
             grow = nxt > start
-            for col in paths.T[1:-1]:
-                grow &= nxt != col[:, None]
-            paths = np.concatenate((paths[grow.nonzero()[0]], nxt[grow][:, None]),
-                                   axis=1)
+            for col in path[1:-1]:
+                grow &= nxt != col
+            # entry k * len(start) + i of grow is path i's k-th neighbour
+            flat = np.flatnonzero(grow)
+            rows = flat % start.size
+            path = [col.take(rows) for col in path] + [nxt.take(flat)]
     return counts
 
 
@@ -212,7 +219,7 @@ def _descriptors(table: np.ndarray, deg: np.ndarray, sizes,
     """:func:`topology_descriptors` of graphs stored as consecutive node
     ranges of ``sizes`` rows in one neighbour table, with degrees ``deg``."""
     k = l_max - 2
-    out = np.zeros((table.shape[0], k + 3))
+    out = np.zeros((deg.size, k + 3))
     cycles = out[:, :k]
     cycles[:] = _cycle_counts(table, l_max)
     if not deg.size:
@@ -329,18 +336,21 @@ def load_tu_dataset(data_dir, name: str, l_max: int = DEFAULT_L_MAX) -> GraphDat
     n_nodes_total = indicator.shape[0]
     n_graphs = graph_labels.shape[0]
 
-    ids = np.unique(indicator)
-    if not np.array_equal(ids, np.arange(1, ids.size + 1)):
+    # contiguous ids 1..k have k <= the node count, so a larger id fails
+    # before np.bincount sizes a count for it; sizes[g] counts id g + 1
+    sizes = None
+    if indicator.min(initial=1) >= 1 and indicator.max(initial=0) <= n_nodes_total:
+        sizes = np.bincount(indicator)[1:]
+    if sizes is None or not sizes.all():
         raise ValueError(
             f"{fpath('graph_indicator')}: graph ids must be 1..{n_graphs} contiguous")
-    if ids.size != n_graphs:
+    if sizes.size != n_graphs:
         raise ValueError(f"{fpath('graph_labels')}: {n_graphs} labels for the "
-                         f"{ids.size} graphs of {fpath('graph_indicator').name}")
+                         f"{sizes.size} graphs of {fpath('graph_indicator').name}")
 
     # node (0-indexed file line) -> its row in the graph-major layout, in
     # which graph g holds rows starts[g]:starts[g] + sizes[g] in file order
     graph = indicator.astype(np.intp) - 1
-    sizes = np.bincount(graph, minlength=n_graphs)
     starts = np.cumsum(sizes) - sizes
     order = np.argsort(graph, kind="stable")
     row = np.empty(n_nodes_total, dtype=np.intp)
@@ -348,8 +358,11 @@ def load_tu_dataset(data_dir, name: str, l_max: int = DEFAULT_L_MAX) -> GraphDat
 
     pairs = _table(fpath("A"), _node_id, "i, j", lambda p: _bad_edge(p, graph))
     src, dst = row[pairs[:, 0] - 1], row[pairs[:, 1] - 1]
-    edges = np.unique(np.concatenate([src * n_nodes_total + dst,
-                                      dst * n_nodes_total + src]))
+    # both directions of every edge line, sorted, each kept once: a key
+    # differs from the one before it (the keys are >= 0)
+    edges = np.concatenate([src * n_nodes_total + dst, dst * n_nodes_total + src])
+    edges.sort()
+    edges = edges[np.diff(edges, prepend=-1) != 0]
     src, dst = np.divmod(edges, n_nodes_total)
 
     # every graph's adjacency, and its normalization, is a view of one

@@ -131,10 +131,14 @@ def _phases(u_rows: np.ndarray) -> np.ndarray:
     """
     n_rows = len(u_rows)
     half = 0.5 * u_rows.T
-    phases = np.ones((1, n_rows), dtype=np.complex128)
-    for turn in np.cos(half) - 1j * np.sin(half):
-        phases = (phases[:, None] * np.stack([turn, np.conj(turn)])
-                  ).reshape(-1, n_rows)
+    factors = np.empty((len(half), 2, n_rows), dtype=np.complex128)
+    factors[:, 0] = np.cos(half) - 1j * np.sin(half)
+    np.conj(factors[:, 0], out=factors[:, 1])
+    # + 0.0 writes a zero imaginary part as +0, as the product 1 · e^{iu/2}
+    # does, so that Φ keeps its bytes where an angle is 0
+    phases = factors[0] + 0.0
+    for pair in factors[1:]:
+        phases = (phases[:, None] * pair).reshape(-1, n_rows)
     return phases
 
 

@@ -539,6 +539,60 @@ def reference_load_tu_dataset(data_dir, name: str, l_max: int = 6) -> GraphDatas
                         feature_dim=features_all.shape[1], l_max=l_max)
 
 
+# Published NCI1 size statistics (Morris et al., TUDataset, arXiv:2007.08663):
+# graphs, mean nodes, mean undirected edges, most nodes in one graph.
+NCI1_SHAPE = {"graphs": 4110, "mean_nodes": 29.87, "mean_edges": 32.30,
+              "max_nodes": 111}
+
+
+def write_nci1_shaped(data_dir: Path, n_graphs: int, seed: int,
+                      name: str = "SYNTH_NCI1") -> Path:
+    """Write a SYNTHETIC TU directory ``data_dir/name`` shaped like NCI1.
+
+    Node counts follow a gamma law clipped to [3, max_nodes] around
+    NCI1's mean.  Each graph is a molecule-like tree (every node hangs off
+    one of the three before it) plus a Poisson number of ring-closing
+    edges, so that it has NCI1's mean edge count and short cycles.  Node
+    labels (37, skewed) and the two graph labels are random: the data is
+    for loader equality and load timing, and its accuracies mean nothing.
+    Edge lines list both directions, about 2 % of them twice, in shuffled
+    order; the middle graph has no edge at all.  Returns ``data_dir``.
+    """
+    rng = np.random.default_rng(seed)
+    mean, top = NCI1_SHAPE["mean_nodes"], NCI1_SHAPE["max_nodes"]
+    rings = NCI1_SHAPE["mean_edges"] - (mean - 1.0)   # edges beyond a tree
+    sizes = np.clip(np.rint(rng.gamma(4.8, mean / 4.8, n_graphs)), 3, top)
+    pairs, offset = [], 0
+    for g, n in enumerate(sizes.astype(int)):
+        if g != n_graphs // 2:
+            child = np.arange(1, n)
+            parent = child - rng.integers(1, np.minimum(child, 3) + 1)
+            hub = rng.integers(4, n + 4, rng.poisson(rings * (n + 4) / mean))
+            near = hub - rng.integers(4, 8, hub.size)     # never hub's parent
+            keep = (near >= 0) & (hub < n)
+            edges = np.concatenate([np.column_stack([child, parent]),
+                                    np.column_stack([hub[keep], near[keep]])])
+            pairs.append(offset + edges)
+        offset += n
+    pairs = np.concatenate(pairs)
+    lines = np.concatenate([pairs, pairs[:, ::-1]])
+    lines = np.concatenate([lines, lines[rng.random(len(lines)) < 0.02]])
+    lines = lines[rng.permutation(len(lines))] + 1
+    node_labels = np.minimum(rng.geometric(0.25, offset) - 1, 36)
+    root = Path(data_dir) / name
+    root.mkdir(parents=True)
+    (root / f"{name}_A.txt").write_text(
+        "".join(f"{i}, {j}\n" for i, j in lines.tolist()))
+    (root / f"{name}_graph_indicator.txt").write_text(
+        "".join(f"{g}\n" for g in np.repeat(np.arange(1, n_graphs + 1),
+                                            sizes.astype(int)).tolist()))
+    (root / f"{name}_graph_labels.txt").write_text(
+        "".join(f"{c}\n" for c in rng.choice([-1, 1], n_graphs).tolist()))
+    (root / f"{name}_node_labels.txt").write_text(
+        "".join(f"{c}\n" for c in node_labels.tolist()))
+    return Path(data_dir)
+
+
 def process_table() -> list[tuple[int, str, int]]:
     """(pid, state, parent pid) of every process, from ``/proc/<pid>/stat``.
 

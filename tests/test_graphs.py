@@ -7,7 +7,7 @@ import pytest
 from gdeq import graphs as gr
 
 from helpers import (reference_load_tu_dataset, reference_simple_cycle_counts,
-                     reference_topology_descriptors)
+                     reference_topology_descriptors, write_nci1_shaped)
 
 
 def cycle_columns(a: np.ndarray, l_max: int) -> np.ndarray:
@@ -141,13 +141,35 @@ def test_one_cycle_kernel_serves_graphs_and_datasets(monkeypatch, tiny_tu):
     kernel = gr._cycle_counts
 
     def counted(table, l_max):
-        calls.append(table.shape[0])
+        calls.append(table.shape[1])
         return kernel(table, l_max)
 
     monkeypatch.setattr(gr, "_cycle_counts", counted)
     gr.topology_descriptors(np.ones((3, 3)) - np.eye(3))
     gr.load_tu_dataset(tiny_tu, "TINY")
     assert calls == [3, 5]   # the loader describes all 5 nodes at once
+
+
+@pytest.mark.parametrize("pass_rows", [1, 2, 3, 7, 1024])
+def test_cycle_counts_do_not_depend_on_the_pass_size(monkeypatch, pass_rows):
+    # a block-diagonal union of random graphs, as the loader describes a
+    # dataset: passes start inside graphs, and each pass's counts must land
+    # on its own rows
+    rng = np.random.default_rng(40 + pass_rows)
+    blocks = [random_adjacency(rng, int(rng.integers(1, 9)),
+                               p=float(rng.uniform(0.2, 0.9)))
+              for _ in range(6)]
+    n = sum(len(b) for b in blocks)
+    a = np.zeros((n, n))
+    at = 0
+    for b in blocks:
+        a[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    table, _ = gr._neighbour_table(*np.nonzero(a), n)
+    monkeypatch.setattr(gr, "_PASS_ROWS", pass_rows)
+    got = gr._cycle_counts(table, 7)
+    assert np.array_equal(got, reference_simple_cycle_counts(a, 7))
+    assert got.sum() > 0
 
 
 def test_load_is_independent_of_the_pass_size(monkeypatch, mutag_dir):
@@ -230,6 +252,19 @@ def test_parse_errors(tiny_tu):
         gr.load_tu_dataset(tiny_tu, "TINY")
 
 
+# ids from 0, below 0, beyond the node count, and from 2 up
+@pytest.mark.parametrize("ids", ["0 0 1 1 1", "-1 1 1 2 2",
+                                 "1 1 1 2 1000000000000", "2 2 2 3 3"])
+def test_graph_ids_must_be_contiguous_like_the_oracle(tiny_tu, ids):
+    (tiny_tu / "TINY" / "TINY_graph_indicator.txt").write_text(
+        ids.replace(" ", "\n"))
+    with pytest.raises(ValueError, match="contiguous") as got:
+        gr.load_tu_dataset(tiny_tu, "TINY")
+    with pytest.raises(ValueError) as want:
+        reference_load_tu_dataset(tiny_tu, "TINY")
+    assert str(got.value) == str(want.value)
+
+
 def assert_same_dataset(got, want):
     assert (got.name, got.n_classes, got.feature_dim, got.l_max, len(got)) == \
         (want.name, want.n_classes, want.feature_dim, want.l_max, len(want))
@@ -249,6 +284,61 @@ def test_mutag_matches_the_oracle_loader(mutag_dir, l_max):
 def test_tiny_matches_the_oracle_loader(tiny_tu):
     assert_same_dataset(gr.load_tu_dataset(tiny_tu, "TINY"),
                         reference_load_tu_dataset(tiny_tu, "TINY"))
+
+
+# TINY's triangle 1-2-3 and edge 4-5 written in other ways: one direction,
+# repeats, mixed order, and with edges left out
+EDGE_LISTS = [
+    ("1, 2\n2, 3\n1, 3\n4, 5\n", 8),
+    ("3, 1\n5, 4\n3, 2\n2, 1\n", 8),
+    ("1, 2\n2, 1\n1, 2\n1, 2\n2, 3\n1, 3\n4, 5\n5, 4\n4, 5\n", 8),
+    ("1, 2\n2, 3\n1, 3\n4, 5\n" * 3, 8),
+    ("5, 4\n3, 2\n3, 1\n2, 1\n1, 2\n2, 3\n1, 3\n4, 5\n", 8),
+    ("4, 5\n", 2),
+    ("2, 3\n3, 2\n2, 3\n", 2),
+]
+
+
+@pytest.mark.parametrize("text,entries", EDGE_LISTS)
+def test_repeated_and_one_way_edges_load_like_the_oracle(tiny_tu, text,
+                                                         entries):
+    (tiny_tu / "TINY" / "TINY_A.txt").write_text(text)
+    ds = gr.load_tu_dataset(tiny_tu, "TINY")
+    assert_same_dataset(ds, reference_load_tu_dataset(tiny_tu, "TINY"))
+    for g in ds.graphs:
+        assert np.array_equal(g.adjacency, g.adjacency.T)
+        assert set(np.unique(g.adjacency)) <= {0.0, 1.0}
+    assert sum(g.adjacency.sum() for g in ds.graphs) == entries
+
+
+@pytest.fixture(scope="module")
+def nci1_shaped(tmp_path_factory):
+    """300 synthetic NCI1-shaped graphs, one of them without edges."""
+    return write_nci1_shaped(tmp_path_factory.mktemp("synthetic"), 300, seed=5)
+
+
+@pytest.mark.parametrize("pass_rows", [97, gr._PASS_ROWS])
+def test_nci1_shaped_set_matches_the_oracle_loader(monkeypatch, nci1_shaped,
+                                                   pass_rows):
+    monkeypatch.setattr(gr, "_PASS_ROWS", pass_rows)
+    ds = gr.load_tu_dataset(nci1_shaped, "SYNTH_NCI1")
+    assert_same_dataset(ds, reference_load_tu_dataset(nci1_shaped, "SYNTH_NCI1"))
+    assert sum(g.n_nodes for g in ds.graphs) > 2 * pass_rows   # several passes
+    assert min(g.adjacency.sum() for g in ds.graphs) == 0
+    # the file lists every edge in both directions, some lines twice
+    lines = (nci1_shaped / "SYNTH_NCI1" / "SYNTH_NCI1_A.txt").read_text().count("\n")
+    assert lines > sum(g.adjacency.sum() for g in ds.graphs)
+
+
+def test_cycle_kernel_matches_the_dfs_on_nci1_shaped_graphs(nci1_shaped):
+    ds = gr.load_tu_dataset(nci1_shaped, "SYNTH_NCI1")
+    rings = 0
+    for k, g in enumerate(ds.graphs):
+        table, _ = gr._neighbour_table(*np.nonzero(g.adjacency), g.n_nodes)
+        got = gr._cycle_counts(table, 8)
+        assert np.array_equal(got, reference_simple_cycle_counts(g.adjacency, 8)), k
+        rings += got.sum() > 0
+    assert rings > len(ds) // 2
 
 
 def test_unsorted_indicator_keeps_file_order(tmp_path):
@@ -316,11 +406,8 @@ A_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("pass_rows", [1, 2, 1024])
 @pytest.mark.parametrize("text,message", A_ERRORS)
-def test_edge_file_errors_name_the_first_bad_line(monkeypatch, tiny_tu, text,
-                                                  message, pass_rows):
-    monkeypatch.setattr(gr, "_PASS_ROWS", pass_rows)
+def test_edge_file_errors_name_the_first_bad_line(tiny_tu, text, message):
     (tiny_tu / "TINY" / "TINY_A.txt").write_text(text)
     with pytest.raises(ValueError, match=message) as got:
         gr.load_tu_dataset(tiny_tu, "TINY")

@@ -149,6 +149,39 @@ def test_encoding_layer_is_a_phase_in_the_frame(n_q):
     assert np.max(np.abs(w @ np.diag(phases) @ np.conj(w.T) - dense)) < 1e-14
 
 
+def seeded_phases(u_rows: np.ndarray) -> np.ndarray:
+    """Φ grown from a row of ones by one factor pair per qubit, qubit 0
+    outermost: Φ[b] = (((1 · f_0) · f_1) ...), f_j = e^{-iu_j/2} where bit
+    j of b (most significant first) is 0 and its conjugate where it is 1."""
+    n_rows, n_q = u_rows.shape
+    phases = np.empty((2 ** n_q, n_rows), dtype=np.complex128)
+    for b in range(2 ** n_q):
+        value = np.ones(n_rows, dtype=np.complex128)
+        for j in range(n_q):
+            half = 0.5 * u_rows[:, j]
+            turn = np.cos(half) - 1j * np.sin(half)
+            value = value * (np.conj(turn) if b >> (n_q - 1 - j) & 1 else turn)
+        phases[b] = value
+    return phases
+
+
+@pytest.mark.parametrize("angles", ["random", "zero", "half zero"])
+@pytest.mark.parametrize("n_q", [1, 2, 3, 4])
+def test_phases_keep_the_bytes_of_the_seeded_product(n_q, angles):
+    # byte equality, so the sign of a zero imaginary part counts too: a
+    # solve's first iterate at z = 0 has angles that are exactly 0
+    rng = np.random.default_rng(60 + n_q)
+    u = rng.uniform(-np.pi, np.pi, size=(9, n_q))
+    if angles == "zero":
+        u[:] = 0.0
+    elif angles == "half zero":
+        u[rng.random(u.shape) < 0.5] = 0.0
+    got = qm._phases(u)
+    want = seeded_phases(u)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("reps", [1, 2, 3])
 @pytest.mark.parametrize("n_q", [1, 3])
 def test_zero_angles_leave_only_the_uploads(n_q, reps):
