@@ -387,26 +387,27 @@ def load_tu_dataset(data_dir, name: str, l_max: int = DEFAULT_L_MAX) -> GraphDat
     nodes = np.arange(n_nodes_total)
     norm[offset(nodes, nodes)] = dinv * dinv
 
-    # node features: one-hot labels, then numeric attributes, else constant 1
-    blocks = []
-    label_path = fpath("node_labels")
+    # node features: one-hot labels, then numeric attributes, else constant
+    # 1; line i of each file is written straight to its graph-major row
+    label_path, attr_path = fpath("node_labels"), fpath("node_attributes")
+    raw, width = None, 0
     if label_path.is_file():
         vocab, raw = np.unique(_table(label_path)[:, 0], return_inverse=True)
         if raw.shape[0] != n_nodes_total:
             raise ValueError(f"{label_path}: expected {n_nodes_total} lines")
-        onehot = np.zeros((n_nodes_total, vocab.shape[0]))
-        onehot[np.arange(n_nodes_total), raw] = 1.0
-        blocks.append(onehot)
-    attr_path = fpath("node_attributes")
+        width = vocab.shape[0]
     if attr_path.is_file():
         attributes = _table(attr_path, float, "")
         if attributes.shape[0] != n_nodes_total:
             raise ValueError(f"{attr_path}: expected {n_nodes_total} lines")
-        blocks.append(attributes)
-    if not blocks:
-        blocks.append(np.ones((n_nodes_total, 1)))
-    features_all = np.concatenate(blocks, axis=1)
-    features = features_all[order]
+    elif raw is None:
+        attributes = np.ones((n_nodes_total, 1))
+    else:
+        attributes = np.empty((n_nodes_total, 0))
+    features = np.zeros((n_nodes_total, width + attributes.shape[1]))
+    if raw is not None:
+        features[row, raw] = 1.0
+    features[row, width:] = attributes
     tau = _descriptors(table, deg, sizes, l_max)
 
     graphs = []
@@ -420,7 +421,7 @@ def load_tu_dataset(data_dir, name: str, l_max: int = DEFAULT_L_MAX) -> GraphDat
             tau=tau[st:st + n],
         ))
     return GraphDataset(name=name, graphs=graphs, n_classes=len(classes),
-                        feature_dim=features_all.shape[1], l_max=l_max)
+                        feature_dim=features.shape[1], l_max=l_max)
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,10 @@ def _iterate(f: Callable[[Array], Array], z0: Array, cfg: SolverConfig,
     as a ring: pair ``it`` goes to slot ``(it - 1) % window``, so the first
     ``k`` slots always hold the window.  One holds the residuals
     f(x_j) - x_j; the other the images f(x_j), so one weighted sum over it
-    gives the mixed iterate, and the Picard step is the newest slot.
+    gives the mixed iterate, and a step that does not mix takes f(x_j)
+    itself, as the ring keeps its own copy.  So ``f`` must return an array
+    it does not reuse: the next iterate, and the solution, may be that
+    array.
     The residual Gram matrix is kept across iterations, and each new
     residual refreshes one row and one column of it.  A non-finite f(x_j)
     or mixed iterate shows in its squared norm (the new Gram diagonal, or
@@ -142,7 +145,7 @@ def _iterate(f: Callable[[Array], Array], z0: Array, cfg: SolverConfig,
                 else:
                     fallback += 1
             if x_next is None:
-                x_next = steps[slot].copy()
+                x_next = fk
             np.subtract(x_next, x, out=diff)
             residual = math.sqrt(diff @ diff)
             if not math.isfinite(residual) and not np.isfinite(x_next).all():

@@ -15,16 +15,22 @@ valid throughout optimisation.
 
 Forward solves that diverge skip their batch (with a warning) rather than
 stepping on garbage gradients.  One run is single-threaded and fully
-deterministic in (seed, fold, config).  ``run_jobs`` runs a list of runs
-in worker processes forked from the caller (POSIX ``fork``), with numpy's
-OpenBLAS pinned to one thread, so their results do not depend on the
-worker count or on the caller's BLAS threads; ``cross_validate`` and the
-CLI both drive their runs through it.  The caller's OpenBLAS is held at
-one thread from before the first fork until every worker is reaped, so
+deterministic in (seed, fold, config).  ``train_epoch``, ``evaluate`` and
+``run_training`` hold numpy's OpenBLAS at one thread (``one_blas_thread``)
+and give the caller back its own count on return, so a run in process
+computes the bytes a run worker computes, and OpenBLAS's helper thread,
+which only busy-waits beside products this small, sleeps.  The contraction
+analysis is not pinned: its complex products over a few hundred rows do
+use a second thread.  ``run_jobs`` runs a list of runs in worker processes
+forked from the caller (POSIX ``fork``), so their results do not depend on
+the worker count or on the caller's BLAS threads; ``cross_validate`` and
+the CLI both drive their runs through it.  The caller's OpenBLAS is held
+at one thread from before the first fork until every worker is reaped, so
 each worker inherits the pin and never calls the setter itself: after a
 fork, OpenBLAS's setter first rebuilds the thread pool that its fork
 handler shut down, and the new helper thread busy-waits beside the run.
-Without a setter to pin, no worker is forked and every run fails.
+Without a setter to pin, no worker is forked and every run fails, while a
+run in process runs at the caller's count.
 
 ``train_epoch`` also raises glibc's mmap and trim thresholds once per
 process (``mallopt``; a no-op without it), so the memory one step frees
@@ -469,6 +475,24 @@ def _keep_heap() -> None:
         mallopt(-1, M_TRIM_THRESHOLD)   # -1 is glibc's M_TRIM_THRESHOLD
 
 
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread inside the block, then give the
+    caller back its own count; yields that count, or None where numpy's
+    BLAS exports no OpenBLAS setter and nothing is pinned.
+
+    The setter is called only where the count differs, so a block entered
+    in a worker that ``run_jobs`` forked under the pin never calls it.
+    """
+    before = _set_blas_threads(1)
+    try:
+        yield before
+    finally:
+        if before is not None:
+            _set_blas_threads(before)
+
+
+@one_blas_thread()
 def train_epoch(model: GraphClassifier, opt: AdamW, batches, lr: float,
                 seed: int = 0, epoch: int = 0, grad_clip: float = 1.0) -> dict:
     """One optimisation pass over the batches; returns the epoch slice.
@@ -527,6 +551,7 @@ def train_epoch(model: GraphClassifier, opt: AdamW, batches, lr: float,
     }
 
 
+@one_blas_thread()
 def evaluate(model: GraphClassifier, batches) -> tuple:
     """(mean loss, accuracy, mean forward iterations) without recording.
 
@@ -556,6 +581,7 @@ def evaluate(model: GraphClassifier, batches) -> tuple:
 # cross-validation driver
 
 
+@one_blas_thread()
 def run_training(dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
                  seed: int, fold: int):
     """Train one (seed, fold) model; returns (RunMetrics, model).
@@ -620,57 +646,56 @@ def run_jobs(fn, jobs, workers: int) -> list:
     job order.  Every job runs in a worker, ``workers=1`` included; worker
     i of n = min(workers, len(jobs)) gets ``jobs[i::n]``.  Workers inherit
     ``fn`` and the jobs; only results are pickled.  The caller's OpenBLAS
-    is set to one thread before the first fork, so each worker inherits
-    the pin; a worker that called the setter itself would start a helper
-    thread that busy-waits beside its run, as OpenBLAS's setter rebuilds
-    the pool its fork handler shut down.  The caller's thread count is
-    restored once every worker has been reaped.  Without a pinnable
-    OpenBLAS nothing is forked and every job fails naming why.  Workers
-    write each result to a file as its job ends, so one that dies fails
-    only the jobs it did not finish; a worker leaves through ``os._exit``,
-    never into the caller.  Every worker is waited for before this returns
-    or raises, and dies with this process.
+    is held at one thread (``one_blas_thread``) from before the first fork
+    until every worker has been reaped, so each worker inherits the pin; a
+    worker that called the setter itself would start a helper thread that
+    busy-waits beside its run, as OpenBLAS's setter rebuilds the pool its
+    fork handler shut down.  Without a pinnable OpenBLAS nothing is forked
+    and every job fails naming why.  Workers write each result to a file
+    as its job ends, so one that dies fails only the jobs it did not
+    finish; a worker leaves through ``os._exit``, never into the caller.
+    Every worker is waited for before this returns or raises, and dies
+    with this process.
     """
     if workers < 1:
         raise ValueError(f"need at least 1 worker, got {workers}")
-    caller_threads = _set_blas_threads(1)
-    if caller_threads is None:
-        return [(False, "RuntimeError: numpy's BLAS exports no OpenBLAS "
-                        "set_num_threads symbol, so workers cannot pin it to "
-                        "one thread")] * len(jobs)
-    n = min(workers, len(jobs))
-    launcher, pids, outs = os.getpid(), [], []
-    try:
-        for i in range(n):
-            outs.append(tempfile.TemporaryFile())
-            _flush_stdio()
-            pid = os.fork()
-            if pid == 0:
-                os._exit(_serve(launcher, fn, jobs[i::n], outs[i]))
-            pids.append(pid)
-        results = [None] * len(jobs)
-        for i, out in enumerate(outs):
-            status = os.waitstatus_to_exitcode(os.waitpid(pids[i], 0)[1])
-            pids[i] = None
-            out.seek(0)
-            share, count = [], len(jobs[i::n])
-            with contextlib.suppress(EOFError, pickle.UnpicklingError):
-                while len(share) < count:
-                    share.append(pickle.load(out))
-            lost = (False, f"worker exited with status {status} "
-                           "without a result")
-            results[i::n] = share + [lost] * (count - len(share))
-        return results
-    finally:
-        if os.getpid() != launcher:   # a worker unwinding: never return
-            os._exit(1)
-        for pid in pids:
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        for out in outs:
-            out.close()
-        _set_blas_threads(caller_threads)
+    with one_blas_thread() as caller_threads:
+        if caller_threads is None:
+            return [(False, "RuntimeError: numpy's BLAS exports no OpenBLAS "
+                            "set_num_threads symbol, so workers cannot pin it "
+                            "to one thread")] * len(jobs)
+        n = min(workers, len(jobs))
+        launcher, pids, outs = os.getpid(), [], []
+        try:
+            for i in range(n):
+                outs.append(tempfile.TemporaryFile())
+                _flush_stdio()
+                pid = os.fork()
+                if pid == 0:
+                    os._exit(_serve(launcher, fn, jobs[i::n], outs[i]))
+                pids.append(pid)
+            results = [None] * len(jobs)
+            for i, out in enumerate(outs):
+                status = os.waitstatus_to_exitcode(os.waitpid(pids[i], 0)[1])
+                pids[i] = None
+                out.seek(0)
+                share, count = [], len(jobs[i::n])
+                with contextlib.suppress(EOFError, pickle.UnpicklingError):
+                    while len(share) < count:
+                        share.append(pickle.load(out))
+                lost = (False, f"worker exited with status {status} "
+                               "without a result")
+                results[i::n] = share + [lost] * (count - len(share))
+            return results
+        finally:
+            if os.getpid() != launcher:   # a worker unwinding: never return
+                os._exit(1)
+            for pid in pids:
+                if pid is not None:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            for out in outs:
+                out.close()
 
 
 def _serve(launcher: int, fn, jobs, out) -> int:

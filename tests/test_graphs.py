@@ -358,6 +358,26 @@ def test_unsorted_indicator_keeps_file_order(tmp_path):
     assert np.array_equal(edge.features.argmax(axis=1), [1, 0])
 
 
+@pytest.mark.parametrize("labels", [True, False])
+def test_unsorted_indicator_keeps_the_file_order_of_attributes(tmp_path,
+                                                               labels):
+    root = tmp_path / "MIX"
+    root.mkdir()
+    (root / "MIX_A.txt").write_text("1, 3\n5, 1\n3, 5\n2, 4\n")
+    (root / "MIX_graph_indicator.txt").write_text("1\n2\n1\n2\n1\n")
+    (root / "MIX_graph_labels.txt").write_text("0\n1\n")
+    (root / "MIX_node_attributes.txt").write_text(
+        "1.5, -2\n2.5, -3\n3.5, -4\n4.5, -5\n5.5, -6\n")
+    if labels:
+        (root / "MIX_node_labels.txt").write_text("4\n5\n6\n4\n5\n")
+    ds = gr.load_tu_dataset(tmp_path, "MIX")
+    want = reference_load_tu_dataset(tmp_path, "MIX")
+    assert_same_dataset(ds, want)
+    for g, w in zip(ds.graphs, want.graphs):
+        assert g.features.tobytes() == w.features.tobytes()
+    assert ds.graphs[1].features[:, -2:].tolist() == [[2.5, -3], [4.5, -5]]
+
+
 def test_loader_normalizes_in_one_pass_like_normalize_adjacency(
         monkeypatch, mutag_dir, tiny_tu, tmp_path):
     # graph 2 holds an isolated node and graph 3 is a single node, so some

@@ -885,6 +885,103 @@ def test_without_a_pinnable_blas_every_job_fails_naming_it(monkeypatch):
     assert_nothing_left_running()
 
 
+def mutag_run(dataset):
+    """One default-config MUTAG run, fold 0 of 3 for 1 epoch: its metrics
+    without the wall time, and its parameters' bytes."""
+    metrics, model = run_training(dataset, ModelConfig(),
+                                  TrainConfig(epochs=1, folds=3), 0, 0)
+    return (replace(metrics, wall_minutes=0.0),
+            {n: t.data.tobytes() for n, t in model.parameters()})
+
+
+def mutag_evaluation(dataset):
+    """A default-config MUTAG model's evaluation of every graph."""
+    from gdeq.graphs import make_batches
+    model = GraphClassifier(ModelConfig(), dataset.feature_dim,
+                            dataset.n_classes)
+    everything = np.arange(len(dataset.graphs))
+    return evaluate(model, make_batches(dataset, everything, 32))
+
+
+@pytest.mark.parametrize("job", [mutag_run, mutag_evaluation])
+def test_in_process_computes_what_a_worker_computes(mutag_dir, job):
+    # at this width a product's bytes depend on the BLAS thread count
+    from gdeq.graphs import load_tu_dataset
+    ds = load_tu_dataset(mutag_dir, "MUTAG")
+    with blas_threads(2):
+        here = job(ds)
+        [(ok, there)] = run_jobs(job, [(ds,)], workers=1)
+    assert ok and here == there
+    assert_nothing_left_running()
+
+
+def cpu_seconds():
+    r = resource.getrusage(resource.RUSAGE_SELF)
+    return r.ru_utime + r.ru_stime
+
+
+def test_training_in_process_does_not_spin_a_blas_helper(mutag_dir):
+    from gdeq.graphs import load_tu_dataset, make_batches, stratified_folds
+    ds = load_tu_dataset(mutag_dir, "MUTAG")
+    train_idx, test_idx = stratified_folds(ds.labels, 3, 0)[0]
+    with blas_threads(2):
+        model = GraphClassifier(ModelConfig(), ds.feature_dim, ds.n_classes)
+        opt = AdamW(model.parameters(), exclude=model.decay_exclusions())
+        train = make_batches(ds, train_idx, 32, rng=np.random.default_rng(0))
+        test = make_batches(ds, test_idx, 32)
+        # OpenBLAS's helper busy-waits for about 0.13 s after its last job
+        time.sleep(0.3)
+        cpu, wall = cpu_seconds(), time.perf_counter()
+        train_epoch(model, opt, train, lr=1e-4)
+        evaluate(model, test)
+        cpu, wall = cpu_seconds() - cpu, time.perf_counter() - wall
+    assert cpu <= 1.25 * wall
+
+
+def test_training_and_evaluation_give_the_caller_back_its_blas_threads():
+    ds = toy_dataset()
+    tcfg = TrainConfig(lr=1e-3, epochs=1, batch_size=4, folds=2)
+    with blas_threads(2):
+        two = blas_bits()
+        _, model = run_training(ds, small_config(), tcfg, seed=0, fold=0)
+        assert blas_bits() == two
+        trained_epoch()
+        assert blas_bits() == two
+        evaluate(model, [collate(ds.graphs)])
+        assert blas_bits() == two
+        with pytest.raises(ValueError, match="feature columns"):
+            run_training(replace(ds, feature_dim=5), small_config(), tcfg,
+                         seed=0, fold=0)
+        assert blas_bits() == two
+
+
+def train_then_idle():
+    trained_epoch()
+    return task_count(), cpu_seconds_while_sleeping(0.3)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs /proc/self/task")
+def test_a_worker_that_trains_keeps_one_os_thread_and_does_not_spin():
+    with blas_threads(2):
+        [(ok, (tasks, cpu))] = run_jobs(train_then_idle, [()], workers=1)
+    assert ok and tasks == 1 and cpu < 0.05
+    assert_nothing_left_running()
+
+
+def test_training_runs_at_the_caller_threads_without_a_pinnable_blas(
+        monkeypatch):
+    pinned = trained_epoch()
+    monkeypatch.setattr(training, "_umath_linalg",
+                        SimpleNamespace(__file__=None))
+    with blas_threads(1):
+        unpinned = trained_epoch()
+    assert math.isfinite(unpinned[0]["loss"]) and unpinned[0]["skipped"] == 0
+    assert unpinned[0] == pinned[0]
+    for name, value in pinned[1].items():
+        assert np.array_equal(unpinned[1][name], value), name
+
+
 def test_workers_run_a_closure_that_cannot_be_pickled():
     offset = 10.0
 
