@@ -13,8 +13,9 @@ which gives per-pathway budgets on the full operator:
     output coupling      kappa * (1 + alpha * L_q)
 
 L_q is a budget, not a proven bound on the module: the circuit re-uploads
-its input 1 + 3 * reps times, and sampled node-level ratios can exceed it
-(3.35 against 2 at n_q = 1, reps = 1).  So only the kappa budgets of the
+its input 1 + len(quantum.ANSATZ) * reps times (one opening upload, then
+one before each block), and sampled node-level ratios can exceed it (3.35
+against 2 at n_q = 1, reps = 1).  So only the kappa budgets of the
 classical and input-conditioning pathways are proven.  A proven budget
 below one certifies existence and uniqueness of the fixed point;
 empirical pair ratios can only ever certify the opposite.
@@ -44,7 +45,7 @@ def spectral_norm(m: np.ndarray) -> float:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("need a matrix")
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def headline_budget(n_qubits: int, w_in: np.ndarray,
@@ -116,7 +117,9 @@ def empirical_lipschitz(f: Callable[[np.ndarray], np.ndarray],
 
     Alternates independent pairs at each of ``PROBE_SCALES`` with tight
     pairs offset by a random direction of Frobenius norm ``PROBE_DELTA``.
-    A lower bound on the true constant, never a certificate.
+    A lower bound on the true constant, never a certificate.  A pair whose
+    ratio is not finite (an image that is NaN, or that overflows) makes the
+    estimate ``inf``: the map has no finite constant there to bound.
 
     ``f`` maps a stack of ``shape[0]``-row blocks block by block: given the
     (m * shape[0], shape[1]) array of m probes on top of each other, it
@@ -152,8 +155,14 @@ def empirical_lipschitz(f: Callable[[np.ndarray], np.ndarray],
         denoms = _row_norms(stack[0] - stack[1])
         out = f(stack.reshape(-1, shape[1])).reshape(stack.shape)
         keep = denoms >= 1e-15
-        ratios = _row_norms(out[0] - out[1])[keep] / denoms[keep]
-        best = max([best, *ratios.tolist()])
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratios = _row_norms(out[0] - out[1])[keep] / denoms[keep]
+        # max() keeps ``best`` against a NaN, so a blow-up is caught here;
+        # the remaining chunks are still drawn, for the rng state
+        if np.isfinite(ratios).all():
+            best = max([best, *ratios.tolist()])
+        else:
+            best = math.inf
     return best
 
 

@@ -14,16 +14,21 @@ eigenvectors of Y (Schuld, Sweke & Meyer, PRA 103, 032430, 2021).
 The program is one opening encoding layer, then one block per ``ANSATZ``
 row per repetition (reps >= 1), each after its own encoding layer, so u
 enters 1 + len(ANSATZ)·reps times.  It is compiled at the current angles
-into one fused 2**n_q x 2**n_q unitary per block, built from its row's
-gates with W and Wᴴ folded in and applied to all rows as one complex
-matmul; each encoding layer is one elementwise product with the per-row
-phases Φ.  States are amplitude-major, (2**n_q, N).  Gradients are exact
-reverse-mode through the state: the output state of every encoding layer
-and block is stashed, the cotangent is pulled back through each block's
-adjoint and each layer's conjugate phases, and each fused block yields
-all of its angle gradients from one 2**n_q x 2**n_q matrix.  The
-parameter-shift rule is provided separately as an independent route to
-the same angle gradients.
+into one fused 2**n_q x 2**n_q unitary per block, with W and Wᴴ folded
+in, and applied to all rows as one complex matmul; each encoding layer is
+one elementwise product with the per-row phases Φ.  The compile reads a
+block from its row's structure, all blocks in one batched pass: a layer
+of single-qubit rotations, a Kronecker product of 2 x 2 factors, then a
+chain of commuting couplers, diagonal in a fixed basis (the same
+eigenbasis view), so a block is a constant basis change scaled by phases
+times that Kronecker product.  States are amplitude-major, (2**n_q, N).
+Gradients are exact reverse-mode through the state: the output state of
+every encoding layer and block is stashed, the cotangent is pulled back
+through each block's adjoint and each layer's conjugate phases, and each
+fused block yields all of its angle gradients from one 2**n_q x 2**n_q
+matrix, built with the block's dense per-gate matrices on the first
+pullback only.  The parameter-shift rule is provided separately as an
+independent route to the same angle gradients.
 
 The module is written once, as :class:`ModulePlan`: the live weights,
 read once per ``forward_rows`` call, solve or certificate analysis (under
@@ -112,12 +117,14 @@ def _z_signs(n_qubits: int) -> np.ndarray:
     return signs
 
 
+_Y_EIGENBASIS = np.array([[1, 1], [1j, -1j]]) / np.sqrt(2)
+
+
 @lru_cache(maxsize=None)
 def _frame(n_qubits: int) -> np.ndarray:
     """W = V^{⊗n_q}; V's columns are the Y eigenvectors (1, i)/√2
     (eigenvalue +1) and (1, -i)/√2 (eigenvalue -1)."""
-    v = np.array([[1, 1], [1j, -1j]]) / np.sqrt(2)
-    w = reduce(np.kron, [v] * n_qubits)
+    w = reduce(np.kron, [_Y_EIGENBASIS] * n_qubits)
     w.setflags(write=False)
     return w
 
@@ -151,6 +158,92 @@ _PAULI = {
     "z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
 }
 
+# b per Pauli P, with P = b diag(1, -1) bᴴ: the computational basis for Z,
+# the Hadamard basis for X, and V (see ``_frame``) for Y
+_EIGENBASIS = {
+    "x": np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2),
+    "y": _Y_EIGENBASIS,
+    "z": np.eye(2, dtype=np.complex128),
+}
+
+
+class _BlockTables(NamedTuple):
+    """Constants of the structured build of ``reps`` repetitions at one
+    qubit count.  Axis 0 of the arrays runs over the program's blocks."""
+
+    rotation_cols: np.ndarray   # (blocks, n_q, depth) into the padded angles
+    expansion: np.ndarray       # (blocks, 2**depth, 4) monomials -> bᴴ M_j V
+    coupler_cols: np.ndarray    # (blocks, n_q - 1) into the padded angles
+    coupler_signs: np.ndarray   # (n_q - 1, 2**n_q) -s_c / 2
+    lefts: np.ndarray           # (blocks, 2**n_q, 2**n_q) left · B
+    blocks: tuple               # per block: (span, generators, left)
+
+
+def _expansion(axes: str, depth: int, b: np.ndarray) -> np.ndarray:
+    """(2**depth, 4): row ``mask`` is bᴴ (∏_k F_k) V, flattened, where F_k
+    is I where bit k of ``mask`` (most significant first) is 0 and iP_k
+    where it is 1; zero where a set bit lies past the row's axes.
+
+    Rotation k is cos(θ_k/2) I - i sin(θ_k/2) P_k = Re(e_k) I + Im(e_k) iP_k
+    with e_k = exp(-iθ_k/2), so bᴴ M_j V is the sum over masks of that
+    row times the product of Re(e_k) or Im(e_k) chosen by the mask's bits.
+    """
+    rows = np.zeros((2 ** depth, 4), dtype=np.complex128)
+    for mask in range(2 ** depth):
+        bits = [mask >> (depth - 1 - k) & 1 for k in range(depth)]
+        if any(bits[len(axes):]):
+            continue
+        m = np.eye(2, dtype=np.complex128)
+        for axis, bit in zip(axes, bits):
+            if bit:
+                m = 1j * _PAULI[axis] @ m
+        rows[mask] = (np.conj(b.T) @ m @ _Y_EIGENBASIS).reshape(4)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _block_tables(n_qubits: int, reps: int) -> _BlockTables:
+    """Read each ``ANSATZ`` row's structure into :class:`_BlockTables`.
+
+    A row's block is left · B diag(φ) Bᴴ · (⊗_j M_j) · W.  M_j is the
+    product of qubit j's rotations in gate order, and with the row's
+    coupler Pauli P = b diag(1, -1) bᴴ, B = b^{⊗n_q} and W = V^{⊗n_q},
+    Bᴴ (⊗_j M_j) W = ⊗_j bᴴ M_j V.  The couplers exp(-iθ_c P P / 2) on
+    neighbouring pairs are B diag(exp(-iθ_c s_c / 2)) Bᴴ each, s_c the
+    pair's Z product, and commute, so φ = exp(-i/2 Σ_c θ_c s_c).  Angle
+    columns index ``angles.flat`` with one 0 appended, which pads rows
+    with fewer axes than ``depth`` with identity rotations.
+    """
+    width = per_rep_param_count(n_qubits)
+    depth = max(len(axes) for axes, _ in ANSATZ)
+    pad = reps * width
+    w_h, eye = np.conj(_frame(n_qubits).T), np.eye(2 ** n_qubits)
+    paulis, spans = _rep_generators(n_qubits)
+    rotation_cols, expansion, coupler_cols, lefts, blocks = [], [], [], [], []
+    for r in range(reps):
+        for (axes, coupler), span in zip(ANSATZ, spans):
+            start = r * width + span.start
+            cols = np.full((n_qubits, depth), pad)
+            cols[:, :len(axes)] = start + np.arange(
+                n_qubits * len(axes)).reshape(n_qubits, len(axes))
+            rotation_cols.append(cols)
+            b = _EIGENBASIS[coupler[-1]]
+            expansion.append(_expansion(axes, depth, b))
+            coupler_cols.append(start + len(axes) * n_qubits
+                                + np.arange(n_qubits - 1))
+            left = w_h if len(blocks) < reps * len(ANSATZ) - 1 else eye
+            lefts.append(left @ reduce(np.kron, [b] * n_qubits))
+            blocks.append((slice(start, r * width + span.stop),
+                           paulis[span], left))
+    signs = _z_signs(n_qubits)
+    tables = _BlockTables(
+        np.array(rotation_cols), np.array(expansion),
+        np.array(coupler_cols),
+        -0.5 * (signs[:-1] * signs[1:]), np.array(lefts), tuple(blocks))
+    for table in tables[:-1]:
+        table.setflags(write=False)
+    return tables
+
 
 def _generator(kind: str, qubits: tuple, n_qubits: int) -> np.ndarray:
     """Dense Pauli (product) P of a gate on the full register."""
@@ -173,30 +266,27 @@ def _rep_generators(n_qubits: int) -> tuple:
     return paulis, tuple(rows)
 
 
-def _product(gates: np.ndarray) -> np.ndarray:
-    """gates[-1] @ ... @ gates[0], multiplied pairwise in batches."""
-    while len(gates) > 1:
-        paired = gates[1::2] @ gates[:len(gates) - 1:2]
-        if len(gates) % 2:
-            paired = np.concatenate([paired, gates[-1:]])
-        gates = paired
-    return gates[0]
+def _dense_gates(angles: np.ndarray, paulis: np.ndarray) -> np.ndarray:
+    """Dense gates exp(-i θ_k P_k / 2) = cos(θ_k/2) I - i sin(θ_k/2) P_k."""
+    half = 0.5 * angles[:, None, None]
+    return np.cos(half) * np.eye(paulis.shape[-1]) - 1j * np.sin(half) * paulis
 
 
 class _FusedBlock:
-    """One ``ANSATZ`` row's gates at fixed angles, and left · product · W:
-    W leaves the encoding eigenbasis the state arrives in, and ``left`` is
-    Wᴴ before the next encoding layer, else (the last block) the identity.
-    ``span`` is the slice of ``angles.flat`` its gates read."""
+    """One ``ANSATZ`` row's gates at fixed angles, as ``unitary`` = left ·
+    (the row's gates) · W: W leaves the encoding eigenbasis the state
+    arrives in, and ``left`` is Wᴴ before the next encoding layer, else
+    (the last block) the identity.  ``span`` is the slice of ``angles.flat``
+    its gates read; ``angles`` are their values and ``paulis`` their dense
+    generators, from which a pullback builds the dense gates it needs."""
 
-    def __init__(self, gates: np.ndarray, paulis: np.ndarray, span: slice,
-                 left: np.ndarray, right: np.ndarray):
-        self.gates = gates
+    def __init__(self, unitary: np.ndarray, angles: np.ndarray,
+                 paulis: np.ndarray, span: slice, left: np.ndarray):
+        self.unitary = unitary
+        self.angles = angles
         self.paulis = paulis
         self.span = span
         self.left = left
-        self.unitary = _product(np.concatenate([right[None], gates,
-                                                left[None]]))
 
     @cached_property
     def observables(self) -> np.ndarray:
@@ -204,36 +294,50 @@ class _FusedBlock:
 
         Gate k's angle gradient is Im tr(P_k C_k), where C = sum over rows
         of psi_out lambda_outᴴ is swept back to gate k as C_k = A_kᴴ C A_k;
-        by the cyclic trace that is Im tr(A_k P_k A_kᴴ C).  Built on the
-        first pullback and reused by every later one.
+        by the cyclic trace that is Im tr(A_k P_k A_kᴴ C).  Built, with the
+        block's dense gates, on the first pullback and reused by every
+        later one.
         """
-        after = np.empty_like(self.gates)
+        gates = _dense_gates(self.angles, self.paulis)
+        after = np.empty_like(gates)
         w = self.left
-        for k in range(len(self.gates) - 1, -1, -1):
+        for k in range(len(gates) - 1, -1, -1):
             after[k] = w
-            w = w @ self.gates[k]
+            w = w @ gates[k]
         obs = after @ self.paulis @ np.conj(np.swapaxes(after, 1, 2))
         return obs.reshape(len(obs), self.left.size)
 
 
 def _compile(angles: np.ndarray, n_qubits: int) -> tuple:
     """The program at ``angles`` (reps, per-rep count): one block per
-    ``ANSATZ`` row per repetition, parameter gate k at ``angles.flat[k]``."""
-    paulis, rows = _rep_generators(n_qubits)
-    half = 0.5 * angles[:, :, None, None]
-    eye = np.eye(2 ** n_qubits)
-    gates = np.cos(half) * eye - 1j * np.sin(half) * paulis
-    w = _frame(n_qubits)
-    w_h = np.conj(w.T)
-    width, last = len(paulis), len(angles) * len(rows) - 1
-    program = []
-    for r in range(len(angles)):
-        for row in rows:
-            span = slice(r * width + row.start, r * width + row.stop)
-            left = w_h if len(program) < last else eye
-            program.append(_FusedBlock(gates[r, row], paulis[row], span,
-                                       left, w))
-    return tuple(program)
+    ``ANSATZ`` row per repetition, parameter gate k at ``angles.flat[k]``.
+
+    All blocks are built at once from their rows' structure (see
+    ``_block_tables``): the factors bᴴ M_j V from the rotation angles'
+    e = exp(-iθ/2), their Kronecker product over qubits (qubit 0
+    outermost), and one product with (left · B) scaled by the coupler
+    phases φ.  The blocks keep a copy of the angles, so a caller may update
+    its array in place.
+    """
+    reps, width = angles.shape
+    tables = _block_tables(n_qubits, reps)
+    flat = np.append(angles, 0.0)
+    # (blocks, n_q, 2 · depth): Re e, Im e of each rotation in gate order
+    turns = np.exp(-0.5j * flat)[tables.rotation_cols].view(np.float64)
+    monomials = turns[..., :2]
+    for k in range(2, turns.shape[-1], 2):
+        monomials = (monomials[..., :, None] * turns[..., None, k:k + 2]
+                     ).reshape(turns.shape[:2] + (-1,))
+    factors = (monomials @ tables.expansion).reshape(turns.shape[:2] + (2, 2))
+    kron = factors[:, 0]
+    for j in range(1, n_qubits):
+        size = 2 * kron.shape[-1]
+        kron = (kron[:, :, None, :, None] * factors[:, j, None, :, None, :]
+                ).reshape(-1, size, size)
+    phases = np.exp(1j * (flat[tables.coupler_cols] @ tables.coupler_signs))
+    unitaries = (tables.lefts * phases[:, None, :]) @ kron
+    return tuple(_FusedBlock(u, flat[span], gens, span, left)
+                 for u, (span, gens, left) in zip(unitaries, tables.blocks))
 
 
 def _run_program(u_rows: np.ndarray, program: tuple,

@@ -18,7 +18,8 @@ from gdeq.contraction import (PathwayAnalysis, _pairs_per_call, lemma2_bound,
                               theorem_bounds)
 from gdeq.graphs import GraphDataset, GraphInstance, normalize_adjacency
 from gdeq.operators import BackboneParams, EquilibriumOperator
-from gdeq.quantum import DeepXyzParams, QuantumModule, circuit_expectations
+from gdeq.quantum import (DeepXyzParams, QuantumModule, _frame,
+                          _rep_generators, circuit_expectations)
 from gdeq.solvers import Plan, SolveReport, SolverConfig
 
 # Tolerance of a tape gradient against central differences, relative to
@@ -137,6 +138,37 @@ def tape_apply(op, z: ad.Tensor, ctx) -> ad.Tensor:
     return ad.add(base, scale(tape_forward_rows(op.quantum, s), op.alpha))
 
 
+def _product(gates: np.ndarray) -> np.ndarray:
+    """gates[-1] @ ... @ gates[0], multiplied pairwise in batches."""
+    while len(gates) > 1:
+        paired = gates[1::2] @ gates[:len(gates) - 1:2]
+        if len(gates) % 2:
+            paired = np.concatenate([paired, gates[-1:]])
+        gates = paired
+    return gates[0]
+
+
+def reference_compile(angles: np.ndarray, n_qubits: int) -> list:
+    """Each block's fused unitary as the product of its dense gates: the
+    oracle for ``gdeq.quantum._compile``.
+
+    Every parameter gate is the 2**n_q x 2**n_q matrix
+    cos(θ/2) I - i sin(θ/2) P of its ``_rep_generators`` generator, and the
+    block of each ``ANSATZ`` row in each repetition is left · (its gates)
+    · W, multiplied pairwise, with left = Wᴴ before the next encoding
+    layer and the identity after the last block.
+    """
+    paulis, rows = _rep_generators(n_qubits)
+    half = 0.5 * angles[:, :, None, None]
+    eye = np.eye(2 ** n_qubits)
+    gates = np.cos(half) * eye - 1j * np.sin(half) * paulis
+    w = _frame(n_qubits)
+    blocks = [gates[r, row] for r in range(len(angles)) for row in rows]
+    return [_product(np.concatenate(
+        [w[None], g, (np.conj(w.T) if i < len(blocks) - 1 else eye)[None]]))
+        for i, g in enumerate(blocks)]
+
+
 def solve_inputs(op, ctx):
     """(apply_fn, tensors): ``apply_fn(z, tensors)`` is :func:`tape_apply`
     with the given tensor objects in place of the operator's inputs, so the
@@ -205,7 +237,8 @@ def reference_empirical_lipschitz(f, shape, rng: np.random.Generator,
                                   delta: float = 1e-3) -> float:
     """One pair per call of ``f``, which maps a single probe: the oracle for
     ``gdeq.contraction.empirical_lipschitz``, which draws the same probes
-    from ``rng`` in the same order and maps them in stacks.
+    from ``rng`` in the same order and maps them in stacks.  A ratio that
+    is not finite makes the result ``inf``.
     """
     best = 0.0
     for i in range(n_pairs):
@@ -220,8 +253,9 @@ def reference_empirical_lipschitz(f, shape, rng: np.random.Generator,
         denom = np.linalg.norm(a - b)
         if denom < 1e-15:
             continue
-        ratio = np.linalg.norm(f(a) - f(b)) / denom
-        best = max(best, float(ratio))
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratio = float(np.linalg.norm(f(a) - f(b)) / denom)
+        best = max(best, ratio) if math.isfinite(ratio) else math.inf
     return best
 
 
@@ -232,7 +266,7 @@ def chunked_empirical_lipschitz(f, shape, rng: np.random.Generator,
     """The same chunks as ``gdeq.contraction.empirical_lipschitz``, drawn
     pair by pair with ``rng.normal`` and measured with ``np.linalg.norm``:
     its byte-for-byte oracle, for the float returned and the ``rng`` state
-    left behind.
+    left behind.  A ratio that is not finite makes the result ``inf``.
     """
     per_call = _pairs_per_call(shape[0])
     best = 0.0
@@ -252,10 +286,14 @@ def chunked_empirical_lipschitz(f, shape, rng: np.random.Generator,
             stack[0, j], stack[1, j] = a, b
             denoms.append(np.linalg.norm(a - b))
         out = f(stack.reshape(-1, shape[1])).reshape(stack.shape)
-        for diff, denom in zip(out[0] - out[1], denoms):
+        with np.errstate(over="ignore", invalid="ignore"):
+            diffs = out[0] - out[1]
+        for diff, denom in zip(diffs, denoms):
             if denom < 1e-15:
                 continue
-            best = max(best, float(np.linalg.norm(diff) / denom))
+            with np.errstate(over="ignore", invalid="ignore"):
+                ratio = float(np.linalg.norm(diff) / denom)
+            best = max(best, ratio) if math.isfinite(ratio) else math.inf
     return best
 
 

@@ -31,6 +31,19 @@ def test_spectral_norm_matches_svd():
         assert abs(spectral_norm(m) - want) <= 1e-8
 
 
+def test_spectral_norm_keeps_the_bits_of_the_matrix_two_norm():
+    # np.linalg.norm(m, 2) takes the max of the same singular values
+    rng = np.random.default_rng(25)
+    cases = [np.zeros((4, 2)), np.zeros((1, 1)), np.eye(3)]
+    for _ in range(200):
+        rows, cols = rng.integers(1, 9, size=2)
+        m = rng.normal(scale=rng.choice([1e-3, 1.0, 1e3]), size=(rows, cols))
+        rank = rng.integers(0, min(rows, cols) + 1)
+        cases += [m, m[:, :rank] @ rng.normal(size=(rank, cols))]
+    for m in cases:
+        assert spectral_norm(m).hex() == float(np.linalg.norm(m, 2)).hex()
+
+
 def test_spectral_norm_scaling_and_determinism():
     rng = np.random.default_rng(22)
     m = rng.normal(size=(6, 4))
@@ -152,6 +165,31 @@ def test_empirical_identity_and_halving():
     rng = np.random.default_rng(26)
     got = empirical_lipschitz(lambda z: 0.5 * z, (3, 4), rng, n_pairs=50)
     assert abs(got - 0.5) <= 1e-12
+
+
+@pytest.mark.parametrize("image", ["nan", "overflow"])
+def test_non_finite_images_read_as_no_finite_constant(image):
+    # a NaN ratio must not lose to max(), and an inf - inf image difference
+    # is a NaN; the draws, and so the rng state, are those of a finite map
+    def f(z):
+        if image == "nan":
+            return np.full_like(z, np.nan)
+        with np.errstate(over="ignore"):
+            return z * 1e308
+
+    shape, n_pairs = (3, 2), 30
+    rng, rng_finite = np.random.default_rng(26), np.random.default_rng(26)
+    got = empirical_lipschitz(f, shape, rng, n_pairs=n_pairs)
+    empirical_lipschitz(lambda z: z, shape, rng_finite, n_pairs=n_pairs)
+    assert got == np.inf
+    assert rng.bit_generator.state == rng_finite.bit_generator.state
+    for oracle in (reference_empirical_lipschitz, chunked_empirical_lipschitz):
+        assert oracle(f, shape, np.random.default_rng(26),
+                      n_pairs=n_pairs) == np.inf
+    analysis = PathwayAnalysis(kind="id", kappa=0.5, alpha=0.0, analytic=0.5,
+                               empirical=got, pairs=n_pairs)
+    assert not analysis.consistent
+    assert "id.empirical=inf\n" in analysis.to_text()
 
 
 def test_clipped_backbone_is_contractive_empirically():
@@ -308,7 +346,7 @@ def test_analyze_operator_reads_the_circuit_once(kind, monkeypatch):
         return compile_(*args)
 
     def counting_svd(a, *args, **kwargs):
-        svd_inputs.append(np.array(a))
+        svd_inputs.append((np.array(a), kwargs.get("compute_uv", True)))
         return svd(a, *args, **kwargs)
 
     def counting_norm(m):
@@ -316,17 +354,24 @@ def test_analyze_operator_reads_the_circuit_once(kind, monkeypatch):
         return norm(m)
 
     monkeypatch.setattr(quantum, "_compile", counting_compile)
+    dense = []
+    monkeypatch.setattr(quantum, "_dense_gates",
+                        lambda *args: dense.append(args))
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(contraction, "spectral_norm", counting_norm)
     got = analyze_operator(op, ctx, np.random.default_rng(34))
     assert got == want
     assert len(compiled) == 1
-    # one SVD per map for its normalization, and one spectral norm per
-    # normalized map for the budget
+    assert dense == []   # no pullback, so no block builds its dense gates
+    # one SVD per map for its normalization, and one spectral norm (a
+    # singular-values-only SVD) per normalized map for the budget
     maps = (op.quantum.w_in.data, op.quantum.w_out.data)
-    assert len(svd_inputs) == 2
-    assert all(np.array_equal(a, w) for a, w in zip(svd_inputs, maps))
+    full = [a for a, uv in svd_inputs if uv]
+    assert len(full) == 2
+    assert all(np.array_equal(a, w) for a, w in zip(full, maps))
     assert len(norms) == 2
+    assert [a.tobytes() for a, uv in svd_inputs if not uv] == \
+        [np.asarray(m).tobytes() for m in norms]
 
 
 @pytest.mark.parametrize("kind", ["sd", "bd"])

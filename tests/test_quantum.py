@@ -5,7 +5,8 @@ import pytest
 
 from gdeq import autodiff as ad
 from gdeq import quantum as qm
-from helpers import numeric_grad, rel_err, sum_all, tape_forward_rows
+from helpers import (numeric_grad, reference_compile, rel_err, sum_all,
+                     tape_forward_rows)
 
 # --- independent dense oracle -------------------------------------------------
 
@@ -230,6 +231,75 @@ def test_compiled_program_matches_dense_product(n_q, reps):
         want = oracle_state(u[i], angles, n_q)
         assert np.max(np.abs(states[:, i] - want)) < 1e-12
         assert np.max(np.abs(m[i] - oracle_expectations(want, n_q))) < 1e-12
+
+
+@pytest.mark.parametrize("n_q,reps", GRID)
+def test_compiled_blocks_match_the_dense_gate_products(n_q, reps):
+    # n_q = 1 has no couplers; the last block's left is the identity
+    rng = np.random.default_rng(300 + 10 * n_q + reps)
+    angles = rng.uniform(-np.pi, np.pi, size=(reps, qm.per_rep_param_count(n_q)))
+    program = qm._compile(angles, n_q)
+    want = reference_compile(angles, n_q)
+    assert len(program) == len(want) == len(qm.ANSATZ) * reps
+    for fused, unitary in zip(program, want):
+        assert np.max(np.abs(fused.unitary - unitary)) < 1e-12
+    assert np.array_equal(program[-1].left, np.eye(2 ** n_q))
+    columns = np.arange(angles.size)
+    assert np.array_equal(
+        np.concatenate([columns[fused.span] for fused in program]), columns)
+
+
+def counting_dense_gates(monkeypatch) -> list:
+    """Patch ``_dense_gates`` to record the angles of every call."""
+    built, dense_gates = [], qm._dense_gates
+
+    def counting(angles, paulis):
+        built.append(np.array(angles))
+        return dense_gates(angles, paulis)
+
+    monkeypatch.setattr(qm, "_dense_gates", counting)
+    return built
+
+
+def test_plans_off_the_tape_build_no_dense_gates(monkeypatch):
+    # (certificate analyses: test_analyze_operator_reads_the_circuit_once)
+    rng = np.random.default_rng(14)
+    module = random_module(rng, 4, 5, 3, reps=2, normalize=True)
+    built = counting_dense_gates(monkeypatch)
+    qm.ModulePlan(module)(rng.normal(size=(6, 5)))
+    module.forward_rows(ad.Tensor(rng.normal(size=(6, 5))))
+    assert built == []
+
+
+@pytest.mark.parametrize("n_q,reps", [(n_q, reps) for n_q in (1, 2, 3, 4)
+                                      for reps in (1, 2)])
+def test_a_pullback_builds_each_blocks_dense_gates_once(n_q, reps,
+                                                         monkeypatch):
+    rng = np.random.default_rng(400 + 10 * n_q + reps)
+    module = random_module(rng, n_q, 3, 2, reps=reps, normalize=True)
+    s = rng.normal(size=(2, 3))
+    g = rng.normal(size=(2, 2))
+    built = counting_dense_gates(monkeypatch)
+    plan = qm.ModulePlan(module)
+    vjp = plan.linearize(s)[2]
+    assert built == []
+    # the gates are built at the angles the plan was compiled at, even
+    # after an in-place update of the live array
+    live = module.params.angles.data
+    compiled = live.copy()
+    live += 1.0
+    d_angles = vjp(g)[3]
+    again = vjp(g)[3]
+    live[...] = compiled
+    assert len(built) == len(plan.program)
+    for fused, angles in zip(plan.program, built):
+        assert np.array_equal(angles, compiled.reshape(-1)[fused.span])
+    assert np.array_equal(again, d_angles)
+    shift = np.array([
+        sum(g[i] @ qm.parameter_shift_grad(module, s[i], k)
+            for i in range(len(s)))
+        for k in range(module.params.count)]).reshape(d_angles.shape)
+    assert rel_err(d_angles, shift) < 1e-10
 
 
 def test_in_place_angle_update_reaches_the_next_call():
