@@ -5,8 +5,8 @@ u = tanh(W_in s) are written onto the qubits with R_y rotations, a
 repeated ansatz with data re-uploading is applied (re-encoding u before
 each block), and the per-qubit Pauli-Z expectations are read out and
 mixed by W_out.  ``ANSATZ`` is the ansatz's one description: a table of
-one repetition's blocks, from which the gate program, the angle layout
-and the parameter count are all read.
+one repetition's blocks, from which each block's structure, the angle
+layout and the parameter count are all read.
 
 Simulation is vectorized across rows and runs in the encoding's
 eigenbasis: an encoding layer is W diag(Φ(u)) Wᴴ, W = V^{⊗n_q} with V the
@@ -22,13 +22,13 @@ of single-qubit rotations, a Kronecker product of 2 x 2 factors, then a
 chain of commuting couplers, diagonal in a fixed basis (the same
 eigenbasis view), so a block is a constant basis change scaled by phases
 times that Kronecker product.  States are amplitude-major, (2**n_q, N).
-Gradients are exact reverse-mode through the state: the output state of
-every encoding layer and block is stashed, the cotangent is pulled back
-through each block's adjoint and each layer's conjugate phases, and each
-fused block yields all of its angle gradients from one 2**n_q x 2**n_q
-matrix, built with the block's dense per-gate matrices on the first
-pullback only.  The parameter-shift rule is provided separately as an
-independent route to the same angle gradients.
+Gradients are exact reverse-mode through the state (the adjoint sweep of
+Jones & Gacon, arXiv:2009.02823, 2020): the output state of every
+encoding layer and block is stashed, the cotangent is pulled back through
+each block's adjoint and each layer's conjugate phases, and every angle
+gradient is read from the compile's own factors, with no per-gate matrix.
+The parameter-shift rule is provided separately as an independent route
+to the same angle gradients.
 
 The module is written once, as :class:`ModulePlan`: the live weights,
 read once per ``forward_rows`` call, solve or certificate analysis (under
@@ -38,8 +38,9 @@ carries no normalization state.  The plan's linearization at some rows
 runs the circuit once with a stash, and from that one run gives the
 value, the per-row Jacobian of the expectations (n_q adjoint sweeps, on
 first use) and the parameter cotangents (one sweep); ``forward_rows``
-records it as one op.  No module path records ``circuit_expectations``,
-the circuit alone as a tape op: tests build the plan's oracle from it.
+records it as one op.  ``circuit_expectations`` records the circuit
+alone as a tape op; no module path calls it, but the tests build the
+plan's oracle from it and the benchmark's tracer wraps it by name.
 
 Convention: qubit ``j`` owns bit ``n_q - 1 - j`` of the basis index,
 i.e. qubit 0 is the most significant axis.  All rotation and coupler
@@ -49,8 +50,7 @@ gates use exp(-i * theta * P / 2) for Pauli (product) P.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
-from itertools import count
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -63,45 +63,17 @@ INIT_ANGLE = 0.1   # ansatz angles start uniform in [-INIT_ANGLE, INIT_ANGLE)
 
 
 # ---------------------------------------------------------------------------
-# gate program
-
-
-class Gate(NamedTuple):
-    kind: str              # rx | ry | rz | zz | xx | yy
-    qubits: tuple          # (j,) or (j, j+1)
-    source: tuple          # ("enc", qubit) or ("param", rep, col)
+# the ansatz
 
 
 # One ansatz repetition, a row per block after its own encoding layer: the
 # rotation axes applied to each qubit in turn, then the coupler applied to
-# each neighbouring pair.
+# each neighbouring pair.  A repetition's angle columns run in that order.
 ANSATZ = (("xyz", "zz"), ("xy", "xx"), ("yz", "yy"))
-
-
-def _row_gates(axes: str, coupler: str, n_qubits: int) -> list:
-    """One ``ANSATZ`` row's (kind, qubits) pairs in gate order."""
-    return ([("r" + a, (j,)) for j in range(n_qubits) for a in axes]
-            + [(coupler, (j, j + 1)) for j in range(n_qubits - 1)])
 
 
 def per_rep_param_count(n_qubits: int) -> int:
     return sum(len(a) * n_qubits + max(n_qubits - 1, 0) for a, _ in ANSATZ)
-
-
-@lru_cache(maxsize=None)
-def build_program(n_qubits: int, reps: int) -> tuple:
-    """Full gate list: an encoding layer, then ``reps`` repetitions of
-    ``ANSATZ``.  A repetition's columns run in gate order, so parameter
-    gate k reads ``angles.flat[k]``."""
-    encode = [Gate("ry", (j,), ("enc", j)) for j in range(n_qubits)]
-    gates = list(encode)
-    for r in range(reps):
-        col = count()
-        for row in ANSATZ:
-            gates += encode
-            gates += [Gate(kind, qubits, ("param", r, next(col)))
-                      for kind, qubits in _row_gates(*row, n_qubits)]
-    return tuple(gates)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +148,6 @@ class _BlockTables(NamedTuple):
     coupler_cols: np.ndarray    # (blocks, n_q - 1) into the padded angles
     coupler_signs: np.ndarray   # (n_q - 1, 2**n_q) -s_c / 2
     lefts: np.ndarray           # (blocks, 2**n_q, 2**n_q) left · B
-    blocks: tuple               # per block: (span, generators, left)
 
 
 def _expansion(axes: str, depth: int, b: np.ndarray) -> np.ndarray:
@@ -210,137 +181,93 @@ def _block_tables(n_qubits: int, reps: int) -> _BlockTables:
     coupler Pauli P = b diag(1, -1) bᴴ, B = b^{⊗n_q} and W = V^{⊗n_q},
     Bᴴ (⊗_j M_j) W = ⊗_j bᴴ M_j V.  The couplers exp(-iθ_c P P / 2) on
     neighbouring pairs are B diag(exp(-iθ_c s_c / 2)) Bᴴ each, s_c the
-    pair's Z product, and commute, so φ = exp(-i/2 Σ_c θ_c s_c).  Angle
-    columns index ``angles.flat`` with one 0 appended, which pads rows
-    with fewer axes than ``depth`` with identity rotations.
+    pair's Z product, and commute, so φ = exp(-i/2 Σ_c θ_c s_c).  left is
+    Wᴴ before the next encoding layer, else (the last block) the identity.
+    Each row takes the next len(axes) · n_q rotation columns, qubit by
+    qubit, then the next n_q - 1 coupler columns.  Angle columns index
+    ``angles.flat`` with one 0 appended, which pads rows with fewer axes
+    than ``depth`` with identity rotations.
     """
-    width = per_rep_param_count(n_qubits)
     depth = max(len(axes) for axes, _ in ANSATZ)
-    pad = reps * width
+    pad = reps * per_rep_param_count(n_qubits)
     w_h, eye = np.conj(_frame(n_qubits).T), np.eye(2 ** n_qubits)
-    paulis, spans = _rep_generators(n_qubits)
-    rotation_cols, expansion, coupler_cols, lefts, blocks = [], [], [], [], []
-    for r in range(reps):
-        for (axes, coupler), span in zip(ANSATZ, spans):
-            start = r * width + span.start
-            cols = np.full((n_qubits, depth), pad)
-            cols[:, :len(axes)] = start + np.arange(
-                n_qubits * len(axes)).reshape(n_qubits, len(axes))
-            rotation_cols.append(cols)
-            b = _EIGENBASIS[coupler[-1]]
-            expansion.append(_expansion(axes, depth, b))
-            coupler_cols.append(start + len(axes) * n_qubits
-                                + np.arange(n_qubits - 1))
-            left = w_h if len(blocks) < reps * len(ANSATZ) - 1 else eye
-            lefts.append(left @ reduce(np.kron, [b] * n_qubits))
-            blocks.append((slice(start, r * width + span.stop),
-                           paulis[span], left))
+    rotation_cols, expansion, coupler_cols, lefts = [], [], [], []
+    start = 0
+    for axes, coupler in ANSATZ * reps:
+        cols = np.full((n_qubits, depth), pad)
+        cols[:, :len(axes)] = start + np.arange(
+            n_qubits * len(axes)).reshape(n_qubits, len(axes))
+        rotation_cols.append(cols)
+        start += n_qubits * len(axes)
+        coupler_cols.append(start + np.arange(n_qubits - 1))
+        start += n_qubits - 1
+        b = _EIGENBASIS[coupler[-1]]
+        expansion.append(_expansion(axes, depth, b))
+        left = w_h if len(lefts) < reps * len(ANSATZ) - 1 else eye
+        lefts.append(left @ reduce(np.kron, [b] * n_qubits))
     signs = _z_signs(n_qubits)
     tables = _BlockTables(
         np.array(rotation_cols), np.array(expansion),
-        np.array(coupler_cols),
-        -0.5 * (signs[:-1] * signs[1:]), np.array(lefts), tuple(blocks))
-    for table in tables[:-1]:
+        np.array(coupler_cols), -0.5 * (signs[:-1] * signs[1:]),
+        np.array(lefts))
+    for table in tables:
         table.setflags(write=False)
     return tables
 
 
-def _generator(kind: str, qubits: tuple, n_qubits: int) -> np.ndarray:
-    """Dense Pauli (product) P of a gate on the full register."""
-    return reduce(np.kron, [_PAULI[kind[-1]] if j in qubits else np.eye(2)
-                            for j in range(n_qubits)])
+def _factors(turns: np.ndarray, expansion: np.ndarray) -> np.ndarray:
+    """(..., 2, 2) factors from rotations' e = exp(-iθ/2), (..., depth):
+    the sum over masks of ``expansion``'s row times the product of Re(e_k)
+    or Im(e_k) chosen by the mask's bits (see ``_expansion``).
+    ``expansion`` broadcasts against the leading axes but the last."""
+    parts = turns.view(np.float64)
+    monomials = parts[..., :2]
+    for k in range(2, parts.shape[-1], 2):
+        monomials = (monomials[..., :, None] * parts[..., None, k:k + 2]
+                     ).reshape(parts.shape[:-1] + (-1,))
+    return (monomials @ expansion).reshape(parts.shape[:-1] + (2, 2))
 
 
-@lru_cache(maxsize=None)
-def _rep_generators(n_qubits: int) -> tuple:
-    """One repetition's gate generators in gate order, (width, 2**n_q,
-    2**n_q), and each ``ANSATZ`` row's slice of them."""
-    paulis, rows = [], []
-    for row in ANSATZ:
-        start = len(paulis)
-        paulis += [_generator(kind, qubits, n_qubits)
-                   for kind, qubits in _row_gates(*row, n_qubits)]
-        rows.append(slice(start, len(paulis)))
-    paulis = np.array(paulis, dtype=np.complex128)
-    paulis.setflags(write=False)
-    return paulis, tuple(rows)
+class _Program(NamedTuple):
+    """The program at fixed angles: ``unitaries`` (blocks, 2**n_q, 2**n_q),
+    each L diag(φ) (⊗_j F_j) with L = left · B and F_j = bᴴ M_j V (see
+    ``_block_tables``), and what a pullback reads the angle gradients
+    from: ``turns``, each rotation's e = exp(-iθ/2) (blocks, n_q, depth),
+    and ``factors``, the F_j (blocks, n_q, 2, 2)."""
+
+    unitaries: np.ndarray
+    turns: np.ndarray
+    factors: np.ndarray
+    tables: _BlockTables
+    shape: tuple                # the angles' (reps, per-rep count)
 
 
-def _dense_gates(angles: np.ndarray, paulis: np.ndarray) -> np.ndarray:
-    """Dense gates exp(-i θ_k P_k / 2) = cos(θ_k/2) I - i sin(θ_k/2) P_k."""
-    half = 0.5 * angles[:, None, None]
-    return np.cos(half) * np.eye(paulis.shape[-1]) - 1j * np.sin(half) * paulis
-
-
-class _FusedBlock:
-    """One ``ANSATZ`` row's gates at fixed angles, as ``unitary`` = left ·
-    (the row's gates) · W: W leaves the encoding eigenbasis the state
-    arrives in, and ``left`` is Wᴴ before the next encoding layer, else
-    (the last block) the identity.  ``span`` is the slice of ``angles.flat``
-    its gates read; ``angles`` are their values and ``paulis`` their dense
-    generators, from which a pullback builds the dense gates it needs."""
-
-    def __init__(self, unitary: np.ndarray, angles: np.ndarray,
-                 paulis: np.ndarray, span: slice, left: np.ndarray):
-        self.unitary = unitary
-        self.angles = angles
-        self.paulis = paulis
-        self.span = span
-        self.left = left
-
-    @cached_property
-    def observables(self) -> np.ndarray:
-        """Rows A_k P_k A_kᴴ, flattened, with A_k = left · (gates after k).
-
-        Gate k's angle gradient is Im tr(P_k C_k), where C = sum over rows
-        of psi_out lambda_outᴴ is swept back to gate k as C_k = A_kᴴ C A_k;
-        by the cyclic trace that is Im tr(A_k P_k A_kᴴ C).  Built, with the
-        block's dense gates, on the first pullback and reused by every
-        later one.
-        """
-        gates = _dense_gates(self.angles, self.paulis)
-        after = np.empty_like(gates)
-        w = self.left
-        for k in range(len(gates) - 1, -1, -1):
-            after[k] = w
-            w = w @ gates[k]
-        obs = after @ self.paulis @ np.conj(np.swapaxes(after, 1, 2))
-        return obs.reshape(len(obs), self.left.size)
-
-
-def _compile(angles: np.ndarray, n_qubits: int) -> tuple:
+def _compile(angles: np.ndarray, n_qubits: int) -> _Program:
     """The program at ``angles`` (reps, per-rep count): one block per
-    ``ANSATZ`` row per repetition, parameter gate k at ``angles.flat[k]``.
+    ``ANSATZ`` row per repetition.
 
     All blocks are built at once from their rows' structure (see
-    ``_block_tables``): the factors bᴴ M_j V from the rotation angles'
+    ``_block_tables``): the factors F_j from the rotation angles'
     e = exp(-iθ/2), their Kronecker product over qubits (qubit 0
-    outermost), and one product with (left · B) scaled by the coupler
-    phases φ.  The blocks keep a copy of the angles, so a caller may update
-    its array in place.
+    outermost), and one product with L scaled by the coupler phases φ.
+    Nothing in the program refers to ``angles``, so a caller may update its
+    array in place.
     """
-    reps, width = angles.shape
-    tables = _block_tables(n_qubits, reps)
+    tables = _block_tables(n_qubits, len(angles))
     flat = np.append(angles, 0.0)
-    # (blocks, n_q, 2 · depth): Re e, Im e of each rotation in gate order
-    turns = np.exp(-0.5j * flat)[tables.rotation_cols].view(np.float64)
-    monomials = turns[..., :2]
-    for k in range(2, turns.shape[-1], 2):
-        monomials = (monomials[..., :, None] * turns[..., None, k:k + 2]
-                     ).reshape(turns.shape[:2] + (-1,))
-    factors = (monomials @ tables.expansion).reshape(turns.shape[:2] + (2, 2))
+    turns = np.exp(-0.5j * flat)[tables.rotation_cols]
+    factors = _factors(turns, tables.expansion)
     kron = factors[:, 0]
     for j in range(1, n_qubits):
         size = 2 * kron.shape[-1]
         kron = (kron[:, :, None, :, None] * factors[:, j, None, :, None, :]
                 ).reshape(-1, size, size)
     phases = np.exp(1j * (flat[tables.coupler_cols] @ tables.coupler_signs))
-    unitaries = (tables.lefts * phases[:, None, :]) @ kron
-    return tuple(_FusedBlock(u, flat[span], gens, span, left)
-                 for u, (span, gens, left) in zip(unitaries, tables.blocks))
+    return _Program((tables.lefts * phases[:, None, :]) @ kron, turns,
+                    factors, tables, angles.shape)
 
 
-def _run_program(u_rows: np.ndarray, program: tuple,
+def _run_program(u_rows: np.ndarray, program: _Program,
                  stash: list | None = None) -> np.ndarray:
     """Final amplitude-major states (2**n_q, N) of the rows of ``u_rows``.
 
@@ -355,11 +282,11 @@ def _run_program(u_rows: np.ndarray, program: tuple,
                               dtype=np.complex128)
     if stash is not None:
         stash += [phases, states]
-    for fused in program:
+    for unitary in program.unitaries:
         states = phases * states
         if stash is not None:
             stash.append(states)
-        states = fused.unitary @ states
+        states = unitary @ states
         if stash is not None:
             stash.append(states)
     return states
@@ -370,13 +297,13 @@ def _expectations(states: np.ndarray, n_qubits: int) -> np.ndarray:
     return (_z_signs(n_qubits) @ (states.real ** 2 + states.imag ** 2)).T
 
 
-def _backward(program: tuple, stash: list,
+def _backward(program: _Program, stash: list,
               g_m: np.ndarray) -> tuple[np.ndarray, list]:
     """Adjoint sweep: cotangent on expectations -> (dU, block cotangents).
 
     The state cotangent lambda = dL/dpsi* starts at the final state and is
-    pulled back block by block: through a fused block as lambda <- Uᴴ
-    lambda, then through its encoding layer as lambda <- conj(Φ) * lambda.
+    pulled back block by block: through a block as lambda <- Uᴴ lambda,
+    then through its encoding layer as lambda <- conj(Φ) * lambda.
     There its generators are the diagonals -S[j] / 2, so an encoding
     layer's u-gradient is S Im(conj(lambda) psi) at its output state psi,
     summed over layers (the opening one last) before the one product with
@@ -389,28 +316,46 @@ def _backward(program: tuple, stash: list,
     lam = (signs.T @ g_m.T) * stash[-1]
     reads = np.zeros(unphase.shape)
     lams = []
-    for fused, psi in zip(program[::-1], encoded[::-1]):
+    for unitary, psi in zip(program.unitaries[::-1], encoded[::-1]):
         lams.append(lam)
-        lam = np.conj(fused.unitary).T @ lam
+        lam = np.conj(unitary).T @ lam
         reads += (np.conj(lam) * psi).imag
         lam = unphase * lam
     reads += (np.conj(lam) * opening).imag
     return (signs @ reads).T, lams[::-1]
 
 
-def _angle_grads(angle_shape: tuple, program: tuple, stash: list,
-                 lams: list) -> np.ndarray:
-    """All angle gradients of the fused blocks, from ``_backward``'s cotangents.
+def _angle_grads(program: _Program, stash: list, lams: list) -> np.ndarray:
+    """Every block's angle gradients at once, from ``_backward``'s output.
 
-    Each block reads them as Im tr(A_k P_k A_kᴴ C) at its output state
-    psi and cotangent lambda, with C = sum over rows of psi lambdaᴴ.
+    An angle of block U has gradient 2 Re tr(∂U D), D = Σ_rows psi lambdaᴴ
+    at the block's input state and output cotangent.  A coupler moves only
+    φ, by i · coupler_signs[c] · φ, and diag(φ) ⊗_j F_j = Lᴴ U, so its
+    gradient is 2 Re(i · coupler_signs[c] · diag(Lᴴ U D L)).  A rotation k
+    on qubit j moves only F_j: ∂U = U (G_jk on qubit j), G_jk = F_jᴴ ∂F_j,
+    so its gradient is 2 Re tr(G_jk ρ_j) = 2 Re tr(∂F_j ρ_j F_jᴴ), ρ_j the
+    partial trace of X = D U over the other qubits, and ∂F_j is
+    ``_factors`` with e_k replaced by de_k/dθ_k = -(i/2) e_k.
     """
-    d_ang = np.zeros(angle_shape)
-    for fused, psi, lam in zip(program, stash[3::2], lams):
-        c_t = np.conj(lam) @ psi.T          # transpose of C
-        d_ang.reshape(-1)[fused.span] = (
-            fused.observables @ c_t.reshape(-1)).imag
-    return d_ang
+    unitaries, turns, factors, tables, shape = program
+    blocks, n_qubits, depth = turns.shape
+    d = np.array([psi @ np.conj(lam.T) for psi, lam in zip(stash[2::2], lams)])
+    lefts = tables.lefts
+    reads = (np.conj(lefts) * (unitaries @ d @ lefts)).sum(axis=1)
+    grads = np.zeros(np.prod(shape) + 1)    # the last slot is the padding's
+    grads[tables.coupler_cols] = -2.0 * (reads.imag @ tables.coupler_signs.T)
+    # (blocks, n_q, k, depth): the turns with e_k moved to de_k/dθ_k
+    moved = np.repeat(turns[:, :, None], depth, axis=2)
+    k = np.arange(depth)
+    moved[:, :, k, k] *= -0.5j
+    x = d @ unitaries
+    rho = np.stack([np.einsum("kpaqpbq->kab", x.reshape(
+        blocks, 2 ** j, 2, 2 ** (n_qubits - 1 - j),
+        2 ** j, 2, 2 ** (n_qubits - 1 - j))) for j in range(n_qubits)], axis=1)
+    grads[tables.rotation_cols] = 2.0 * np.einsum(
+        "kjqab,kjba->kjq", _factors(moved, tables.expansion[:, None]),
+        rho @ np.conj(factors.swapaxes(-1, -2))).real
+    return grads[:-1].reshape(shape)
 
 
 def circuit_expectations(u: Tensor, angles: Tensor, n_qubits: int) -> Tensor:
@@ -428,14 +373,13 @@ def circuit_expectations(u: Tensor, angles: Tensor, n_qubits: int) -> Tensor:
         raise ValueError("angle row width does not match qubit count")
     if angles.rows < 1:
         raise ValueError("the ansatz needs at least one repetition")
-    angle_shape = angles.data.shape
     program = _compile(angles.data, n_qubits)
     stash: list | None = [] if ad._active_tape() is not None else None
     m = _expectations(_run_program(u.data, program, stash), n_qubits)
 
     def pullback(g):
         d_u, lams = _backward(program, stash, g)
-        return d_u, _angle_grads(angle_shape, program, stash, lams)
+        return d_u, _angle_grads(program, stash, lams)
 
     return ad.record_op(m, ad.shared_pullback((u, angles), pullback))
 
@@ -568,7 +512,6 @@ class ModulePlan:
         (self.w_in, self._w_in_back), (self.w_out, self._w_out_back) = \
             module.maps()
         self.n_qubits = module.n_qubits
-        self._angle_shape = module.params.angles.data.shape
         self.program = _compile(module.params.angles.data, self.n_qubits)
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
@@ -612,7 +555,7 @@ class ModulePlan:
             d_pre = d_t * dt
             return (d_pre @ self.w_in, self._w_in_back((s.T @ d_pre).T),
                     self._w_out_back((m.T @ g).T),
-                    _angle_grads(self._angle_shape, self.program, stash, lams))
+                    _angle_grads(self.program, stash, lams))
 
         return m @ self.w_out.T, jt, vjp
 

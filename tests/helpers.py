@@ -8,7 +8,10 @@ import math
 import os
 import sys
 from dataclasses import replace
+from functools import lru_cache, reduce
+from itertools import count
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -18,8 +21,8 @@ from gdeq.contraction import (PathwayAnalysis, _pairs_per_call, lemma2_bound,
                               theorem_bounds)
 from gdeq.graphs import GraphDataset, GraphInstance, normalize_adjacency
 from gdeq.operators import BackboneParams, EquilibriumOperator
-from gdeq.quantum import (DeepXyzParams, QuantumModule, _frame,
-                          _rep_generators, circuit_expectations)
+from gdeq.quantum import (ANSATZ, DeepXyzParams, QuantumModule, _frame,
+                          _PAULI, circuit_expectations)
 from gdeq.solvers import Plan, SolveReport, SolverConfig
 
 # Tolerance of a tape gradient against central differences, relative to
@@ -138,6 +141,77 @@ def tape_apply(op, z: ad.Tensor, ctx) -> ad.Tensor:
     return ad.add(base, scale(tape_forward_rows(op.quantum, s), op.alpha))
 
 
+class Gate(NamedTuple):
+    kind: str              # rx | ry | rz | zz | xx | yy
+    qubits: tuple          # (j,) or (j, j+1)
+    source: tuple          # ("enc", qubit) or ("param", rep, col)
+
+
+def row_gates(axes: str, coupler: str, n_qubits: int) -> list:
+    """One ``ANSATZ`` row's (kind, qubits) pairs in gate order."""
+    return ([("r" + a, (j,)) for j in range(n_qubits) for a in axes]
+            + [(coupler, (j, j + 1)) for j in range(n_qubits - 1)])
+
+
+@lru_cache(maxsize=None)
+def build_program(n_qubits: int, reps: int) -> tuple:
+    """The circuit as a gate list: an encoding layer, then ``reps``
+    repetitions of ``ANSATZ``, each row after its own encoding layer.  A
+    repetition's columns run in gate order, so parameter gate k reads
+    ``angles.flat[k]``."""
+    encode = [Gate("ry", (j,), ("enc", j)) for j in range(n_qubits)]
+    gates = list(encode)
+    for r in range(reps):
+        col = count()
+        for row in ANSATZ:
+            gates += encode
+            gates += [Gate(kind, qubits, ("param", r, next(col)))
+                      for kind, qubits in row_gates(*row, n_qubits)]
+    return tuple(gates)
+
+
+def generator(kind: str, qubits: tuple, n_qubits: int) -> np.ndarray:
+    """Dense Pauli (product) P of a gate on the full register."""
+    return reduce(np.kron, [_PAULI[kind[-1]] if j in qubits else np.eye(2)
+                            for j in range(n_qubits)])
+
+
+@lru_cache(maxsize=None)
+def rep_generators(n_qubits: int) -> tuple:
+    """One repetition's gate generators in gate order, (width, 2**n_q,
+    2**n_q), and each ``ANSATZ`` row's slice of them."""
+    paulis, rows = [], []
+    for row in ANSATZ:
+        start = len(paulis)
+        paulis += [generator(kind, qubits, n_qubits)
+                   for kind, qubits in row_gates(*row, n_qubits)]
+        rows.append(slice(start, len(paulis)))
+    paulis = np.array(paulis, dtype=np.complex128)
+    paulis.setflags(write=False)
+    return paulis, tuple(rows)
+
+
+def dense_gates(angles: np.ndarray, paulis: np.ndarray) -> np.ndarray:
+    """Dense gates exp(-i θ_k P_k / 2) = cos(θ_k/2) I - i sin(θ_k/2) P_k."""
+    half = 0.5 * angles[..., None, None]
+    return np.cos(half) * np.eye(paulis.shape[-1]) - 1j * np.sin(half) * paulis
+
+
+def dense_blocks(angles: np.ndarray, n_qubits: int) -> list:
+    """Each block's (dense gates, generators, left, slice of
+    ``angles.flat``): per ``ANSATZ`` row per repetition, with left = Wᴴ
+    before the next encoding layer and the identity after the last block."""
+    paulis, rows = rep_generators(n_qubits)
+    gates = dense_gates(angles, paulis)
+    w_h, eye = np.conj(_frame(n_qubits).T), np.eye(2 ** n_qubits)
+    width = len(paulis)
+    blocks = [(gates[r, row], paulis[row],
+               slice(r * width + row.start, r * width + row.stop))
+              for r in range(len(angles)) for row in rows]
+    return [(g, p, w_h if i < len(blocks) - 1 else eye, span)
+            for i, (g, p, span) in enumerate(blocks)]
+
+
 def _product(gates: np.ndarray) -> np.ndarray:
     """gates[-1] @ ... @ gates[0], multiplied pairwise in batches."""
     while len(gates) > 1:
@@ -149,24 +223,43 @@ def _product(gates: np.ndarray) -> np.ndarray:
 
 
 def reference_compile(angles: np.ndarray, n_qubits: int) -> list:
-    """Each block's fused unitary as the product of its dense gates: the
-    oracle for ``gdeq.quantum._compile``.
+    """Each block's unitary as the product of its dense gates: the oracle
+    for ``gdeq.quantum._compile``.
 
     Every parameter gate is the 2**n_q x 2**n_q matrix
-    cos(θ/2) I - i sin(θ/2) P of its ``_rep_generators`` generator, and the
+    cos(θ/2) I - i sin(θ/2) P of its ``rep_generators`` generator, and the
     block of each ``ANSATZ`` row in each repetition is left · (its gates)
-    · W, multiplied pairwise, with left = Wᴴ before the next encoding
-    layer and the identity after the last block.
+    · W (see ``dense_blocks``), multiplied pairwise.
     """
-    paulis, rows = _rep_generators(n_qubits)
-    half = 0.5 * angles[:, :, None, None]
-    eye = np.eye(2 ** n_qubits)
-    gates = np.cos(half) * eye - 1j * np.sin(half) * paulis
     w = _frame(n_qubits)
-    blocks = [gates[r, row] for r in range(len(angles)) for row in rows]
-    return [_product(np.concatenate(
-        [w[None], g, (np.conj(w.T) if i < len(blocks) - 1 else eye)[None]]))
-        for i, g in enumerate(blocks)]
+    return [_product(np.concatenate([w[None], gates, left[None]]))
+            for gates, _, left, _ in dense_blocks(angles, n_qubits)]
+
+
+def reference_angle_grads(angles: np.ndarray, n_qubits: int, stash: list,
+                          lams: list) -> np.ndarray:
+    """The angle gradients from dense per-gate matrices: the oracle for
+    ``gdeq.quantum._angle_grads``, at the blocks' output states in
+    ``stash`` and the cotangents ``lams`` there.
+
+    Gate k of a block has gradient Im tr(P_k C_k), where C = sum over rows
+    of psi_out lambdaᴴ is swept back to gate k as C_k = A_kᴴ C A_k, with
+    A_k = left · (the gates after k); by the cyclic trace that is
+    Im tr(A_k P_k A_kᴴ C).
+    """
+    grads = np.zeros(angles.size)
+    blocks = dense_blocks(angles, n_qubits)
+    for (gates, paulis, left, span), psi, lam in zip(blocks, stash[3::2],
+                                                     lams):
+        after = np.empty_like(gates)
+        w = left
+        for k in range(len(gates) - 1, -1, -1):
+            after[k] = w
+            w = w @ gates[k]
+        c = psi @ np.conj(lam.T)
+        grads[span] = np.einsum("kab,kbc,kdc,da->k", after, paulis,
+                                np.conj(after), c).imag
+    return grads.reshape(angles.shape)
 
 
 def solve_inputs(op, ctx):

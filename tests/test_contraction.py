@@ -354,15 +354,11 @@ def test_analyze_operator_reads_the_circuit_once(kind, monkeypatch):
         return norm(m)
 
     monkeypatch.setattr(quantum, "_compile", counting_compile)
-    dense = []
-    monkeypatch.setattr(quantum, "_dense_gates",
-                        lambda *args: dense.append(args))
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(contraction, "spectral_norm", counting_norm)
     got = analyze_operator(op, ctx, np.random.default_rng(34))
     assert got == want
     assert len(compiled) == 1
-    assert dense == []   # no pullback, so no block builds its dense gates
     # one SVD per map for its normalization, and one spectral norm (a
     # singular-values-only SVD) per normalized map for the budget
     maps = (op.quantum.w_in.data, op.quantum.w_out.data)

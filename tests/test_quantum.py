@@ -1,12 +1,14 @@
 """Simulator against dense-unitary products; gradients against shift rule and FD."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from gdeq import autodiff as ad
 from gdeq import quantum as qm
-from helpers import (numeric_grad, reference_compile, rel_err, sum_all,
-                     tape_forward_rows)
+from helpers import (Gate, build_program, numeric_grad, reference_angle_grads,
+                     reference_compile, rel_err, sum_all, tape_forward_rows)
 
 # --- independent dense oracle -------------------------------------------------
 
@@ -18,7 +20,7 @@ PAULI = {
 }
 
 
-def dense_gate(gate: qm.Gate, theta: float) -> np.ndarray:
+def dense_gate(gate: Gate, theta: float) -> np.ndarray:
     kind = gate.kind
     if kind in ("rx", "ry", "rz"):
         p = PAULI[kind[1]]
@@ -48,7 +50,7 @@ def embed(mat: np.ndarray, n_q: int, qubits: tuple) -> np.ndarray:
 def oracle_state(u: np.ndarray, angles: np.ndarray, n_q: int) -> np.ndarray:
     psi = np.zeros(2 ** n_q, dtype=complex)
     psi[0] = 1.0
-    for gate in qm.build_program(n_q, angles.shape[0]):
+    for gate in build_program(n_q, angles.shape[0]):
         if gate.source[0] == "enc":
             theta = float(u[gate.source[1]])
         else:
@@ -81,7 +83,7 @@ def test_per_rep_param_count():
 
 
 def test_program_order_two_qubits():
-    kinds = [(g.kind, g.qubits, g.source[0]) for g in qm.build_program(2, 1)]
+    kinds = [(g.kind, g.qubits, g.source[0]) for g in build_program(2, 1)]
     expected = (
         [("ry", (0,), "enc"), ("ry", (1,), "enc")] * 2
         + [("rx", (0,), "param"), ("ry", (0,), "param"), ("rz", (0,), "param"),
@@ -100,7 +102,7 @@ def test_program_order_two_qubits():
     for n_q in range(1, 5):
         width = qm.per_rep_param_count(n_q)
         for reps in range(4):
-            sources = [g.source[1:] for g in qm.build_program(n_q, reps)
+            sources = [g.source[1:] for g in build_program(n_q, reps)
                        if g.source[0] == "param"]
             assert sources == [divmod(k, width) for k in range(reps * width)]
 
@@ -143,7 +145,7 @@ def test_encoding_layer_is_a_phase_in_the_frame(n_q):
     u = rng.uniform(-np.pi, np.pi, size=n_q)
     dense = np.ones((1, 1))
     for j in range(n_q):
-        ry = dense_gate(qm.Gate("ry", (j,), ("enc", j)), u[j])
+        ry = dense_gate(Gate("ry", (j,), ("enc", j)), u[j])
         dense = np.kron(dense, ry)
     w = qm._frame(n_q)
     phases = qm._phases(u.reshape(1, -1))[:, 0]
@@ -193,7 +195,7 @@ def test_zero_angles_leave_only_the_uploads(n_q, reps):
     rng = np.random.default_rng(30 + n_q + reps)
     u = rng.uniform(-0.99, 0.99, size=(4, n_q))
     angles = np.zeros((reps, qm.per_rep_param_count(n_q)))
-    assert len(qm._compile(angles, n_q)) == len(qm.ANSATZ) * reps
+    assert len(qm._compile(angles, n_q).unitaries) == len(qm.ANSATZ) * reps
     weight = rng.normal(size=u.shape)
     tape = ad.Tape()
     u_t = tape.watch(ad.Tensor(u))
@@ -235,71 +237,63 @@ def test_compiled_program_matches_dense_product(n_q, reps):
 
 @pytest.mark.parametrize("n_q,reps", GRID)
 def test_compiled_blocks_match_the_dense_gate_products(n_q, reps):
-    # n_q = 1 has no couplers; the last block's left is the identity
+    # n_q = 1 has no couplers
     rng = np.random.default_rng(300 + 10 * n_q + reps)
     angles = rng.uniform(-np.pi, np.pi, size=(reps, qm.per_rep_param_count(n_q)))
     program = qm._compile(angles, n_q)
     want = reference_compile(angles, n_q)
-    assert len(program) == len(want) == len(qm.ANSATZ) * reps
-    for fused, unitary in zip(program, want):
-        assert np.max(np.abs(fused.unitary - unitary)) < 1e-12
-    assert np.array_equal(program[-1].left, np.eye(2 ** n_q))
-    columns = np.arange(angles.size)
-    assert np.array_equal(
-        np.concatenate([columns[fused.span] for fused in program]), columns)
+    assert len(program.unitaries) == len(want) == len(qm.ANSATZ) * reps
+    for unitary, dense in zip(program.unitaries, want):
+        assert np.max(np.abs(unitary - dense)) < 1e-12
+    # every angle column is read by exactly one gate, the padded column
+    # (angles.size) by none
+    tables = program.tables
+    cols = np.concatenate([tables.rotation_cols.ravel(),
+                           tables.coupler_cols.ravel()])
+    assert np.array_equal(np.sort(cols[cols != angles.size]),
+                          np.arange(angles.size))
+    # the last block's left factor is the identity: L = left · B is B
+    b = qm._EIGENBASIS[qm.ANSATZ[-1][1][-1]]
+    assert np.array_equal(tables.lefts[-1], reduce(np.kron, [b] * n_q))
 
 
-def counting_dense_gates(monkeypatch) -> list:
-    """Patch ``_dense_gates`` to record the angles of every call."""
-    built, dense_gates = [], qm._dense_gates
-
-    def counting(angles, paulis):
-        built.append(np.array(angles))
-        return dense_gates(angles, paulis)
-
-    monkeypatch.setattr(qm, "_dense_gates", counting)
-    return built
-
-
-def test_plans_off_the_tape_build_no_dense_gates(monkeypatch):
-    # (certificate analyses: test_analyze_operator_reads_the_circuit_once)
-    rng = np.random.default_rng(14)
-    module = random_module(rng, 4, 5, 3, reps=2, normalize=True)
-    built = counting_dense_gates(monkeypatch)
-    qm.ModulePlan(module)(rng.normal(size=(6, 5)))
-    module.forward_rows(ad.Tensor(rng.normal(size=(6, 5))))
-    assert built == []
-
-
-@pytest.mark.parametrize("n_q,reps", [(n_q, reps) for n_q in (1, 2, 3, 4)
-                                      for reps in (1, 2)])
-def test_a_pullback_builds_each_blocks_dense_gates_once(n_q, reps,
-                                                         monkeypatch):
+@pytest.mark.parametrize("n_q,reps", GRID)
+def test_angle_cotangents_match_the_dense_oracle_and_the_shift_rule(n_q, reps):
     rng = np.random.default_rng(400 + 10 * n_q + reps)
     module = random_module(rng, n_q, 3, 2, reps=reps, normalize=True)
+    module.params.angles.data[:] = rng.uniform(
+        -np.pi, np.pi, size=module.params.angles.shape)
     s = rng.normal(size=(2, 3))
     g = rng.normal(size=(2, 2))
-    built = counting_dense_gates(monkeypatch)
     plan = qm.ModulePlan(module)
-    vjp = plan.linearize(s)[2]
-    assert built == []
-    # the gates are built at the angles the plan was compiled at, even
-    # after an in-place update of the live array
-    live = module.params.angles.data
-    compiled = live.copy()
-    live += 1.0
-    d_angles = vjp(g)[3]
-    again = vjp(g)[3]
-    live[...] = compiled
-    assert len(built) == len(plan.program)
-    for fused, angles in zip(plan.program, built):
-        assert np.array_equal(angles, compiled.reshape(-1)[fused.span])
-    assert np.array_equal(again, d_angles)
+    d_angles = plan.linearize(s)[2](g)[3]
+    u = np.tanh(s @ plan.w_in.T)
+    stash = []
+    qm._run_program(u, plan.program, stash)
+    lams = qm._backward(plan.program, stash, g @ plan.w_out)[1]
+    dense = reference_angle_grads(module.params.angles.data, n_q, stash, lams)
+    assert np.max(np.abs(d_angles - dense)) < 1e-12
     shift = np.array([
         sum(g[i] @ qm.parameter_shift_grad(module, s[i], k)
             for i in range(len(s)))
         for k in range(module.params.count)]).reshape(d_angles.shape)
     assert rel_err(d_angles, shift) < 1e-10
+
+
+def test_a_pullback_reads_the_angles_the_plan_was_compiled_at():
+    # the optimizer edits angle arrays in place between a plan's build and
+    # its pullback
+    rng = np.random.default_rng(15)
+    module = random_module(rng, 3, 3, 2, reps=2, normalize=True)
+    s = rng.normal(size=(2, 3))
+    g = rng.normal(size=(2, 2))
+    want = qm.ModulePlan(module).linearize(s)[2](g)[3]
+    vjp = qm.ModulePlan(module).linearize(s)[2]
+    module.params.angles.data += 1.0
+    d_angles = vjp(g)[3]
+    again = vjp(g)[3]
+    assert d_angles.tobytes() == want.tobytes()
+    assert again.tobytes() == d_angles.tobytes()
 
 
 def test_in_place_angle_update_reaches_the_next_call():
