@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -18,15 +19,28 @@ import numpy as np
 DEFAULT_L_MAX = 6
 
 
-@dataclass
 class GraphInstance:
-    """One undirected graph with everything the model consumes."""
+    """One undirected graph with everything the model consumes.
 
-    adjacency: np.ndarray      # (n, n) symmetric 0/1, zero diagonal
-    features: np.ndarray      # (n, f) node features
-    label: int                # class index in [0, n_classes)
-    a_norm: np.ndarray        # D^-1/2 (A + I) D^-1/2
-    tau: np.ndarray           # (n, d_tau) topology descriptors
+    ``tau`` is the graph's (n, d_tau) topology descriptors, or a picklable
+    zero-argument callable that returns them.  The loader passes a
+    callable, so that only a run that reads τ computes it; the first read
+    calls it and keeps the array.
+    """
+
+    def __init__(self, adjacency: np.ndarray, features: np.ndarray,
+                 label: int, a_norm: np.ndarray, tau):
+        self.adjacency = adjacency    # (n, n) symmetric 0/1, zero diagonal
+        self.features = features      # (n, f) node features
+        self.label = label            # class index in [0, n_classes)
+        self.a_norm = a_norm          # D^-1/2 (A + I) D^-1/2
+        self._tau = tau
+
+    @property
+    def tau(self) -> np.ndarray:
+        if callable(self._tau):
+            self._tau = self._tau()
+        return self._tau
 
     @property
     def n_nodes(self) -> int:
@@ -128,12 +142,17 @@ class Batch:
 
     a_norm: BlockAdjacency
     features: np.ndarray
-    tau: np.ndarray
     labels: np.ndarray
+    graphs: list              # the stacked graphs, in row order
 
     @property
     def n_graphs(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def tau(self) -> np.ndarray:
+        """(N, d_tau) topology descriptors of every row, stacked on first read."""
+        return np.concatenate([g.tau for g in self.graphs], axis=0)
 
 
 def _check_adjacency(a: np.ndarray) -> np.ndarray:
@@ -247,6 +266,26 @@ def descriptor_dim(l_max: int = DEFAULT_L_MAX) -> int:
     return (l_max - 2) + 3
 
 
+class _Topology:
+    """The edges of a loaded dataset's graphs, stored as consecutive node
+    ranges of ``sizes`` rows; ``tau`` holds their descriptors once read."""
+
+    def __init__(self, src: np.ndarray, dst: np.ndarray, sizes: np.ndarray,
+                 l_max: int):
+        self.src, self.dst, self.sizes, self.l_max = src, dst, sizes, l_max
+        self.tau = None
+
+
+def _tau_rows(topology: _Topology, start: int, stop: int) -> np.ndarray:
+    """Rows start:stop of ``topology``'s descriptors; the first call
+    describes every graph in one batched pass."""
+    if topology.tau is None:
+        n = int(topology.sizes.sum())
+        topology.tau = _descriptors(*_neighbour_table(topology.src, topology.dst, n),
+                                    topology.sizes, topology.l_max)
+    return topology.tau[start:stop]
+
+
 # ---------------------------------------------------------------------------
 # TU flat files
 
@@ -321,7 +360,10 @@ def load_tu_dataset(data_dir, name: str, l_max: int = DEFAULT_L_MAX) -> GraphDat
     """Parse a TU-format directory into a :class:`GraphDataset`.
 
     Nodes keep their file order within each graph.  All graphs are parsed,
-    built, normalized and described in whole-array passes over the dataset.
+    built and normalized in whole-array passes over the dataset.  Their
+    topology descriptors are computed on the first read of any graph's
+    ``tau``, for every graph in one pass, so a run that never reads them
+    never enumerates a cycle.
     """
     root = Path(data_dir) / name
     if not root.is_dir():
@@ -378,7 +420,7 @@ def load_tu_dataset(data_dir, name: str, l_max: int = DEFAULT_L_MAX) -> GraphDat
     edge_at = offset(src, dst)
     flat = np.zeros(areas.sum())
     flat[edge_at] = 1.0
-    table, deg = _neighbour_table(src, dst, n_nodes_total)
+    deg = np.bincount(src, minlength=n_nodes_total)
     # normalize_adjacency entrywise: A + I holds 0s and 1s and its row sums
     # deg + 1 are exact, so dinv_i (A + I)_ij dinv_j is dinv_i dinv_j or 0
     dinv = 1.0 / np.sqrt(deg + 1.0)
@@ -408,7 +450,7 @@ def load_tu_dataset(data_dir, name: str, l_max: int = DEFAULT_L_MAX) -> GraphDat
     if raw is not None:
         features[row, raw] = 1.0
     features[row, width:] = attributes
-    tau = _descriptors(table, deg, sizes, l_max)
+    topology = _Topology(src, dst, sizes, l_max)
 
     graphs = []
     for label, st, n, at in zip(graph_labels.tolist(), starts.tolist(),
@@ -418,7 +460,7 @@ def load_tu_dataset(data_dir, name: str, l_max: int = DEFAULT_L_MAX) -> GraphDat
             features=features[st:st + n],
             label=label,
             a_norm=norm[at:at + n * n].reshape(n, n),
-            tau=tau[st:st + n],
+            tau=partial(_tau_rows, topology, st, st + n),
         ))
     return GraphDataset(name=name, graphs=graphs, n_classes=len(classes),
                         feature_dim=features.shape[1], l_max=l_max)
@@ -439,23 +481,14 @@ def stratified_folds(labels, k: int, seed: int) -> list:
     if k < 2:
         raise ValueError("need at least 2 folds")
     rng = np.random.default_rng(seed)
-    members: dict[int, np.ndarray] = {}
+    fold = np.empty(labels.shape[0], dtype=np.int64)   # each graph's test fold
     for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)
         if idx.shape[0] < k:
             raise ValueError(f"class {c} has {idx.shape[0]} members < {k} folds")
-        members[c] = rng.permutation(idx)
-    fold_sets: list[list] = [[] for _ in range(k)]
-    for c in sorted(members):
-        for pos, g in enumerate(members[c]):
-            fold_sets[pos % k].append(int(g))
-    out = []
-    everything = set(range(labels.shape[0]))
-    for f in range(k):
-        test = np.array(sorted(fold_sets[f]), dtype=np.int64)
-        train = np.array(sorted(everything - set(fold_sets[f])), dtype=np.int64)
-        out.append((train, test))
-    return out
+        fold[rng.permutation(idx)] = np.arange(idx.shape[0]) % k
+    return [(np.flatnonzero(fold != f), np.flatnonzero(fold == f))
+            for f in range(k)]
 
 
 def collate(graphs: list) -> Batch:
@@ -465,8 +498,8 @@ def collate(graphs: list) -> Batch:
     return Batch(
         a_norm=BlockAdjacency.stack([g.a_norm for g in graphs]),
         features=np.concatenate([g.features for g in graphs], axis=0),
-        tau=np.concatenate([g.tau for g in graphs], axis=0),
         labels=np.array([g.label for g in graphs], dtype=np.int64),
+        graphs=list(graphs),
     )
 
 

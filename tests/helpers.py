@@ -530,6 +530,20 @@ def reference_anderson_solve(f, z0: np.ndarray, cfg: SolverConfig,
                        z_star=xs[-1].reshape(shape), fallback_steps=fallback)
 
 
+def reference_stratified_folds(labels, k: int, seed: int) -> list:
+    """Stratified folds dealt into Python sets, one class at a time: the
+    oracle for ``gdeq.graphs.stratified_folds`` (same rng draws)."""
+    labels = np.asarray(labels, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    fold_sets: list[list] = [[] for _ in range(k)]
+    for c in np.unique(labels):
+        for pos, g in enumerate(rng.permutation(np.flatnonzero(labels == c))):
+            fold_sets[pos % k].append(int(g))
+    everything = set(range(labels.shape[0]))
+    return [(np.array(sorted(everything - set(fold)), dtype=np.int64),
+             np.array(sorted(fold), dtype=np.int64)) for fold in fold_sets]
+
+
 def reference_simple_cycle_counts(a: np.ndarray, l_max: int) -> np.ndarray:
     """Per-node simple-cycle counts by a recursive canonical DFS, one graph
     at a time: the oracle for the cycle columns of

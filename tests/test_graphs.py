@@ -1,13 +1,18 @@
 """Loader, normalization, descriptors, folds, and batching contracts."""
 
+import pickle
+
 import numpy as np
 import networkx as nx
 import pytest
 
 from gdeq import graphs as gr
+from gdeq.training import (AdamW, GraphClassifier, ModelConfig, evaluate,
+                           train_epoch)
 
 from helpers import (reference_load_tu_dataset, reference_simple_cycle_counts,
-                     reference_topology_descriptors, write_nci1_shaped)
+                     reference_stratified_folds, reference_topology_descriptors,
+                     write_nci1_shaped)
 
 
 def cycle_columns(a: np.ndarray, l_max: int) -> np.ndarray:
@@ -136,7 +141,9 @@ def test_cycle_kernel_matches_the_dfs_on_random_graphs():
                                   reference_topology_descriptors(a, l_max))
 
 
-def test_one_cycle_kernel_serves_graphs_and_datasets(monkeypatch, tiny_tu):
+@pytest.fixture()
+def kernel_calls(monkeypatch) -> list:
+    """The node count of every ``_cycle_counts`` call made from here on."""
     calls = []
     kernel = gr._cycle_counts
 
@@ -145,9 +152,15 @@ def test_one_cycle_kernel_serves_graphs_and_datasets(monkeypatch, tiny_tu):
         return kernel(table, l_max)
 
     monkeypatch.setattr(gr, "_cycle_counts", counted)
+    return calls
+
+
+def test_one_cycle_kernel_serves_graphs_and_datasets(kernel_calls, tiny_tu):
     gr.topology_descriptors(np.ones((3, 3)) - np.eye(3))
-    gr.load_tu_dataset(tiny_tu, "TINY")
-    assert calls == [3, 5]   # the loader describes all 5 nodes at once
+    ds = gr.load_tu_dataset(tiny_tu, "TINY")
+    assert kernel_calls == [3]      # loading describes nothing
+    ds.graphs[1].tau
+    assert kernel_calls == [3, 5]   # the first read describes all 5 nodes at once
 
 
 @pytest.mark.parametrize("pass_rows", [1, 2, 3, 7, 1024])
@@ -174,6 +187,7 @@ def test_cycle_counts_do_not_depend_on_the_pass_size(monkeypatch, pass_rows):
 
 def test_load_is_independent_of_the_pass_size(monkeypatch, mutag_dir):
     whole = gr.load_tu_dataset(mutag_dir, "MUTAG")
+    whole.graphs[0].tau     # described at the default pass size
     monkeypatch.setattr(gr, "_PASS_ROWS", 97)
     assert_same_dataset(gr.load_tu_dataset(mutag_dir, "MUTAG"), whole)
 
@@ -339,6 +353,66 @@ def test_cycle_kernel_matches_the_dfs_on_nci1_shaped_graphs(nci1_shaped):
         assert np.array_equal(got, reference_simple_cycle_counts(g.adjacency, 8)), k
         rings += got.sum() > 0
     assert rings > len(ds) // 2
+
+
+# --- descriptors on first read --------------------------------------------------
+
+def small_model(pathway: str, ds) -> GraphClassifier:
+    cfg = ModelConfig(pathway=pathway, d_hidden=8, n_qubits=2, heads=2,
+                      mlp_hidden=8)
+    return GraphClassifier(cfg, ds.feature_dim, ds.n_classes, seed=0)
+
+
+@pytest.mark.parametrize("pathway", ["classical", "sd"])
+def test_a_run_that_reads_no_descriptors_never_enumerates_cycles(
+        mutag_dir, kernel_calls, pathway):
+    ds = gr.load_tu_dataset(mutag_dir, "MUTAG")
+    train, test = gr.stratified_folds(ds.labels, 3, seed=0)[0]
+    model = small_model(pathway, ds)
+    opt = AdamW(model.parameters(), lr=1e-3, exclude=model.decay_exclusions())
+    train_epoch(model, opt, gr.make_batches(ds, train[:48], 16,
+                                            rng=np.random.default_rng(0)),
+                lr=1e-3)
+    evaluate(model, gr.make_batches(ds, test[:32], 16))
+    assert kernel_calls == []
+
+
+def test_an_id_run_describes_the_whole_dataset_once(mutag_dir, kernel_calls):
+    ds = gr.load_tu_dataset(mutag_dir, "MUTAG")
+    model = small_model("id", ds)
+    assert kernel_calls == []
+    for batch in gr.make_batches(ds, np.arange(40), 20):
+        loss, _, _ = model.forward_batch(batch)
+        assert loss is not None
+    assert kernel_calls == [3371]
+
+
+@pytest.mark.parametrize("source,name", [("mutag_dir", "MUTAG"),
+                                         ("nci1_shaped", "SYNTH_NCI1")])
+def test_batch_tau_matches_the_oracle_loader(request, source, name):
+    root = request.getfixturevalue(source)
+    ds = gr.load_tu_dataset(root, name)
+    want = reference_load_tu_dataset(root, name)
+    order = np.random.default_rng(9).permutation(len(ds))
+    for st, batch in zip(range(0, len(ds), 32), gr.make_batches(ds, order, 32)):
+        tau = np.concatenate([want.graphs[i].tau for i in order[st:st + 32]])
+        assert batch.tau.dtype == tau.dtype and np.array_equal(batch.tau, tau), st
+
+
+def test_a_loaded_graph_pickles_before_and_after_its_tau_is_read(
+        mutag_dir, kernel_calls):
+    ds = gr.load_tu_dataset(mutag_dir, "MUTAG")
+    want = reference_load_tu_dataset(mutag_dir, "MUTAG").graphs[7]
+    before = pickle.loads(pickle.dumps(ds.graphs[7]))
+    ds.graphs[7].tau
+    after = pickle.loads(pickle.dumps(ds.graphs[7]))
+    assert kernel_calls == [3371]
+    for g in (before, after, ds.graphs[7]):
+        for field in ("adjacency", "features", "a_norm", "tau"):
+            assert np.array_equal(getattr(g, field), getattr(want, field)), field
+        assert g.label == want.label
+    # the unpickled copy read before described its own copy of the dataset
+    assert kernel_calls == [3371, 3371]
 
 
 def test_unsorted_indicator_keeps_file_order(tmp_path):
@@ -563,6 +637,22 @@ def test_folds_deterministic_per_seed():
     c = gr.stratified_folds(labels, k=4, seed=43)
     assert all(np.array_equal(x[1], y[1]) for x, y in zip(a, b))
     assert any(not np.array_equal(x[1], y[1]) for x, y in zip(a, c))
+
+
+def test_folds_match_the_set_based_split():
+    rng = np.random.default_rng(17)
+    for trial in range(200):
+        k = int(rng.integers(2, 7))
+        counts = rng.integers(k, k + 30, size=int(rng.integers(1, 5)))
+        values = rng.choice(np.arange(-5, 50), size=counts.size, replace=False)
+        labels = rng.permutation(np.repeat(values, counts))
+        seed = int(rng.integers(2**31))
+        got = gr.stratified_folds(labels, k, seed)
+        want = reference_stratified_folds(labels, k, seed)
+        assert len(got) == len(want) == k
+        for (gt, gs), (wt, ws) in zip(got, want):
+            assert gt.dtype == wt.dtype and np.array_equal(gt, wt), trial
+            assert gs.dtype == ws.dtype and np.array_equal(gs, ws), trial
 
 
 def test_folds_class_smaller_than_k_rejected():
