@@ -19,9 +19,10 @@ except the timing values and the checkpoint archive's internal zip
 timestamps is byte-deterministic in (config, seeds), whatever the worker
 count or the caller's BLAS threads; numbers are
 written with 17 significant digits so records re-parse to the exact values
-used in aggregation.  The exit status is nonzero iff any run failed
-(exception, or more than 10% of its forward solves diverged, or more than
-10% of its forward or of its adjoint solves stopped at max_iter) or a trained
+used in aggregation.  ``metrics.txt`` ends with six ``fwd.<outcome>`` and
+``adj.<outcome>`` lines, the run's solves per ``solvers.OUTCOMES`` entry.
+The exit status is nonzero iff any run failed (exception, or one
+non-converged line above 10% of its forward solves) or a trained
 operator's empirical Lipschitz estimate exceeded its analytic bound.  A
 config or dataset that cannot run exits with 2 before any run starts.
 """
@@ -39,11 +40,11 @@ from . import autodiff as ad
 from .contraction import PathwayAnalysis, analyze_operator
 from .graphs import collate, load_tu_dataset, stratified_folds
 from .operators import PATHWAYS
-from .solvers import SolverConfig
+from .solvers import OUTCOMES, SolverConfig
 from .training import (ModelConfig, TrainConfig, aggregate_runs, run_jobs,
                        run_training, save_checkpoint)
 
-FAILURE_RATE_LIMIT = 0.1   # diverged or max_iter share of solves that fails a run
+FAILURE_RATE_LIMIT = 0.1   # of forward solves, per non-converged outcome
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +226,7 @@ def _run_job(cfg: ExperimentConfig, dataset, seed: int, fold: int,
         "dataset": cfg.dataset, "pathway": metrics.pathway,
         "seed": metrics.seed, "fold": metrics.fold,
         "test_accuracy": metrics.test_accuracy,
-        "final_iterations": metrics.final_iterations,
-        "skipped_batches": metrics.skipped_batches,
-        "fwd_max_iter": metrics.fwd_max_iter,
-        "adj_max_iter": metrics.adj_max_iter,
+        "final_iterations": metrics.final_iterations, **metrics.solves,
     })
     write_kv(run_dir / "timing.txt", {"wall_minutes": metrics.wall_minutes})
     write_table(run_dir / "curves.csv",
@@ -265,7 +263,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     jobs = [(cfg, dataset, s, f, splits[s][f])
             for s in cfg.seeds for f in range(cfg.folds)]
     failed, violations, runs = [], [], []
-    for (_, _, seed, fold, split), (ok, value) in zip(
+    for (_, _, seed, fold, _), (ok, value) in zip(
             jobs, run_jobs(_run_job, jobs, cfg.workers)):
         tag = f"{seed}_{fold}"
         if not ok:
@@ -273,12 +271,10 @@ def run_experiment(cfg: ExperimentConfig) -> int:
             failed.append(tag)
             continue
         metrics, consistent = value
-        attempts = cfg.epochs * -(-len(split[0]) // cfg.batch_size)
-        gated = [(metrics.skipped_batches, "solves diverged"),
-                 (metrics.fwd_max_iter, "forward solves stopped at max_iter"),
-                 (metrics.adj_max_iter, "adjoint solves stopped at max_iter")]
-        over = [f"{n}/{attempts} {what}" for n, what in gated
-                if n > FAILURE_RATE_LIMIT * attempts]
+        attempts = sum(metrics.solves[f"fwd.{o}"] for o in OUTCOMES)
+        over = [f"{key} {n}/{attempts}" for key, n in metrics.solves.items()
+                if not key.endswith(".converged")
+                and n > FAILURE_RATE_LIMIT * attempts]
         if over:
             print(f"run {tag}: " + "; ".join(over), file=sys.stderr)
             failed.append(tag)

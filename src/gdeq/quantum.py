@@ -33,8 +33,8 @@ to the same angle gradients.
 The module is written once, as :class:`ModulePlan`: the live weights,
 read once per ``forward_rows`` call, solve or certificate analysis (under
 spectral normalization W_in and W_out enter as W / sigma(W), sigma from
-one exact SVD per map), and the program compiled once.  So the module
-carries no normalization state.  The plan's linearization at some rows
+``contraction.spectral_norm``), and the program compiled once.  So the
+module carries no normalization state.  The plan's linearization at some rows
 runs the circuit once with a stash, and from that one run gives the
 value, the per-row Jacobian of the expectations (n_q adjoint sweeps, on
 first use) and the parameter cotangents (one sweep); ``forward_rows``
@@ -57,6 +57,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .contraction import spectral_norm
 
 NORM_GUARD = 1e-12
 INIT_ANGLE = 0.1   # ansatz angles start uniform in [-INIT_ANGLE, INIT_ANGLE)
@@ -426,19 +427,20 @@ def _unchanged(g: np.ndarray) -> np.ndarray:
 
 
 def _normalized(w: np.ndarray) -> tuple:
-    """(W / sigma(W), its pullback), sigma the exact top singular value.
+    """(W / sigma(W), its pullback), sigma = ``contraction.spectral_norm``.
 
     sigma's derivative is u_1 v_1ᵀ, so the pullback of W / sigma is
-    G -> (G - <G, W / sigma> u_1 v_1ᵀ) / sigma.  A zero map is returned as
-    is, with the identity pullback.
+    G -> (G - <G, W / sigma> u_1 v_1ᵀ) / sigma.  Only a pullback needs the
+    singular vectors, so it takes them, from W / sigma, which no optimizer
+    step edits.  A zero map is returned as is, with the identity pullback.
     """
-    u, s, vt = np.linalg.svd(w, full_matrices=False)
-    sigma = s[0]
+    sigma = spectral_norm(w)
     if sigma < NORM_GUARD:
         return w, _unchanged
     out = w / sigma
 
     def back(g):
+        u, _, vt = np.linalg.svd(out, full_matrices=False)
         return (g - np.vdot(g, out) * np.outer(u[:, 0], vt[0])) / sigma
 
     return out, back
@@ -503,7 +505,7 @@ class ModulePlan:
 
     Built once per ``forward_rows`` call, once per solve, or once per
     certificate analysis and shared by its chunk plans and module budget:
-    the effective maps (one SVD each under spectral normalization) with
+    the effective maps (one spectral norm each under normalization) with
     their pullbacks, and the compiled program.  Calling the plan equals
     the value :meth:`linearize` returns, bit for bit.
     """

@@ -33,6 +33,7 @@ Array = np.ndarray
 
 ANDERSON_WINDOW = 5   # iterates that Anderson mixes
 TIKHONOV = 1e-4       # weight on the residual Gram, relative to its mean
+OUTCOMES = ("converged", "max_iter", "diverged")   # how a solve can end
 
 
 @dataclass
@@ -59,6 +60,13 @@ class SolveReport:
     diverged: bool = False
     fallback_steps: int = 0
     backward: "SolveReport | None" = field(default=None, repr=False)
+
+    @property
+    def outcome(self) -> str:
+        """How the solve ended, one of ``OUTCOMES``."""
+        if self.diverged:
+            return "diverged"
+        return "converged" if self.converged else "max_iter"
 
 
 class Plan(NamedTuple):

@@ -13,8 +13,9 @@ learning rate, global-norm gradient clipping, and a spectral re-clip of
 the state weight after every step, so the contraction certificate stays
 valid throughout optimisation.
 
-Forward solves that diverge skip their batch (with a warning) rather than
-stepping on garbage gradients.  One run is single-threaded and fully
+A forward or adjoint solve that diverges skips its batch (with a warning)
+rather than stepping on garbage gradients; ``RunMetrics.solves`` tallies how
+every solve ended (see ``train_epoch``).  One run is single-threaded and fully
 deterministic in (seed, fold, config).  ``train_epoch``, ``evaluate`` and
 ``run_training`` hold numpy's OpenBLAS at one thread (``one_blas_thread``)
 and give the caller back its own count on return, so a run in process
@@ -48,6 +49,7 @@ import tempfile
 import time
 import traceback
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,7 +62,7 @@ from .graphs import (BlockAdjacency, descriptor_dim, make_batches,
 from .operators import (BackboneParams, EquilibriumOperator, GraphContext,
                         PATHWAYS, clip_spectral)
 from .quantum import DeepXyzParams, QuantumModule
-from .solvers import SolverConfig, equilibrium_solve
+from .solvers import OUTCOMES, SolverConfig, equilibrium_solve
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +134,7 @@ class RunMetrics:
     iterations: list         # mean forward-solve iterations per epoch
     test_accuracy: float
     wall_minutes: float
-    skipped_batches: int = 0
-    fwd_max_iter: int = 0    # forward solves that stopped at max_iter
-    adj_max_iter: int = 0    # adjoint solves that stopped at max_iter
+    solves: dict = field(default_factory=dict)   # train_epoch's, summed
 
     @property
     def final_iterations(self) -> float:
@@ -498,18 +498,19 @@ def train_epoch(model: GraphClassifier, opt: AdamW, batches, lr: float,
     """One optimisation pass over the batches; returns the epoch slice.
 
     Per batch: forward solve, readout, cross-entropy, implicit backward,
-    global-norm gradient clip, AdamW step, spectral re-clip of W.  A
-    diverged forward or adjoint solve skips its batch with a warning, and
-    counts in ``skipped``; ``fwd_max_iter`` and ``adj_max_iter`` count the
-    solves that stopped at ``max_iter``.  The dropout stream is keyed on
-    (seed, epoch, batch) so reruns are bit-identical.  The first call in a
-    process keeps freed memory in the heap (``_keep_heap``).
+    global-norm gradient clip, AdamW step, spectral re-clip of W.  Each
+    forward and each adjoint solve is filed once, under
+    ``solves["fwd.<outcome>"]`` or ``solves["adj.<outcome>"]`` (all six keys
+    present, in ``OUTCOMES`` order); a diverged one skips its batch with a
+    warning.  The dropout stream is keyed on (seed, epoch, batch) so reruns
+    are bit-identical.  The first call in a process keeps freed memory in
+    the heap (``_keep_heap``).
     """
     _keep_heap()
     params = model.parameters()
     loss_sum, hits, seen = 0.0, 0, 0
     iters: list = []
-    skipped = fwd_max_iter = adj_max_iter = 0
+    solves = {f"{phase}.{o}": 0 for phase in ("fwd", "adj") for o in OUTCOMES}
     for bi, batch in enumerate(batches):
         drop = np.random.default_rng((seed, epoch, bi))
         tape = ad.Tape()
@@ -518,20 +519,16 @@ def train_epoch(model: GraphClassifier, opt: AdamW, batches, lr: float,
         with tape:
             loss, logits, report = model.forward_batch(
                 batch, train=True, dropout_rng=drop)
-        if loss is None:
-            skipped += 1
-            warnings.warn(f"forward solve diverged; skipping batch {bi}",
+        solves["fwd." + report.outcome] += 1
+        last, phase = report, "forward"
+        if not report.diverged:
+            grads = tape.backward(loss)
+            last, phase = report.backward, "adjoint"
+            solves["adj." + last.outcome] += 1
+        if last.diverged:
+            warnings.warn(f"{phase} solve diverged; skipping batch {bi}",
                           RuntimeWarning)
             continue
-        fwd_max_iter += not report.converged
-        grads = tape.backward(loss)
-        back = report.backward
-        if back.diverged:
-            skipped += 1
-            warnings.warn(f"adjoint solve diverged; skipping batch {bi}",
-                          RuntimeWarning)
-            continue
-        adj_max_iter += not back.converged
         gd = {name: grads[t] for name, t in params}
         clip_gradients(gd, grad_clip)
         opt.step(gd, lr=lr)
@@ -545,9 +542,7 @@ def train_epoch(model: GraphClassifier, opt: AdamW, batches, lr: float,
         "loss": loss_sum / seen if seen else float("nan"),
         "accuracy": hits / seen if seen else 0.0,
         "iterations": float(np.mean(iters)) if iters else 0.0,
-        "skipped": skipped,
-        "fwd_max_iter": fwd_max_iter,
-        "adj_max_iter": adj_max_iter,
+        "solves": solves,
     }
 
 
@@ -598,7 +593,7 @@ def run_training(dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
                 weight_decay=train_cfg.weight_decay,
                 exclude=model.decay_exclusions())
     loss_series, acc_series, iter_series = [], [], []
-    counts = {"skipped": 0, "fwd_max_iter": 0, "adj_max_iter": 0}
+    solves = Counter()
     for epoch in range(train_cfg.epochs):
         lr = cosine_lr(epoch, train_cfg.epochs, train_cfg.lr, train_cfg.lr_min)
         batches = make_batches(dataset, train_idx, train_cfg.batch_size,
@@ -608,18 +603,14 @@ def run_training(dataset, model_cfg: ModelConfig, train_cfg: TrainConfig,
         loss_series.append(s["loss"])
         acc_series.append(s["accuracy"])
         iter_series.append(s["iterations"])
-        for key in counts:
-            counts[key] += s[key]
+        solves.update(s["solves"])
     _, test_acc, _ = evaluate(
         model, make_batches(dataset, test_idx, train_cfg.batch_size))
     metrics = RunMetrics(
         pathway=model_cfg.pathway, seed=seed, fold=fold,
         train_loss=loss_series, train_accuracy=acc_series,
         iterations=iter_series, test_accuracy=test_acc,
-        wall_minutes=(time.perf_counter() - t0) / 60.0,
-        skipped_batches=counts["skipped"],
-        fwd_max_iter=counts["fwd_max_iter"],
-        adj_max_iter=counts["adj_max_iter"])
+        wall_minutes=(time.perf_counter() - t0) / 60.0, solves=dict(solves))
     return metrics, model
 
 

@@ -413,6 +413,10 @@ def test_an_out_dir_under_a_regular_file_exits_2_and_writes_nothing(
     assert_nothing_left_running()
 
 
+SOLVE_KEYS = ["fwd.converged", "fwd.max_iter", "fwd.diverged",
+              "adj.converged", "adj.max_iter", "adj.diverged"]
+
+
 def test_solves_stopped_at_max_iter_are_written_and_fail_the_run(
         mutag_dir, tmp_path, capsys):
     out = tmp_path / "runs"
@@ -423,10 +427,42 @@ def test_solves_stopped_at_max_iter_are_written_and_fail_the_run(
     err = capsys.readouterr().err
     for tag in ("3_0", "3_1"):
         record = read_kv(out / "MUTAG" / "classical" / tag / "metrics.txt")
-        assert int(record["adj_max_iter"]) > 0
-        assert int(record["fwd_max_iter"]) == 0
+        assert int(record["adj.max_iter"]) > 0
+        assert int(record["fwd.max_iter"]) == 0
+        # one forward solve per batch: 94 training graphs in 32s
+        assert list(record)[-6:] == SOLVE_KEYS
+        assert sum(int(record[k]) for k in SOLVE_KEYS[:3]) == 3
         assert f"run {tag}: " in err
-    assert "adjoint solves stopped at max_iter" in err
+    assert "adj.max_iter" in err
+
+
+def test_each_solve_outcome_is_gated_on_its_own(mutag_dir, tmp_path, capsys,
+                                               monkeypatch):
+    # seed 1: one forward and one adjoint divergence in 10 batches, each at
+    # the limit, so the run passes, though the two sum past it; seed 2: two
+    # adjoint solves of 10 stopped at max_iter fail the run
+    tallies = {1: [9, 0, 1, 8, 0, 1], 2: [10, 0, 0, 8, 2, 0]}
+    train = cli.run_training
+
+    def tallied(*args):
+        metrics, model = train(*args)
+        solves = dict(zip(SOLVE_KEYS, tallies[metrics.seed]))
+        return replace(metrics, solves=solves), model
+
+    monkeypatch.setattr(cli, "run_training", tallied)
+    out = tmp_path / "runs"
+    code = main(DESK + ["--pathway", "classical", "--seeds", "1,2", "--folds",
+                        "2", "--epochs", "1", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "run 1_" not in err
+    for tag in ("2_0", "2_1"):
+        assert f"run {tag}: adj.max_iter 2/10\n" in err
+    for seed, fold in ((1, 0), (1, 1), (2, 0), (2, 1)):
+        record = read_kv(out / "MUTAG" / "classical" / f"{seed}_{fold}"
+                         / "metrics.txt")
+        assert list(record)[-6:] == SOLVE_KEYS
+        assert [int(record[k]) for k in SOLVE_KEYS] == tallies[seed]
 
 
 def test_a_violated_certificate_is_written_named_and_fails_the_run(

@@ -359,15 +359,13 @@ def test_analyze_operator_reads_the_circuit_once(kind, monkeypatch):
     got = analyze_operator(op, ctx, np.random.default_rng(34))
     assert got == want
     assert len(compiled) == 1
-    # one SVD per map for its normalization, and one spectral norm (a
-    # singular-values-only SVD) per normalized map for the budget
+    # no full SVD: one spectral norm (a singular-values-only SVD) per map
+    # for its normalization, then one per normalized map for the budget
     maps = (op.quantum.w_in.data, op.quantum.w_out.data)
-    full = [a for a, uv in svd_inputs if uv]
-    assert len(full) == 2
-    assert all(np.array_equal(a, w) for a, w in zip(full, maps))
+    assert [uv for _, uv in svd_inputs] == [False] * 4
     assert len(norms) == 2
-    assert [a.tobytes() for a, uv in svd_inputs if not uv] == \
-        [np.asarray(m).tobytes() for m in norms]
+    assert [a.tobytes() for a, _ in svd_inputs] == \
+        [np.asarray(m).tobytes() for m in (*maps, *norms)]
 
 
 @pytest.mark.parametrize("kind", ["sd", "bd"])

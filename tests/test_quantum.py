@@ -296,6 +296,20 @@ def test_a_pullback_reads_the_angles_the_plan_was_compiled_at():
     assert again.tobytes() == d_angles.tobytes()
 
 
+def test_a_pullback_reads_the_maps_the_plan_was_built_at():
+    # the optimizer edits the map arrays in place too, and the normalization
+    # takes its singular vectors only when a pullback runs
+    rng = np.random.default_rng(16)
+    module = random_module(rng, 3, 3, 2, normalize=True)
+    s = rng.normal(size=(2, 3))
+    g = rng.normal(size=(2, 2))
+    want = qm.ModulePlan(module).linearize(s)[2](g)
+    vjp = qm.ModulePlan(module).linearize(s)[2]
+    module.w_in.data += rng.normal(size=module.w_in.data.shape)
+    module.w_out.data += rng.normal(size=module.w_out.data.shape)
+    assert [a.tobytes() for a in vjp(g)] == [a.tobytes() for a in want]
+
+
 def test_in_place_angle_update_reaches_the_next_call():
     # the optimizer edits angle arrays in place; no compiled program may
     # outlive the call that compiled it

@@ -6,8 +6,8 @@ import pytest
 
 import gdeq.autodiff as ad
 from gdeq.autodiff import Tensor
-from gdeq.solvers import (SolverConfig, anderson_solve, equilibrium_solve,
-                          picard_solve, solve_fixed_point)
+from gdeq.solvers import (OUTCOMES, SolverConfig, anderson_solve,
+                          equilibrium_solve, picard_solve, solve_fixed_point)
 
 from helpers import (numeric_grad, reference_anderson_solve,
                      reference_picard_solve, rel_err, replay_plan, scale,
@@ -115,6 +115,16 @@ def test_max_iter_exhaustion():
     assert not rep.converged and not rep.diverged
     assert rep.iterations == 10
     assert np.isfinite(rep.residual) and rep.residual > cfg.tol
+
+
+@pytest.mark.parametrize("method", ["picard", "anderson"])
+def test_a_report_names_how_its_solve_ended(method):
+    cfg = SolverConfig(method=method, max_iter=10, tol=1e-12)
+    ends = [(lambda z: np.full_like(z, 2.0), np.ones((1, 1))),
+            (lambda z: 0.999 * z + 1.0, np.ones((1, 1))),
+            (lambda z: z * z, np.full((1, 2), 1e200))]
+    got = [solve_fixed_point(f, z0, cfg).outcome for f, z0 in ends]
+    assert tuple(got) == OUTCOMES == ("converged", "max_iter", "diverged")
 
 
 def assert_matches_reference(f, z0, cfg, solver=anderson_solve, window=5):

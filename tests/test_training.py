@@ -1,4 +1,5 @@
 import gc
+import importlib.util
 import math
 import operator
 import os
@@ -20,7 +21,7 @@ from gdeq import autodiff as ad
 from gdeq.autodiff import Tensor
 from gdeq.graphs import (BlockAdjacency, GraphDataset, GraphInstance,
                          collate, normalize_adjacency, topology_descriptors)
-from gdeq.solvers import SolverConfig
+from gdeq.solvers import OUTCOMES, SolverConfig
 from gdeq import training
 from gdeq.training import (AdamW, AttentionParams,
                            ClassifierParams, GraphClassifier, ModelConfig,
@@ -641,7 +642,7 @@ def test_diverged_batch_is_skipped_with_warning():
     opt = AdamW(model.parameters(), exclude=model.decay_exclusions())
     with pytest.warns(RuntimeWarning):
         s = train_epoch(model, opt, batches, lr=1e-3, seed=0, epoch=0)
-    assert s["skipped"] == 1
+    assert s["solves"]["fwd.diverged"] == 1
     # the surviving batch still stepped the parameters
     assert any(not np.array_equal(t.data, before[n])
                for n, t in model.parameters())
@@ -670,7 +671,7 @@ def test_diverged_adjoint_skips_the_batch_with_warning(monkeypatch):
     with pytest.warns(RuntimeWarning, match="adjoint solve diverged"):
         s = train_epoch(model, opt, batches, lr=1e-3, seed=0, epoch=0)
     assert len(adjoints) == 2
-    assert s["skipped"] == 1
+    assert s["solves"]["adj.diverged"] == 1
     assert opt.t == 1
     for n, t in model.parameters():
         assert np.all(np.isfinite(t.data)), n
@@ -687,9 +688,71 @@ def test_solves_stopped_at_max_iter_are_counted():
         model = GraphClassifier(cfg, ds.feature_dim, 2, seed=4)
         opt = AdamW(model.parameters(), exclude=model.decay_exclusions())
         s = train_epoch(model, opt, batches, lr=1e-3, seed=0, epoch=0)
-        assert s["skipped"] == 0
-        assert s["fwd_max_iter"] == (2 if fwd_cap == 2 else 0)
-        assert s["adj_max_iter"] == (2 if bwd_cap == 2 else 0)
+        assert s["solves"]["fwd.diverged"] == s["solves"]["adj.diverged"] == 0
+        assert s["solves"]["fwd.max_iter"] == (2 if fwd_cap == 2 else 0)
+        assert s["solves"]["adj.max_iter"] == (2 if bwd_cap == 2 else 0)
+
+
+def perfbench_solve_counter():
+    """perfbench's count-only tracer, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.SolveCounter()
+
+
+@pytest.mark.parametrize("pathway", ["classical", "sd"])
+def test_the_epoch_tally_matches_perfbench_solve_counter(pathway):
+    # an adjoint cap of 3 stops every adjoint solve at max_iter
+    ds = toy_dataset()
+    cfg = small_config(pathway, bwd=SolverConfig(max_iter=3, tol=1e-9))
+    model = GraphClassifier(cfg, ds.feature_dim, 2, seed=4)
+    opt = AdamW(model.parameters(), exclude=model.decay_exclusions())
+    batches = [collate(ds.graphs[i:i + 4]) for i in range(0, 12, 4)]
+    counter = perfbench_solve_counter()
+    counter.install()
+    try:
+        s = train_epoch(model, opt, batches, lr=1e-3, seed=0, epoch=0)
+    finally:
+        counter.uninstall()
+    assert list(s["solves"].items()) == [
+        (f"{phase}.{o}", n) for (phase, o), n in counter.counts.items()]
+    assert s["solves"]["fwd.converged"] == s["solves"]["adj.max_iter"] == 3
+
+
+def test_a_diverged_forward_and_a_diverged_adjoint_are_filed_apart(
+        monkeypatch):
+    from gdeq import solvers
+    ds = toy_dataset()
+    model = GraphClassifier(small_config(), ds.feature_dim, 2, seed=4)
+    batches = [collate(ds.graphs[i:i + 4]) for i in range(0, 12, 4)]
+    real_solve = solvers.solve_fixed_point
+    calls = {"fwd": 0, "adj": 0}
+
+    def flaky(f, z0, cfg):
+        # the first forward solve (batch 0) and the first adjoint solve
+        # (batch 1) diverge
+        phase = "adj" if cfg is model.cfg.bwd else "fwd"
+        calls[phase] += 1
+        if calls[phase] == 1:
+            return solvers.SolveReport(False, 3, np.inf, diverged=True,
+                                       z_star=np.full_like(z0, np.nan))
+        return real_solve(f, z0, cfg)
+
+    monkeypatch.setattr(solvers, "solve_fixed_point", flaky)
+    opt = AdamW(model.parameters(), exclude=model.decay_exclusions())
+    with pytest.warns(RuntimeWarning) as warned:
+        s = train_epoch(model, opt, batches, lr=1e-3, seed=0, epoch=0)
+    assert [str(w.message) for w in warned] == [
+        "forward solve diverged; skipping batch 0",
+        "adjoint solve diverged; skipping batch 1"]
+    assert s["solves"] == {"fwd.converged": 2, "fwd.max_iter": 0,
+                           "fwd.diverged": 1, "adj.converged": 1,
+                           "adj.max_iter": 0, "adj.diverged": 1}
+    assert list(s["solves"]) == [f"{phase}.{o}" for phase in ("fwd", "adj")
+                                 for o in OUTCOMES]
+    assert opt.t == 1
 
 
 def test_evaluate_leaves_the_model_unchanged():
@@ -743,6 +806,10 @@ def test_metrics_series_lengths_match_epochs():
     assert len(metrics.iterations) == 3
     assert metrics.final_iterations == metrics.iterations[-1]
     assert metrics.wall_minutes > 0
+    # every epoch files one forward solve per batch: 6 training graphs in 4s
+    assert list(metrics.solves) == [f"{phase}.{o}" for phase in ("fwd", "adj")
+                                    for o in OUTCOMES]
+    assert sum(metrics.solves[f"fwd.{o}"] for o in OUTCOMES) == 3 * 2
 
 
 def test_rerun_is_bit_identical():
@@ -976,7 +1043,9 @@ def test_training_runs_at_the_caller_threads_without_a_pinnable_blas(
                         SimpleNamespace(__file__=None))
     with blas_threads(1):
         unpinned = trained_epoch()
-    assert math.isfinite(unpinned[0]["loss"]) and unpinned[0]["skipped"] == 0
+    solves = unpinned[0]["solves"]
+    assert math.isfinite(unpinned[0]["loss"])
+    assert solves["fwd.diverged"] == solves["adj.diverged"] == 0
     assert unpinned[0] == pinned[0]
     for name, value in pinned[1].items():
         assert np.array_equal(unpinned[1][name], value), name
